@@ -67,10 +67,12 @@ class RunConfig:
             raise ConfigError(f"gamma must lie in (0, 90) degrees, got {self.gamma_deg}")
         if not 0.0 <= self.x0 < 1.0:
             raise ConfigError(f"x0 must lie in [0, 1), got {self.x0}")
-        if self.t_final < 0.0:
-            raise ConfigError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ConfigError(f"t_final must be finite and nonnegative, got {self.t_final}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
+        if self.cfl_kappa is not None and not 0.0 < self.cfl_kappa < math.inf:
+            raise ConfigError(f"cfl_kappa must be finite and positive, got {self.cfl_kappa}")
         if self.cfl_kappa is None and not 0.0 < self.cfl_epsilon < 0.5:
             raise ConfigError(f"cfl epsilon must lie in (0, 1/2), got {self.cfl_epsilon}")
         if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
@@ -276,7 +278,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     ok = True
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.lemma_id}: max_ratio={r.max_ratio:.6e} ({r.instances} instances)")
+        # an identity's max_ratio is 1 + deviation, which hides small deviations
+        value = (f"deviation={r.max_ratio - 1.0:.6e}" if r.kind == "identity"
+                 else f"max_ratio={r.max_ratio:.6e}")
+        print(f"{status}  {r.lemma_id}: {value} ({r.instances} instances)")
         ok = ok and r.passed
     return 0 if ok else 2
 

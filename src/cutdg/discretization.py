@@ -149,7 +149,7 @@ def split_parts(v):
 def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v) -> np.ndarray:
     """beta-weighted means of the traces of v, per face and side.
 
-    Column 0 is the trace from cell_left, column 1 from cell_right (for the
+    Column 0 is the trace from f_left, column 1 from f_right (for the
     smooth part the trace is single-valued, so boundary faces carry it in
     both columns).  Zero-flux faces get mean 0; they never enter any form.
     """

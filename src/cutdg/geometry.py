@@ -3,7 +3,7 @@
 The domain is an axis-aligned square with the region strictly below the ramp
 line y = slope*(x - x0) removed for x > x0.  Every background cell is clipped
 exactly; all positive-area cells are kept (no merging, arbitrarily small cut
-cells survive), and faces are deduplicated with consistent adjacency.
+cells survive), and each face is a grid edge or a piece of the ramp line.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 CELL_KINDS = ("cartesian", "cut3", "cut4", "cut5")
-FACE_KINDS = ("interior", "boundary_square", "boundary_ramp")
 
 K_CARTESIAN, K_CUT3, K_CUT4, K_CUT5 = range(4)
 F_INTERIOR, F_SQUARE, F_RAMP = range(3)
@@ -83,26 +82,6 @@ class RampDomain:
 
 
 @dataclass
-class Cell:
-    id: int
-    vertices: np.ndarray  # (k, 2), counter-clockwise
-    area: float
-    kind: str
-    background_index: tuple[int, int]
-
-
-@dataclass
-class Face:
-    id: int
-    endpoints: np.ndarray  # (2, 2)
-    length: float
-    normal: np.ndarray  # unit, outward for cell_left
-    cell_left: int
-    cell_right: int | None
-    kind: str
-
-
-@dataclass
 class StabilizedCellRecord:
     """Bookkeeping for one DoD-stabilized triangular cut cell."""
 
@@ -124,19 +103,13 @@ def _polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _is_convex_ccw(vertices: np.ndarray, tol: float) -> bool:
-    v = np.asarray(vertices, dtype=float)
-    d = np.roll(v, -1, axis=0) - v
-    cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
-    return bool(np.all(cross >= -tol))
-
-
 def _clip_marked(corners, etas, ramp: RampDomain, eps: float):
     """Sutherland-Hodgman clip of one square cell against eta >= 0.
 
     Intersections with grid lines are computed canonically from the line
     equation so adjacent cells produce bit-identical shared vertices.
     Returns (vertices, on_line_flags); flags mark vertices on the ramp line.
+    Both lists are empty when no polygon of positive area remains.
     """
     out: list[tuple[float, float]] = []
     flags: list[bool] = []
@@ -175,6 +148,8 @@ def _clip_marked(corners, etas, ramp: RampDomain, eps: float):
                 del out[i], flags[i]
                 changed = True
                 break
+    if len(out) < 3 or _polygon_area(out) <= 0.0:
+        return [], []
     return out, flags
 
 
@@ -190,67 +165,77 @@ def clip_cell(square_cell, ramp: RampDomain) -> np.ndarray:
     etas = [float(ramp.signed_distance(p)) for p in corners]
     etas = [0.0 if abs(e) <= eps else e for e in etas]
     if min(etas) >= 0.0:
-        return np.asarray(corners, dtype=float)
-    if max(etas) <= 0.0:
-        return np.empty((0, 2))
+        return np.asarray(corners)
     out, _ = _clip_marked(corners, etas, ramp, eps)
-    if len(out) < 3:
-        return np.empty((0, 2))
-    poly = np.asarray(out, dtype=float)
-    if _polygon_area(poly) <= 0.0:
-        return np.empty((0, 2))
-    return poly
+    return np.asarray(out, dtype=float).reshape(-1, 2)
 
 
+@dataclass(frozen=True, eq=False)
 class CutCellMesh:
-    """Immutable cut-cell mesh with cell/face entities and numpy mirrors.
+    """Immutable cut-cell mesh stored as flat arrays.
 
-    The numpy arrays (`areas`, `kind_codes`, `f_*`) are views used by the
-    vectorized assembly; the `cells`/`faces` lists hold the full records.
-    Once built the mesh is never mutated and may be shared across threads.
+    Cells are numbered in background order (row j, then column i).  Cell c
+    owns rows `cell_ptr[c]:cell_ptr[c + 1]` of `vertices`: 3 to 5 corners of
+    a convex polygon, counter-clockwise.  `areas`, `kind_codes` (K_*) and
+    `background` (the (i, j) grid index) hold one row per cell.
+
+    Faces carry `f_endpoints` (F, 2, 2), `f_length`, `f_normal` (unit,
+    outward for `f_left`), `f_left`, `f_right` (-1 on the boundary) and
+    `f_kind` (F_*).  The cell-to-face map is a CSR on the same offsets as
+    the vertices: the edge from vertex k to vertex k + 1 (cyclically) of a
+    cell is face `edge_face[k]`, and `edge_sign[k]` is +1 when the face
+    normal points out of that cell, -1 otherwise.
+
+    A face is either a grid edge, shared by the cells on its two sides, or
+    the piece of the ramp line inside one cut cell.  `build_mesh` asserts
+    3 to 5 vertices per cell, convex CCW polygons, at most two cells per
+    face with matching endpoints, no interior face on the ramp, and that the
+    cell areas partition the domain.  The mesh is never mutated and may be
+    shared across threads.
     """
 
-    def __init__(self, domain: RampDomain, n: int, cells, faces, cell_faces):
-        self.domain = domain
-        self.n = n
-        self.h = domain.side / n
-        self.cells: list[Cell] = cells
-        self.faces: list[Face] = faces
-        self.cell_faces: list[list[tuple[int, int]]] = cell_faces
+    domain: RampDomain
+    n: int
+    vertices: np.ndarray
+    cell_ptr: np.ndarray
+    areas: np.ndarray
+    kind_codes: np.ndarray
+    background: np.ndarray
+    edge_face: np.ndarray
+    edge_sign: np.ndarray
+    f_endpoints: np.ndarray
+    f_length: np.ndarray
+    f_normal: np.ndarray
+    f_left: np.ndarray
+    f_right: np.ndarray
+    f_kind: np.ndarray
 
-        self.areas = np.array([c.area for c in cells])
-        self.kind_codes = np.array([CELL_KINDS.index(c.kind) for c in cells], dtype=np.int8)
-        nf = len(faces)
-        self.f_endpoints = np.stack([f.endpoints for f in faces]) if nf else np.empty((0, 2, 2))
-        self.f_length = np.array([f.length for f in faces])
-        self.f_normal = np.stack([f.normal for f in faces]) if nf else np.empty((0, 2))
-        self.f_left = np.array([f.cell_left for f in faces], dtype=np.int64)
-        self.f_right = np.array(
-            [f.cell_right if f.cell_right is not None else -1 for f in faces], dtype=np.int64
-        )
-        self.f_kind = np.array([FACE_KINDS.index(f.kind) for f in faces], dtype=np.int8)
+    @property
+    def h(self) -> float:
+        return self.domain.side / self.n
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.areas)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.f_length)
 
     def total_area(self) -> float:
         return float(self.areas.sum())
 
-    def outward_sign(self, cell_id: int, face_id: int) -> int:
-        """+1 if the stored face normal is outward for `cell_id`, else -1."""
-        return 1 if self.faces[face_id].cell_left == cell_id else -1
+    def cell_vertices(self, c: int) -> np.ndarray:
+        """The (k, 2) counter-clockwise corners of cell c."""
+        return self.vertices[self.cell_ptr[c]:self.cell_ptr[c + 1]]
 
 
 def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     """Clip an n x n background grid against the ramp and assemble faces.
 
-    Raises DegenerateGeometry if the ramp does not exit through the right
-    edge of the square, and ValueError for n < 4.
+    Cells above the ramp line are copied from the grid; only the O(n) cells
+    that straddle it are clipped.  Raises DegenerateGeometry if the ramp does
+    not exit through the right edge of the square, and ValueError for n < 4.
     """
     if n < 4:
         raise ValueError(f"need at least 4 cells per side, got n={n}")
@@ -271,81 +256,102 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     eta = ramp.signed_distance(np.stack([gx, gy], axis=-1))
     eta[np.abs(eta) <= eps] = 0.0
 
-    cells: list[Cell] = []
-    polys_flags: list[list[bool]] = []
-    for j in range(n):
-        for i in range(n):
-            e00, e10, e11, e01 = eta[i, j], eta[i + 1, j], eta[i + 1, j + 1], eta[i, j + 1]
-            corner_etas = (e00, e10, e11, e01)
-            if max(corner_etas) <= 0.0:
-                continue
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]), (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            if min(corner_etas) >= 0.0:
-                poly = corners
-                flags = [e == 0.0 for e in corner_etas]
-            else:
-                poly, flags = _clip_marked(corners, corner_etas, ramp, eps)
-                if len(poly) < 3:
-                    continue
-            verts = np.asarray(poly, dtype=float)
-            area = _polygon_area(verts)
-            if area <= 0.0:
-                continue
-            nv = len(verts)
-            if nv == 3:
-                kind = "cut3"
-            elif nv == 5:
-                kind = "cut5"
-            elif nv == 4:
-                kind = "cartesian" if abs(area - h * h) <= 1e-12 * h * h else "cut4"
-            else:
-                raise AssertionError(f"half-plane clip of a square produced {nv} vertices")
-            if not _is_convex_ccw(verts, tol=eps * h):
-                raise AssertionError(f"cell ({i},{j}) polygon is not convex CCW")
-            cells.append(Cell(len(cells), verts, area, kind, (i, j)))
-            polys_flags.append(list(flags))
+    # background cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    bj, bi = np.divmod(np.arange(n * n), n)
+    corner_eta = eta[bi[:, None] + [0, 1, 1, 0], bj[:, None] + [0, 0, 1, 1]]
+    live = corner_eta.max(axis=1) > 0.0
+    bi, bj, corner_eta = bi[live], bj[live], corner_eta[live]
+    # up to five corners per cell: the square, or its clip for the O(n)
+    # cells that straddle the ramp line
+    poly = np.zeros((len(bi), 5, 2))
+    poly[:, :4, 0] = xs[bi[:, None] + [0, 1, 1, 0]]
+    poly[:, :4, 1] = ys[bj[:, None] + [0, 0, 1, 1]]
+    on_line = np.zeros((len(bi), 5), dtype=bool)
+    on_line[:, :4] = corner_eta == 0.0
+    nv = np.full(len(bi), 4)
+    areas = np.diff(xs)[bi] * np.diff(ys)[bj]
+    for c in np.nonzero(corner_eta.min(axis=1) < 0.0)[0]:
+        out, flags = _clip_marked(poly[c, :4].tolist(), corner_eta[c].tolist(), ramp, eps)
+        if len(out) > 5:
+            raise AssertionError(f"half-plane clip of a square produced {len(out)} vertices")
+        nv[c] = len(out)
+        if out:
+            poly[c, :nv[c]], on_line[c, :nv[c]] = out, flags
+            areas[c] = _polygon_area(out)
+    keep = nv > 0
+    bi, bj, nv, areas = bi[keep], bj[keep], nv[keep], areas[keep]
+    slot = np.arange(5) < nv[:, None]
+    vertices, on_line = poly[keep][slot], on_line[keep][slot]
+    cell_ptr = np.concatenate([[0], np.cumsum(nv)])
+    kind_codes = np.select(
+        [nv == 3, nv == 5, np.abs(areas - h * h) <= 1e-12 * h * h],
+        [K_CUT3, K_CUT5, K_CARTESIAN],
+        K_CUT4,
+    ).astype(np.int8)
 
-    # face dedup: canonical vertex keys quantized well below the snap scale
-    inv = 4.0 / eps
-    def pkey(x, y):
-        return (int(round(x * inv)), int(round(y * inv)))
+    # edge e runs from vertex e to the next vertex of its cell
+    cell = np.repeat(np.arange(len(nv)), nv)
+    nxt = np.arange(1, len(cell) + 1)
+    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    a, b = vertices, vertices[nxt]
+    d = b - a
+    cross = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+    if np.any(cross < -eps * h):
+        c = cell[np.argmax(cross < -eps * h)]
+        raise AssertionError(f"cell ({bi[c]},{bj[c]}) polygon is not convex CCW")
+    on_ramp = on_line & on_line[nxt]
 
-    registry: dict[tuple, list] = {}
-    for c, flags in zip(cells, polys_flags):
-        v = c.vertices
-        k = len(v)
-        for a in range(k):
-            b = (a + 1) % k
-            ka, kb = pkey(*v[a]), pkey(*v[b])
-            key = (ka, kb) if ka <= kb else (kb, ka)
-            on_ramp = flags[a] and flags[b]
-            registry.setdefault(key, []).append((c.id, v[a].copy(), v[b].copy(), on_ramp))
+    # Face identity.  An edge on a grid line is keyed by that grid edge: shared
+    # vertices are canonical, so exact comparison with xs/ys is safe.  Vertical
+    # edge (p, j) on x = xs[p] gets p*n + j, horizontal edge (q, i) on y = ys[q]
+    # gets n*(n+1) + q*n + i, and each ramp edge a key of its own.
+    i, j = bi[cell], bj[cell]
+    key = np.full(len(cell), -1)
+    for k in (0, 1):
+        x, y = xs[i + k], ys[j + k]
+        key = np.where((a[:, 0] == x) & (b[:, 0] == x), (i + k) * n + j, key)
+        key = np.where((a[:, 1] == y) & (b[:, 1] == y), n * (n + 1) + (j + k) * n + i, key)
+    loose = np.nonzero(key < 0)[0]
+    if not np.all(on_ramp[loose]):
+        raise AssertionError("a cell edge lies neither on a grid line nor on the ramp")
+    key[loose] = 2 * n * (n + 1) + loose
 
-    faces: list[Face] = []
-    cell_faces: list[list[tuple[int, int]]] = [[] for _ in cells]
-    for key, entries in registry.items():
-        if len(entries) > 2:
-            raise AssertionError("face shared by more than two cells")
-        entries.sort(key=lambda e: e[0])  # normal owned by the lower-id cell
-        cid, a, b, on_ramp = entries[0]
-        d = b - a
-        length = float(np.hypot(*d))
-        normal = np.array([d[1], -d[0]]) / length  # outward for a CCW polygon
-        if len(entries) == 2:
-            if on_ramp or entries[1][3]:
-                raise AssertionError("interior face tagged as ramp")
-            right = entries[1][0]
-            kind = "interior"
-        else:
-            right = None
-            kind = "boundary_ramp" if on_ramp else "boundary_square"
-        fid = len(faces)
-        faces.append(Face(fid, np.stack([a, b]), length, normal, cid, right, kind))
-        cell_faces[cid].append((fid, 1))
-        if right is not None:
-            cell_faces[right].append((fid, -1))
+    # faces are numbered by first appearance; that edge owns the face and its
+    # orientation sets the normal, so f_left is the lower cell id
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    edge_face = np.argsort(np.argsort(first))[group]
+    owner = np.sort(first)
+    edge_sign = np.where(owner[edge_face] == np.arange(len(cell)), 1, -1).astype(np.int8)
+    if np.bincount(edge_face).max() > 2:
+        raise AssertionError("face shared by more than two cells")
+    other = np.full(len(owner), -1)
+    other[edge_face[edge_sign < 0]] = np.nonzero(edge_sign < 0)[0]
+    shared = other >= 0
+    o, p = owner[shared], other[shared]
+    if np.any(on_ramp[o] | on_ramp[p]):
+        raise AssertionError("interior face tagged as ramp")
+    if np.any(a[p] != b[o]) or np.any(b[p] != a[o]):
+        raise AssertionError("the two cells of a face disagree on its endpoints")
 
-    mesh = CutCellMesh(ramp, n, cells, faces, cell_faces)
+    f_d = d[owner]
+    f_length = np.hypot(f_d[:, 0], f_d[:, 1])
+    mesh = CutCellMesh(
+        domain=ramp,
+        n=n,
+        vertices=vertices,
+        cell_ptr=cell_ptr,
+        areas=areas,
+        kind_codes=kind_codes,
+        background=np.stack([bi, bj], axis=1),
+        edge_face=edge_face,
+        edge_sign=edge_sign,
+        f_endpoints=np.stack([a[owner], b[owner]], axis=1),
+        f_length=f_length,
+        f_normal=np.stack([f_d[:, 1], -f_d[:, 0]], axis=1) / f_length[:, None],
+        f_left=cell[owner],
+        f_right=np.where(shared, cell[other], -1),
+        f_kind=np.select([shared, on_ramp[owner]], [F_INTERIOR, F_RAMP], F_SQUARE).astype(np.int8),
+    )
     rel_gap = abs(mesh.total_area() - ramp.area()) / ramp.area()
     if rel_gap > 1e-12:
         raise AssertionError(f"mesh does not partition the domain (relative gap {rel_gap:.3e})")
@@ -362,18 +368,14 @@ def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> list[Stabilized
         raise ValueError(f"capacity parameter tau must be positive, got {tau}")
     records: list[StabilizedCellRecord] = []
     half_h = 0.5 * mesh.h
-    for c in mesh.cells:
-        if c.kind != "cut3":
-            continue
-        legs = []
-        e_bdy = None
-        for fid, orient in mesh.cell_faces[c.id]:
-            if mesh.f_kind[fid] == F_RAMP:
-                e_bdy = fid
-            else:
-                legs.append((fid, orient))
-        if e_bdy is None or len(legs) != 2:
-            raise AssertionError(f"cut3 cell {c.id} does not have two legs and a ramp face")
+    for c in np.nonzero(mesh.kind_codes == K_CUT3)[0].tolist():
+        edges = slice(mesh.cell_ptr[c], mesh.cell_ptr[c + 1])
+        fids, signs = mesh.edge_face[edges], mesh.edge_sign[edges]
+        on_ramp = mesh.f_kind[fids] == F_RAMP
+        if np.count_nonzero(on_ramp) != 1:
+            raise AssertionError(f"cut3 cell {c} does not have two legs and a ramp face")
+        e_bdy = int(fids[on_ramp][0])
+        legs = list(zip(fids[~on_ramp].tolist(), signs[~on_ramp].tolist()))
         if max(mesh.f_length[f] for f, _ in legs) >= half_h:
             continue
         signed = [(float(table.flux_in[f]) * o, f) for f, o in legs]
@@ -381,22 +383,22 @@ def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> list[Stabilized
         outs = [f for s, f in signed if s > 0.0]
         if len(ins) != 1 or len(outs) != 1:
             raise InvalidStabilization(
-                f"cell {c.id}: legs are not one inflow / one outflow face"
+                f"cell {c}: legs are not one inflow / one outflow face"
             )
         e_in, e_out = ins[0], outs[0]
         if mesh.f_right[e_in] < 0 or mesh.f_right[e_out] < 0:
             raise InvalidStabilization(
-                f"cell {c.id}: stabilized in/out face touches the physical boundary"
+                f"cell {c}: stabilized in/out face touches the physical boundary"
             )
         denom = float(table.abs_flux[e_in])
         if denom <= 0.0:
             raise InvalidStabilization(
-                f"cell {c.id}: velocity flux vanishes on the inflow face"
+                f"cell {c}: velocity flux vanishes on the inflow face"
             )
-        alpha = min(c.area / (tau * mesh.h * denom), 1.0)
-        neighbor = lambda f: int(mesh.f_left[f] if mesh.f_right[f] == c.id else mesh.f_right[f])
+        alpha = min(float(mesh.areas[c]) / (tau * mesh.h * denom), 1.0)
+        neighbor = lambda f: int(mesh.f_left[f] if mesh.f_right[f] == c else mesh.f_right[f])
         records.append(
-            StabilizedCellRecord(c.id, e_in, e_out, e_bdy, neighbor(e_in), neighbor(e_out), alpha)
+            StabilizedCellRecord(c, e_in, e_out, e_bdy, neighbor(e_in), neighbor(e_out), alpha)
         )
 
     stab_cells = {r.cell for r in records}

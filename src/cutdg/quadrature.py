@@ -78,16 +78,14 @@ class TriangleRule:
         return len(self.weights)
 
 
-def integrate_face(face, integrand, rule: SegmentRule | None = None) -> float:
-    """Integrate a scalar function over a straight face.
+def integrate_face(endpoints, integrand, rule: SegmentRule | None = None) -> float:
+    """Integrate a scalar function over the straight face with (2, 2) `endpoints`.
 
-    `face` is either a geometry Face or a (2, 2) endpoint array. The
-    integrand receives an (m, 2) array of points and returns (m,) values.
+    The integrand receives an (m, 2) array of points and returns (m,) values.
     """
     if rule is None:
         rule = SegmentRule.gauss()
-    ends = np.asarray(getattr(face, "endpoints", face), dtype=float)
-    a, b = ends[0], ends[1]
+    a, b = np.asarray(endpoints, dtype=float)
     pts = a[None, :] + rule.points[:, None] * (b - a)[None, :]
     length = float(np.hypot(*(b - a)))
     vals = np.asarray(integrand(pts), dtype=float)
@@ -121,12 +119,12 @@ def polygon_quadrature(vertices: np.ndarray, rule: TriangleRule):
     return pts.reshape(-1, 2), wts.ravel()
 
 
-def integrate_cell(cell, integrand, rule: TriangleRule | None = None) -> float:
-    """Integrate a scalar function over a cell (or raw convex CCW polygon)."""
+def integrate_cell(vertices, integrand, rule: TriangleRule | None = None) -> float:
+    """Integrate a scalar function over a convex CCW polygon, such as
+    `mesh.cell_vertices(c)`."""
     if rule is None:
         rule = TriangleRule.of_degree(6)
-    verts = np.asarray(getattr(cell, "vertices", cell), dtype=float)
-    pts, wts = polygon_quadrature(verts, rule)
+    pts, wts = polygon_quadrature(vertices, rule)
     vals = np.asarray(integrand(pts), dtype=float)
     return float(np.dot(wts, vals))
 
@@ -140,17 +138,16 @@ class CellQuadratureTable:
 
     def __init__(self, mesh, rule: TriangleRule):
         self.rule = rule
-        self.n_cells = len(mesh.cells)
+        self.n_cells = mesh.n_cells
         pts_parts = []
         wts_parts = []
         idx_parts = []
-        by_count: dict[int, list[int]] = {}
-        for c in mesh.cells:
-            by_count.setdefault(len(c.vertices), []).append(c.id)
+        counts = np.diff(mesh.cell_ptr)
         r = rule.points[:, 0]
         s = rule.points[:, 1]
-        for nv, ids in sorted(by_count.items()):
-            verts = np.stack([mesh.cells[cid].vertices for cid in ids])  # (nc, nv, 2)
+        for nv in np.unique(counts).tolist():
+            ids = np.nonzero(counts == nv)[0]
+            verts = mesh.vertices[mesh.cell_ptr[ids][:, None] + np.arange(nv)]  # (nc, nv, 2)
             p0 = verts[:, 0:1, :]
             e1 = verts[:, 1:-1, :] - p0  # (nc, nv-2, 2)
             e2 = verts[:, 2:, :] - p0
@@ -165,7 +162,7 @@ class CellQuadratureTable:
             m = pts.shape[1] * pts.shape[2]
             pts_parts.append(pts.reshape(-1, 2))
             wts_parts.append(wts.reshape(-1))
-            idx_parts.append(np.repeat(np.asarray(ids, dtype=np.int64), m))
+            idx_parts.append(np.repeat(ids, m))
         self.points = np.concatenate(pts_parts, axis=0)
         self.weights = np.concatenate(wts_parts)
         self.cell_index = np.concatenate(idx_parts)

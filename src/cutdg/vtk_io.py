@@ -14,20 +14,14 @@ def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
     `cell_data` maps array names to per-cell values; the mesh arrays
     "kind" (as integer codes), "area", and "alpha" are callers' business.
     """
-    points: list[tuple[float, float]] = []
-    index: dict[tuple[int, int], int] = {}
-    conn: list[list[int]] = []
-    for c in mesh.cells:
-        ids = []
-        for x, y in c.vertices:
-            key = (int(round(x * 1e13)), int(round(y * 1e13)))
-            pid = index.get(key)
-            if pid is None:
-                pid = len(points)
-                index[key] = pid
-                points.append((float(x), float(y)))
-            ids.append(pid)
-        conn.append(ids)
+    # shared corners are bit-identical; number points by first appearance
+    points, first, inverse = np.unique(
+        mesh.vertices, axis=0, return_index=True, return_inverse=True
+    )
+    by_appearance = np.argsort(first)
+    conn = np.argsort(by_appearance)[inverse.ravel()].tolist()
+    ptr = mesh.cell_ptr.tolist()
+    n_cells = mesh.n_cells
 
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
@@ -35,17 +29,15 @@ def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(points)} double\n")
-        for x, y in points:
+        for x, y in points[by_appearance].tolist():
             f.write(f"{x:.16e} {y:.16e} 0.0\n")
-        size = sum(len(ids) + 1 for ids in conn)
-        f.write(f"CELLS {len(conn)} {size}\n")
-        for ids in conn:
-            f.write(" ".join([str(len(ids))] + [str(i) for i in ids]) + "\n")
-        f.write(f"CELL_TYPES {len(conn)}\n")
-        for _ in conn:
-            f.write(f"{_VTK_POLYGON}\n")
+        f.write(f"CELLS {n_cells} {len(conn) + n_cells}\n")
+        for lo, hi in zip(ptr, ptr[1:]):
+            f.write(" ".join(map(str, [hi - lo] + conn[lo:hi])) + "\n")
+        f.write(f"CELL_TYPES {n_cells}\n")
+        f.write(f"{_VTK_POLYGON}\n" * n_cells)
         if cell_data:
-            f.write(f"CELL_DATA {len(conn)}\n")
+            f.write(f"CELL_DATA {n_cells}\n")
             for name, values in cell_data.items():
                 arr = np.asarray(values)
                 if arr.dtype.kind in "iu":

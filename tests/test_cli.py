@@ -38,8 +38,20 @@ class TestConfig:
         assert "POLYGON" not in text  # polygons are cell type 7
         assert "CELL_TYPES" in text
 
-    def test_invalid_gamma_exits_one(self):
-        assert run(["run", "--gamma", "0", "--n", "8"]) == 1
+    @pytest.mark.parametrize("option,value", [
+        ("--gamma", "0"),
+        ("--gamma", "nan"),
+        ("--x0", "inf"),
+        ("--t-final", "nan"),
+        ("--t-final", "inf"),
+        ("--tau", "nan"),
+        ("--tau", "inf"),
+        ("--cfl-kappa", "nan"),
+        ("--cfl-kappa", "inf"),
+    ])
+    def test_invalid_value_exits_one(self, option, value, capsys):
+        assert run(["run", "--n", "8", option, value]) == 1
+        assert option.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["run", "--nope", "1"]) == 1
@@ -137,12 +149,13 @@ class TestConverge:
 
 
 class TestVerifyCommand:
-    def test_verify_exits_zero_and_writes_csv(self, tmp_path):
+    def test_verify_exits_zero_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run([
             "verify", "--n-list", "8", "--cfl-epsilon", str(1 / 14), "--out", str(out),
         ])
         assert code == 0
+        assert "pass  flux-closure@n=8: deviation=" in capsys.readouterr().out
         lines = (tmp_path / "v_verify.csv").read_text().splitlines()
         assert lines[0] == "lemma_id,instances,max_ratio,pass"
         assert len(lines) > 5

@@ -35,22 +35,22 @@ def brute_force_row_sums(mesh, table, records, v):
     """
     eout = {r.e_out: r for r in records}
     out = np.zeros(mesh.n_cells)
-    for f in mesh.faces:
-        flux = float(table.flux_in[f.id])
+    for f, (left, right) in enumerate(zip(mesh.f_left.tolist(), mesh.f_right.tolist())):
+        flux = float(table.flux_in[f])
         if flux == 0.0:
             continue
-        if f.id in eout:
-            r = eout[f.id]
+        if f in eout:
+            r = eout[f]
             value = r.alpha * v[r.cell] + (1.0 - r.alpha) * v[r.E_in]
         elif flux > 0.0:
-            value = v[f.cell_left]
-        elif f.cell_right is None:
+            value = v[left]
+        elif right < 0:
             value = 0.0  # inflow boundary: upwind extension by zero
         else:
-            value = v[f.cell_right]
-        out[f.cell_left] += value * flux
-        if f.cell_right is not None:
-            out[f.cell_right] -= value * flux
+            value = v[right]
+        out[left] += value * flux
+        if right >= 0:
+            out[right] -= value * flux
     return out
 
 
@@ -117,11 +117,11 @@ class TestOperator:
         mesh = base_scheme.mesh
         v = np.full(mesh.n_cells, 2.5)
         av = base_scheme.apply(v)
-        interior = [
-            c.id
-            for c in mesh.cells
-            if all(mesh.f_right[f] >= 0 for f, _ in mesh.cell_faces[c.id])
-        ]
+        cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+        on_boundary = np.bincount(
+            cell, weights=mesh.f_right[mesh.edge_face] < 0, minlength=mesh.n_cells
+        )
+        interior = np.nonzero(on_boundary == 0)[0]
         assert np.abs(av[interior]).max() < 1e-12
 
     def test_reduces_to_1d_upwind_on_cartesian_strip(self):
@@ -134,7 +134,7 @@ class TestOperator:
         v = rng.uniform(-1, 1, mesh.n_cells)
         av = A @ v
         h = mesh.h
-        by_idx = {c.background_index: c.id for c in mesh.cells}
+        by_idx = {tuple(b): c for c, b in enumerate(mesh.background.tolist())}
         for (i, j), cid in by_idx.items():
             expected = (v[cid] - (v[by_idx[(i - 1, j)]] if i > 0 else 0.0)) / h
             assert av[cid] == pytest.approx(expected, abs=1e-12)
@@ -222,8 +222,8 @@ class TestRhsAndStep:
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]))
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
         r = rhs_inflow(mesh, table, g, 0.0)
-        left_col = [c.id for c in mesh.cells if c.background_index[0] == 0]
-        rest = [c.id for c in mesh.cells if c.background_index[0] != 0]
+        left_col = mesh.background[:, 0] == 0
+        rest = ~left_col
         np.testing.assert_allclose(r[left_col], 1.0 / mesh.h, rtol=1e-14)
         np.testing.assert_array_equal(r[rest], 0.0)
 

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from cutdg.discretization import build_face_table
 from cutdg.field import ramp_velocity
 from cutdg.geometry import (
+    CELL_KINDS,
     DegenerateGeometry,
+    F_INTERIOR,
     F_RAMP,
+    K_CUT3,
     RampDomain,
     build_mesh,
     clip_cell,
@@ -20,6 +23,15 @@ from cutdg.geometry import (
 def shoelace(poly):
     x, y = np.asarray(poly).T
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def assert_faces_partition_boundaries(mesh):
+    perimeters = sum(
+        float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+        for v in map(mesh.cell_vertices, range(mesh.n_cells))
+    )
+    face_len = float((mesh.f_length * np.where(mesh.f_right >= 0, 2.0, 1.0)).sum())
+    assert face_len == pytest.approx(perimeters, rel=1e-12)
 
 
 def diag45(x0=0.0):
@@ -80,7 +92,7 @@ class TestBuildMesh:
         ramp = RampDomain(gamma=math.radians(5.0), x0=0.2001)
         n = 4
         mesh = build_mesh(ramp, n)
-        got = {c.background_index: c.kind for c in mesh.cells}
+        got = {tuple(b): CELL_KINDS[k] for b, k in zip(mesh.background.tolist(), mesh.kind_codes)}
         expected = {}
         h = 1.0 / n
         for i in range(n):
@@ -97,47 +109,47 @@ class TestBuildMesh:
     @pytest.mark.parametrize("gamma_deg,x0,n", [(5, 0.2001, 8), (25, 0.2001, 16), (45, 0.3, 12)])
     def test_face_partition_of_cell_boundaries(self, gamma_deg, x0, n):
         mesh = build_mesh(RampDomain(gamma=math.radians(gamma_deg), x0=x0), n)
-        perimeters = sum(
-            float(np.linalg.norm(np.roll(c.vertices, -1, axis=0) - c.vertices, axis=1).sum())
-            for c in mesh.cells
-        )
-        face_len = float((mesh.f_length * np.where(mesh.f_right >= 0, 2.0, 1.0)).sum())
-        assert face_len == pytest.approx(perimeters, rel=1e-12)
+        assert_faces_partition_boundaries(mesh)
 
     def test_face_invariants(self, base_scheme):
         mesh = base_scheme.mesh
         norms = np.linalg.norm(mesh.f_normal, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-14
         # interior faces: stored normal is outward for left, inward for right
-        for f in mesh.faces:
-            d = f.endpoints[1] - f.endpoints[0]
-            outward = np.array([d[1], -d[0]]) / f.length
-            np.testing.assert_allclose(outward, f.normal, atol=1e-14)
-            assert (f.cell_right is not None) == (f.kind == "interior")
+        d = mesh.f_endpoints[:, 1] - mesh.f_endpoints[:, 0]
+        outward = np.stack([d[:, 1], -d[:, 0]], axis=1) / mesh.f_length[:, None]
+        np.testing.assert_allclose(outward, mesh.f_normal, atol=1e-14)
+        np.testing.assert_array_equal(mesh.f_right >= 0, mesh.f_kind == F_INTERIOR)
+        # edge k of a cell is its face edge_face[k], on the side edge_sign[k] names
+        cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+        f = mesh.edge_face
+        side = np.where(mesh.edge_sign > 0, mesh.f_left[f], mesh.f_right[f])
+        np.testing.assert_array_equal(side, cell)
         # ramp faces lie on the ramp line
         ramp_ids = np.nonzero(mesh.f_kind == F_RAMP)[0]
         dist = mesh.domain.signed_distance(mesh.f_endpoints[ramp_ids].reshape(-1, 2))
         assert np.abs(dist).max() < 1e-12 * mesh.h
 
     def test_cells_convex_ccw(self, base_scheme):
-        for c in base_scheme.mesh.cells:
-            v = c.vertices
+        mesh = base_scheme.mesh
+        for c in range(mesh.n_cells):
+            v = mesh.cell_vertices(c)
             d = np.roll(v, -1, axis=0) - v
             cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
             assert np.all(cross > -1e-14)
-            assert c.area == pytest.approx(shoelace(v), rel=1e-12)
+            assert mesh.areas[c] == pytest.approx(shoelace(v), rel=1e-12)
 
     def test_monotone_refinement(self):
         ramp = RampDomain(gamma=math.radians(25.0), x0=0.2001)
         for n in (8, 16):
             mesh = build_mesh(ramp, n)
             h = 1.0 / n
-            for c in mesh.cells:
-                i, j = c.background_index
-                assert np.all(c.vertices[:, 0] >= i * h - 1e-12)
-                assert np.all(c.vertices[:, 0] <= (i + 1) * h + 1e-12)
-                assert np.all(c.vertices[:, 1] >= j * h - 1e-12)
-                assert np.all(c.vertices[:, 1] <= (j + 1) * h + 1e-12)
+            for c, (i, j) in enumerate(mesh.background.tolist()):
+                v = mesh.cell_vertices(c)
+                assert np.all(v[:, 0] >= i * h - 1e-12)
+                assert np.all(v[:, 0] <= (i + 1) * h + 1e-12)
+                assert np.all(v[:, 1] >= j * h - 1e-12)
+                assert np.all(v[:, 1] <= (j + 1) * h + 1e-12)
 
     def test_rejects_ramp_through_top(self):
         with pytest.raises(DegenerateGeometry):
@@ -161,17 +173,30 @@ class TestBuildMesh:
         assert float(mesh.areas.min()) / mesh.h**2 < 1e-8
 
 
-@given(
-    st.floats(min_value=5.0, max_value=50.0),
-    st.floats(min_value=0.05, max_value=0.9),
-    st.sampled_from([4, 6, 9, 16]),
-)
-@settings(max_examples=25, deadline=None)
-def test_partition_property(gamma_deg, x0, n):
+@st.composite
+def ramp_geometries(draw):
+    """(gamma_deg, x0, n): x0 anywhere, on a grid node, or 1e-15/1e-10 off one."""
+    n = draw(st.sampled_from([4, 5, 6, 9, 16, 20]))
+    gamma_deg = draw(st.floats(min_value=1.0, max_value=50.0))
+    near_node = draw(st.integers(min_value=1, max_value=n - 1)) / n + draw(
+        st.sampled_from([0.0, 1e-15, -1e-15, 1e-10, -1e-10])
+    )
+    x0 = draw(st.one_of(st.floats(min_value=0.05, max_value=0.9), st.just(near_node)))
+    return gamma_deg, x0, n
+
+
+@given(ramp_geometries())
+@settings(max_examples=50, deadline=None)
+def test_partition_property(geometry):
+    gamma_deg, x0, n = geometry
     ramp = RampDomain(gamma=math.radians(gamma_deg), x0=x0)
     assume(ramp.slope * (1.0 - x0) <= 0.98)
     mesh = build_mesh(ramp, n)
     assert mesh.total_area() == pytest.approx(ramp.area(), rel=1e-12)
+    assert_faces_partition_boundaries(mesh)
+    assert np.all(mesh.areas > 0.0)
+    assert np.all(mesh.f_right[mesh.f_kind == F_RAMP] < 0)
+    identify_stabilized(mesh, build_face_table(mesh, ramp_velocity(ramp)), tau=1.0)
 
 
 class TestIdentifyStabilized:
@@ -182,7 +207,7 @@ class TestIdentifyStabilized:
         # legs land exactly on h/2 (dyadic slope/offsets): strict criterion
         ramp = RampDomain(gamma=math.pi / 4, x0=0.125, slope=1.0)
         mesh = build_mesh(ramp, 4)
-        assert sum(1 for c in mesh.cells if c.kind == "cut3") == 3
+        assert np.count_nonzero(mesh.kind_codes == K_CUT3) == 3
         assert identify_stabilized(mesh, self.table(mesh), tau=1.0) == []
 
     def test_small_triangles_are_stabilized(self):
@@ -191,9 +216,9 @@ class TestIdentifyStabilized:
         records = identify_stabilized(mesh, self.table(mesh), tau=1.0)
         assert len(records) == 3
         for r in records:
-            assert mesh.cells[r.cell].kind == "cut3"
+            assert mesh.kind_codes[r.cell] == K_CUT3
             assert 0.0 < r.alpha <= 1.0
-            assert mesh.cells[r.E_in].kind != "cut3" or mesh.cells[r.E_in].area >= mesh.h**2 / 8
+            assert mesh.kind_codes[r.E_in] != K_CUT3 or mesh.areas[r.E_in] >= mesh.h**2 / 8
             assert mesh.f_right[r.e_in] >= 0 and mesh.f_right[r.e_out] >= 0
 
     def test_alpha_clamps_at_one_for_tiny_tau(self):

@@ -27,17 +27,17 @@ class TestL2Project:
     def test_coordinate_on_unit_cell(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
         proj = l2_project(mesh, lambda p: p[:, 0])
-        for c in mesh.cells:
-            i, _ = c.background_index
-            assert proj[c.id] == pytest.approx((i + 0.5) * mesh.h, rel=1e-13)
+        for c, (i, _) in enumerate(mesh.background.tolist()):
+            assert proj[c] == pytest.approx((i + 0.5) * mesh.h, rel=1e-13)
 
     def test_wave_against_high_degree_oracle(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 32)
         proj = l2_project(scheme.mesh, scheme.problem.u0, scheme.cellquad)
         oracle_rule = TriangleRule.of_degree(12)
-        for c in scheme.mesh.cells[:: max(1, scheme.mesh.n_cells // 40)]:
-            oracle = integrate_cell(c, scheme.problem.u0, oracle_rule) / c.area
-            assert abs(proj[c.id] - oracle) < 1e-10
+        mesh = scheme.mesh
+        for c in range(0, mesh.n_cells, max(1, mesh.n_cells // 40)):
+            oracle = integrate_cell(mesh.cell_vertices(c), scheme.problem.u0, oracle_rule)
+            assert abs(proj[c] - oracle / mesh.areas[c]) < 1e-10
 
 
 class TestBetaSeminorm:
@@ -105,11 +105,10 @@ class TestTripleNorms:
         v = rng.uniform(-1, 1, mesh.n_cells)
         alpha = {r.cell: r.alpha for r in base_scheme.records}
         oracle = 0.0
-        for c in mesh.cells:
-            cell_sum = sum(
-                float(t.abs_flux[f]) * v[c.id] ** 2 for f, _ in mesh.cell_faces[c.id]
-            )
-            oracle += alpha.get(c.id, 1.0) * cell_sum
+        for c in range(mesh.n_cells):
+            faces = mesh.edge_face[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]]
+            cell_sum = sum(float(t.abs_flux[f]) * v[c] ** 2 for f in faces)
+            oracle += alpha.get(c, 1.0) * cell_sum
         star2 = triple_star_norm(base_scheme, v) ** 2
         triple2 = triple_norm(base_scheme, v) ** 2
         assert star2 - triple2 == pytest.approx(oracle, rel=1e-12)
@@ -127,10 +126,9 @@ class TestProjectionError:
         g = math.radians(30.0)
         f = lambda p: math.cos(g) * p[:, 0] + math.sin(g) * p[:, 1]
         proj = l2_project(mesh, f)
-        cell = mesh.cells[5]
-        err2 = integrate_cell(cell, lambda p: (f(p) - proj[cell.id]) ** 2)
+        err2 = integrate_cell(mesh.cell_vertices(5), lambda p: (f(p) - proj[5]) ** 2)
         assert err2 == pytest.approx(mesh.h**4 / 12.0, rel=1e-12)
-        bound2 = (math.sqrt(2.0) / math.pi * mesh.h) ** 2 * cell.area  # |grad f| = 1
+        bound2 = (math.sqrt(2.0) / math.pi * mesh.h) ** 2 * mesh.areas[5]  # |grad f| = 1
         assert err2 < bound2
 
     def test_constant_projects_exactly(self, base_scheme):

@@ -157,6 +157,14 @@ class TestEnergyDecay:
         assert rep.details["min_alpha"] < 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: build_face_table forces the ramp-face flux to exactly 0, but the "
+    "stored hypotenuse of a 1e-10 sliver lies ~1e-17 off the ramp line, ~1e-8 of the "
+    "cell's perimeter, so flux closure misses its 1e-12 tolerance"))
+def test_flux_closure_on_near_grid_sliver(scheme_cache):
+    assert vf.check_incompressibility(scheme_cache(45.0, 0.2 + 1e-10, 20)).passed
+
+
 def test_report_csv_row(scheme_cache):
     rep = vf.check_dissipation(scheme_cache(25.0, 0.2001, 16), samples=10, seed=12)
     fields = rep.csv_row().split(",")
