@@ -26,8 +26,7 @@ def main() -> int:
         for r in reports:
             r.lemma_id = f"gamma{gamma:g}/{r.lemma_id}"
             lines.append(r.csv_row())
-            status = "pass" if r.passed else "FAIL"
-            print(f"{status}  {r.lemma_id}: max_ratio={r.max_ratio:.6e}")
+            print(r.status_line())
             ok = ok and r.passed
     (outdir / "verify.csv").write_text("\n".join(lines) + "\n")
     return 0 if ok else 2

@@ -389,7 +389,6 @@ class SolveResult:
     steps: int
     dt_nominal: float
     t_final: float
-    diagnostics: list[tuple] | None = None
 
 
 class DoDScheme:
@@ -465,34 +464,35 @@ class DoDScheme:
         self,
         dt: float | None = None,
         t_final: float | None = None,
-        collect_diagnostics: bool = False,
-        warn_on_cfl: bool = True,
+        observer=None,
     ) -> SolveResult:
         """March the fully discrete scheme from the projected initial data to T.
 
         Only the final step is shortened to land on T exactly; `dt_nominal`
-        in the result is the unshortened step used by order studies.
+        in the result is the unshortened step used by order studies.  The
+        observer, if given, is called as observer(k, t, u, dt) on every state
+        k = 0..steps, with dt the step that leaves it (0.0 at T, where t is
+        T exactly).
         """
         T = self.problem.t_final if t_final is None else t_final
         dt_nom = self.cfl_dt() if dt is None else dt
-        if warn_on_cfl and dt_nom > self.cfl_dt() * (1.0 + 1e-12):
+        if dt_nom > self.cfl_dt() * (1.0 + 1e-12):
             warnings.warn(f"dt={dt_nom:.3e} exceeds the configured bound {self.cfl_dt():.3e}",
                           stacklevel=2)
         u = self.project_initial()
-        diag: list[tuple] | None = [] if collect_diagnostics else None
+        n_steps = max(1, math.ceil(T / dt_nom - 1e-12)) if T > 0.0 else 0
         t = 0.0
-        steps = 0
-        if T > 0.0:
-            n_steps = max(1, math.ceil(T / dt_nom - 1e-12))
-            for k in range(n_steps):
-                dt_k = dt_nom if k < n_steps - 1 else T - t
-                u = self.step(u, t, dt_k)
-                t += dt_k
-                steps += 1
-                if diag is not None:
-                    diag.append((steps, t, self.l2_norm(u), float(u.min()), float(u.max())))
+        for k in range(n_steps):
+            dt_k = dt_nom if k < n_steps - 1 else T - t
+            if observer is not None:
+                observer(k, t, u, dt_k)
+            u = self.step(u, t, dt_k)
+            t += dt_k
+        if n_steps:
             t = T
-        return SolveResult(u=u, steps=steps, dt_nominal=dt_nom, t_final=t, diagnostics=diag)
+        if observer is not None:
+            observer(n_steps, t, u, 0.0)
+        return SolveResult(u=u, steps=n_steps, dt_nominal=dt_nom, t_final=t)
 
 
 def solve(problem: RampTestProblem, config: SchemeConfig, n: int, **kwargs) -> tuple[SolveResult, DoDScheme]:

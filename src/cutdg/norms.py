@@ -50,37 +50,43 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float:
     return float(np.dot(cq.weights, np.square(vals)))
 
 
-def _face_jump_squares(scheme: DoDScheme, means: np.ndarray) -> np.ndarray:
-    """Per-face |beta.n|-weighted squared jump; one-sided on the boundary."""
-    mesh = scheme.mesh
+def _seminorm_parts(scheme: DoDScheme, means: np.ndarray) -> tuple[float, float, float]:
+    """(plain, capacity-weighted, extended-jump) parts from the face side means."""
+    mesh, table, st = scheme.mesh, scheme.table, scheme.stab
+    # |beta.n|-weighted squared jump per face; one-sided on the boundary
     jump = means[:, 0].copy()
     has_r = mesh.f_right >= 0
     jump[has_r] -= means[has_r, 1]
-    return scheme.table.abs_flux * np.square(jump)
-
-
-def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
-    """(plain, capacity-weighted, extended-jump) parts of the squared seminorm."""
-    mesh, table, st = scheme.mesh, scheme.table, scheme.stab
-    means = face_side_means(mesh, table, v)
-    face_sq = _face_jump_squares(scheme, means)
+    face_sq = table.abs_flux * np.square(jump)
     stab_faces = np.zeros(mesh.n_faces, dtype=bool)
     stab_faces[st.e_in] = True
     stab_faces[st.e_out] = True
     plain = float(face_sq[~stab_faces].sum())
     capacity = float((st.alpha * (face_sq[st.e_in] + face_sq[st.e_out])).sum())
-    if len(st.cells):
-        # extended jump: mean from the downwind neighbor on e_out minus the
-        # mean from the inflow neighbor on e_in (both are upwind/downwind
-        # traces of their faces)
-        v_out = np.where(table.flux_in[st.e_out] > 0.0, means[st.e_out, 1], means[st.e_out, 0])
-        v_in = np.where(table.flux_in[st.e_in] > 0.0, means[st.e_in, 0], means[st.e_in, 1])
-        extended = float(
-            ((1.0 - st.alpha) * table.abs_flux[st.e_out] * np.square(v_out - v_in)).sum()
-        )
-    else:
-        extended = 0.0
+    # extended jump: mean from the downwind neighbor on e_out minus the mean
+    # from the inflow neighbor on e_in (both are upwind/downwind traces of
+    # their faces)
+    v_out = np.where(table.flux_in[st.e_out] > 0.0, means[st.e_out, 1], means[st.e_out, 0])
+    v_in = np.where(table.flux_in[st.e_in] > 0.0, means[st.e_in, 0], means[st.e_in, 1])
+    extended = float(((1.0 - st.alpha) * table.abs_flux[st.e_out] * np.square(v_out - v_in)).sum())
     return plain, capacity, extended
+
+
+def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float:
+    """Sum over cells, capacity-weighted on stabilized ones, of the cell's
+    int_e |beta.n| (own-trace mean)^2 over its faces."""
+    mesh, st = scheme.mesh, scheme.stab
+    weights = np.ones(mesh.n_cells)
+    weights[st.cells] = st.alpha
+    has_r = mesh.f_right >= 0
+    own = weights[mesh.f_left] * np.square(means[:, 0])
+    own[has_r] += weights[mesh.f_right[has_r]] * np.square(means[has_r, 1])
+    return float(np.dot(scheme.table.abs_flux, own))
+
+
+def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
+    """(plain, capacity-weighted, extended-jump) parts of the squared seminorm."""
+    return _seminorm_parts(scheme, face_side_means(scheme.mesh, scheme.table, v))
 
 
 def beta_seminorm(scheme: DoDScheme, v) -> float:
@@ -88,33 +94,31 @@ def beta_seminorm(scheme: DoDScheme, v) -> float:
     return math.sqrt(max(plain + capacity + extended, 0.0))
 
 
-def boundary_mass_per_cell(scheme: DoDScheme, v) -> np.ndarray:
-    """Per-cell sum over its faces of int_e |beta.n| (own-trace mean)^2."""
-    mesh = scheme.mesh
-    means = face_side_means(mesh, scheme.table, v)
-    out = np.bincount(
-        mesh.f_left, weights=scheme.table.abs_flux * np.square(means[:, 0]), minlength=mesh.n_cells
+def _evaluate(scheme: DoDScheme, v) -> ErrorBreakdown:
+    """Every norm of a V* element from one pass over the cell points and one
+    over the face points (each part of v is evaluated once per point set)."""
+    l2_sq = l2_norm_squared(scheme, v)
+    # the cell-point values are gone before the face points are evaluated
+    means = face_side_means(scheme.mesh, scheme.table, v)
+    plain, capacity, extended = _seminorm_parts(scheme, means)
+    semi_sq = max(plain + capacity + extended, 0.0)
+    l2, semi = math.sqrt(l2_sq), math.sqrt(semi_sq)
+    return ErrorBreakdown(
+        l2=l2,
+        beta_semi=semi,
+        triple=math.sqrt(l2 * l2 + semi * semi),
+        triple_star=math.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means)),
+        components={"plain": plain, "capacity": capacity, "extended": extended},
     )
-    has_r = mesh.f_right >= 0
-    out += np.bincount(
-        mesh.f_right[has_r],
-        weights=scheme.table.abs_flux[has_r] * np.square(means[has_r, 1]),
-        minlength=mesh.n_cells,
-    )
-    return out
 
 
 def triple_norm(scheme: DoDScheme, v) -> float:
-    return math.sqrt(l2_norm_squared(scheme, v) + beta_seminorm(scheme, v) ** 2)
+    return _evaluate(scheme, v).triple
 
 
 def triple_star_norm(scheme: DoDScheme, v) -> float:
     """Triple norm plus capacity-weighted cell-boundary |beta.n| mass."""
-    st = scheme.stab
-    weights = np.ones(scheme.mesh.n_cells)
-    weights[st.cells] = st.alpha
-    extra = float(np.dot(weights, boundary_mass_per_cell(scheme, v)))
-    return math.sqrt(l2_norm_squared(scheme, v) + beta_seminorm(scheme, v) ** 2 + extra)
+    return _evaluate(scheme, v).triple_star
 
 
 def h1_norm(scheme: DoDScheme, f, grad=None, fd_step: float | None = None) -> float:
@@ -139,19 +143,7 @@ def h1_norm(scheme: DoDScheme, f, grad=None, fd_step: float | None = None) -> fl
 
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:
     """Norms of u(t, .) - u_h against the problem's exact solution."""
-    exact = lambda p: scheme.problem.exact(t, p)
-    diff = (exact, -np.asarray(u_h, dtype=float))
-    l2 = math.sqrt(l2_norm_squared(scheme, diff))
-    plain, capacity, extended = beta_seminorm_parts(scheme, diff)
-    semi = math.sqrt(max(plain + capacity + extended, 0.0))
-    star = triple_star_norm(scheme, diff)
-    return ErrorBreakdown(
-        l2=l2,
-        beta_semi=semi,
-        triple=math.sqrt(l2 * l2 + semi * semi),
-        triple_star=star,
-        components={"plain": plain, "capacity": capacity, "extended": extended},
-    )
+    return _evaluate(scheme, (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float)))
 
 
 def projection_error_norms(scheme: DoDScheme, t: float = 0.0) -> ErrorBreakdown:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutdg.cli import ConfigError, converge, main, parse_config_file
+from cutdg.discretization import SchemeConfig
 
 
 def run(argv):
@@ -92,6 +93,17 @@ class TestRun:
         assert diag[0] == "step,t,l2_norm,min,max"
         assert len(diag) == 1  # zero steps at T = 0
 
+    def test_diagnostics_rows_per_step(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run(["run", "--n", "8", "--t-final", "0.05", "--out", str(out), "--diagnostics"]) == 0
+        steps = int(capsys.readouterr().out.split("steps=")[1].split()[0])
+        assert steps >= 2
+        rows = [line.split(",") for line in
+                (tmp_path / "r_diagnostics.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, steps + 1))
+        assert float(rows[-1][1]) == 0.05
+        assert all(float(r[3]) <= float(r[4]) and float(r[2]) >= 0.0 for r in rows)
+
 
 class TestConverge:
     def test_single_row_has_empty_orders(self, tmp_path):
@@ -123,13 +135,28 @@ class TestConverge:
             assert float(rows[0]) == pytest.approx(1.0 / 8)
 
     def test_accumulated_seminorm_column(self, tmp_path):
+        from cutdg import DoDScheme, make_ramp_problem
+        from cutdg.norms import error_breakdown
+
         out = tmp_path / "acc"
         assert run([
             "converge", "--n-list", "8", "--t-final", "0.05", "--accumulate", "--out", str(out),
         ]) == 0
         line = (tmp_path / "acc_convergence.csv").read_text().splitlines()[1]
-        acc = line.split(",")[5]
-        assert float(acc) > 0.0
+        acc = float(line.split(",")[5])
+        # reference: a hand-written time loop, full error breakdown at the
+        # left endpoint of every step
+        scheme = DoDScheme(make_ramp_problem(25.0, 0.2001, t_final=0.05), SchemeConfig(), 8)
+        dt = scheme.cfl_dt()
+        u, t, acc2 = scheme.project_initial(), 0.0, 0.0
+        n_steps = max(1, math.ceil(0.05 / dt - 1e-12))
+        for k in range(n_steps):
+            dt_k = dt if k < n_steps - 1 else 0.05 - t
+            acc2 += dt_k * error_breakdown(scheme, t, u).beta_semi ** 2
+            u = scheme.step(u, t, dt_k)
+            t += dt_k
+        assert acc > 0.0
+        assert acc == float(f"{math.sqrt(acc2):.16e}")
 
     def test_order_columns_against_hand_computation(self, tmp_path):
         from cutdg.cli import RunConfig

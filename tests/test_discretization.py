@@ -332,11 +332,35 @@ class TestSolve:
         assert result.t_final == 0.25
         assert result.steps == math.ceil(0.25 / result.dt_nominal - 1e-12)
 
-    def test_diagnostics_rows(self):
+    def test_observer_sees_every_state(self):
+        t_final = 0.05
+        problem = make_ramp_problem(25.0, 0.2001, t_final=t_final)
+        scheme = DoDScheme(problem, SchemeConfig(), 8)
+        seen = []
+        result = scheme.solve(observer=lambda k, t, u, dt: seen.append((k, t, u.copy(), dt)))
+        ks, ts, _, dts = zip(*seen)
+        assert result.steps >= 3
+        assert list(ks) == list(range(result.steps + 1))
+        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert ts[0] == 0.0 and ts[-1] == t_final
+        assert dts[-1] == 0.0
+        assert math.fsum(dts) == pytest.approx(t_final, rel=1e-14)
+        np.testing.assert_array_equal(seen[0][2], scheme.project_initial())
+        np.testing.assert_array_equal(seen[-1][2], result.u)
+        # each observed state is the step from the one before it
+        for (k, t, u, dt), nxt in zip(seen, seen[1:]):
+            np.testing.assert_array_equal(scheme.step(u, t, dt), nxt[2])
+
+    def test_observer_at_t_zero_sees_initial_state_only(self):
+        problem = make_ramp_problem(25.0, 0.2001, t_final=0.0)
+        scheme = DoDScheme(problem, SchemeConfig(), 8)
+        seen = []
+        result = scheme.solve(observer=lambda k, t, u, dt: seen.append((k, t, u, dt)))
+        assert [(k, t, dt) for k, t, _, dt in seen] == [(0, 0.0, 0.0)]
+        np.testing.assert_array_equal(seen[0][2], result.u)
+
+    def test_dt_above_bound_warns(self):
         problem = make_ramp_problem(25.0, 0.2001, t_final=0.05)
         scheme = DoDScheme(problem, SchemeConfig(), 8)
-        result = scheme.solve(collect_diagnostics=True)
-        assert len(result.diagnostics) == result.steps
-        step, t, l2, umin, umax = result.diagnostics[-1]
-        assert step == result.steps and t == pytest.approx(0.05)
-        assert umin <= umax and l2 >= 0.0
+        with pytest.warns(UserWarning, match="exceeds the configured bound"):
+            scheme.solve(dt=2.0 * scheme.cfl_dt())

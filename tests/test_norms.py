@@ -157,6 +157,27 @@ class TestErrorBreakdown:
         assert eb.triple_star >= eb.triple
         assert set(eb.components) == {"plain", "capacity", "extended"}
 
+    def test_one_exact_evaluation_per_point_set(self, base_scheme, monkeypatch):
+        rng = np.random.default_rng(26)
+        u_h = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
+        t = 0.3
+        problem = base_scheme.problem
+        exact = type(problem).exact
+        calls = []
+
+        def counting_exact(self, t, p):
+            calls.append(len(p))
+            return exact(self, t, p)
+
+        monkeypatch.setattr(type(problem), "exact", counting_exact)
+        eb = error_breakdown(base_scheme, t, u_h)
+        # once on the cell quadrature points, once on the face quadrature points
+        assert calls == [len(base_scheme.cellquad.points), base_scheme.table.qpoints[..., 0].size]
+        diff = (lambda p: problem.exact(t, p), -u_h)
+        assert eb.l2 == math.sqrt(l2_norm_squared(base_scheme, diff))
+        assert eb.beta_semi == beta_seminorm(base_scheme, diff)
+        assert eb.triple_star == pytest.approx(triple_star_norm(base_scheme, diff), rel=1e-14)
+
     def test_interior_plain_jumps_are_discrete_jumps(self, base_scheme):
         # the smooth part cancels across interior faces, so the plain part of
         # the error seminorm equals the discrete jumps there

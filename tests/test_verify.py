@@ -148,6 +148,27 @@ class TestEnergyDecay:
     def test_monotone_decay(self, problem):
         rep = vf.check_energy_decay(problem, SchemeConfig(epsilon=1 / 14), n=16, steps=60)
         assert rep.passed
+        assert rep.instances == 60
+        assert 1 <= rep.details["worst_step"] <= 60
+        assert rep.details["worst_increase"] <= 1e-13
+        assert rep.max_ratio == max(rep.details["worst_increase"], 0.0) / 1e-13
+
+    def test_worst_step_names_the_largest_increase(self, problem):
+        from cutdg.discretization import DoDScheme
+
+        config = SchemeConfig(epsilon=1 / 14)
+        rep = vf.check_energy_decay(problem, config, n=8, steps=20)
+        scheme = DoDScheme(problem.with_zero_inflow(), config, 8)
+        dt = scheme.cfl_dt()
+        u, norms = scheme.project_initial(), []
+        norms.append(scheme.l2_norm(u))
+        for k in range(20):
+            u = scheme.step(u, k * dt, dt)
+            norms.append(scheme.l2_norm(u))
+        increase = np.diff(norms)
+        worst = rep.details["worst_increase"]
+        assert worst == pytest.approx(increase[rep.details["worst_step"] - 1], rel=1e-9, abs=1e-17)
+        assert worst >= increase.max() - 1e-15
 
     def test_stress_geometry(self):
         stress = make_ramp_problem(45.0, 0.2 + 1e-10)
