@@ -4,7 +4,6 @@ from .discretization import (
     DoDScheme,
     FaceIntegralTable,
     SchemeConfig,
-    apply_dod_operator,
     assemble_dod_matrix,
     beta_weighted_mean,
     bilinear_a_dod,
@@ -13,13 +12,11 @@ from .discretization import (
     build_face_table,
     cfl_dt,
     rhs_inflow,
-    solve,
 )
 from .field import (
     RampTestProblem,
     VelocityField,
     beta_inf_norm,
-    exact_solution,
     make_ramp_problem,
     ramp_velocity,
 )
@@ -28,7 +25,7 @@ from .geometry import (
     DegenerateGeometry,
     InvalidStabilization,
     RampDomain,
-    StabilizedCellRecord,
+    StabilizedCells,
     build_mesh,
     clip_cell,
     identify_stabilized,

@@ -86,7 +86,6 @@ class RunConfig:
             tau=self.tau,
             epsilon=self.cfl_epsilon,
             cfl_kappa=self.cfl_kappa,
-            t_final=self.t_final,
             quad=QuadratureConfig(self.face_order, self.cell_degree),
         )
 
@@ -129,17 +128,27 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _resolve(args, file_values: dict) -> RunConfig:
+    unknown = sorted(set(file_values) - set(_DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
     def pick(key, cli_value, cast):
         if cli_value is not None:
             return cli_value
         if key in file_values:
             raw = file_values[key]
             if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
+                if raw.lower() not in _BOOLEANS:
+                    raise ConfigError(f"{key} must be a boolean (1/0, true/false, yes/no, on/off), "
+                                      f"got {raw!r}")
+                return _BOOLEANS[raw.lower()]
             return cast(raw)
-        default = _DEFAULTS[key]
-        return default
+        return _DEFAULTS[key]
 
     kind = file_values.get("problem.kind", _DEFAULTS["problem.kind"])
     if kind != "ramp_paper":
@@ -161,7 +170,7 @@ def _resolve(args, file_values: dict) -> RunConfig:
             n_list=n_list,
             seed=pick("run.seed", args.seed, int),
             out=pick("run.out", args.out, str),
-            accumulate=bool(pick("run.accumulate", getattr(args, "accumulate", None), bool)),
+            accumulate=pick("run.accumulate", getattr(args, "accumulate", None), bool),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (
-    F_RAMP,
-    CutCellMesh,
-    StabilizedCellRecord,
-    build_mesh,
-    identify_stabilized,
-)
+from .geometry import F_RAMP, CutCellMesh, StabilizedCells, build_mesh, identify_stabilized
 from .field import RampTestProblem
 from .quadrature import CellQuadratureTable, QuadratureConfig, SegmentRule, TriangleRule
 
@@ -48,7 +42,6 @@ class SchemeConfig:
     tau: float = 1.0
     epsilon: float = 0.25
     cfl_kappa: float | None = None
-    t_final: float = 0.5
     quad: QuadratureConfig = dc_field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
@@ -187,38 +180,6 @@ def beta_weighted_mean(mesh: CutCellMesh, table: FaceIntegralTable, face_id: int
     return out
 
 
-@dataclass
-class StabArrays:
-    """Column views of the stabilized records for vectorized assembly."""
-
-    cells: np.ndarray
-    e_in: np.ndarray
-    e_out: np.ndarray
-    E_in: np.ndarray
-    E_out: np.ndarray
-    alpha: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: list[StabilizedCellRecord]) -> "StabArrays":
-        if not records:
-            z = np.empty(0, dtype=np.int64)
-            return cls(z, z.copy(), z.copy(), z.copy(), z.copy(), np.empty(0))
-        return cls(
-            np.array([r.cell for r in records], dtype=np.int64),
-            np.array([r.e_in for r in records], dtype=np.int64),
-            np.array([r.e_out for r in records], dtype=np.int64),
-            np.array([r.E_in for r in records], dtype=np.int64),
-            np.array([r.E_out for r in records], dtype=np.int64),
-            np.array([r.alpha for r in records]),
-        )
-
-
-def _as_stab(stab) -> StabArrays:
-    if isinstance(stab, StabArrays):
-        return stab
-    return StabArrays.from_records(list(stab))
-
-
 def _upwind_values(mesh, table, means) -> np.ndarray:
     """Per-face upwind trace mean; zero on inflow-boundary and no-flow faces."""
     up = np.where(table.flux_in > 0.0, means[:, 0], means[:, 1])
@@ -236,7 +197,9 @@ def _test_jump(mesh, w_h) -> np.ndarray:
     return jump
 
 
-def assemble_dod_matrix(mesh: CutCellMesh, table: FaceIntegralTable, stab) -> sp.csr_matrix:
+def assemble_dod_matrix(
+    mesh: CutCellMesh, table: FaceIntegralTable, st: StabilizedCells
+) -> sp.csr_matrix:
     """Sparse operator A with |F| (A v)_F = a_dod(v, 1_F).
 
     Every non-ramp face contributes its upwind flux functional to both
@@ -244,7 +207,6 @@ def assemble_dod_matrix(mesh: CutCellMesh, table: FaceIntegralTable, stab) -> sp
     cell the functional is alpha*v_E + (1-alpha)*v_{E_in} times the flux,
     applied to the stabilized cell and its downwind neighbor alike.
     """
-    st = _as_stab(stab)
     nf = mesh.n_faces
     eout_mask = np.zeros(nf, dtype=bool)
     eout_mask[st.e_out] = True
@@ -264,37 +226,24 @@ def assemble_dod_matrix(mesh: CutCellMesh, table: FaceIntegralTable, stab) -> sp
 
     plain = np.nonzero((table.upwind >= 0) & ~eout_mask)[0]
     scatter(plain, table.upwind[plain], table.flux_in[plain])
-    if len(st.cells):
-        scatter(st.e_out, st.cells, st.alpha * table.flux_in[st.e_out])
-        scatter(st.e_out, st.E_in, (1.0 - st.alpha) * table.flux_in[st.e_out])
+    scatter(st.e_out, st.cells, st.alpha * table.flux_in[st.e_out])
+    scatter(st.e_out, st.E_in, (1.0 - st.alpha) * table.flux_in[st.e_out])
 
     n = mesh.n_cells
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        )
-        return mat.tocsr()
-    return sp.csr_matrix((n, n))
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return mat.tocsr()
 
 
-def apply_dod_operator(mesh, table, stab, v: PiecewiseConstantField, matrix=None) -> PiecewiseConstantField:
-    """A v for a discrete field; pass a cached matrix inside time loops."""
-    if matrix is None:
-        matrix = assemble_dod_matrix(mesh, table, stab)
-    return matrix @ np.asarray(v, dtype=float)
-
-
-def bilinear_a_dod(mesh, table, stab, v, w_h) -> float:
+def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h) -> float:
     """a_dod(v, w_h): upwind sum over non-stabilized-outflow faces plus the
     capacity-blended flux alpha*v_E + (1-alpha)*v_in on each e_out."""
-    st = _as_stab(stab)
     means = face_side_means(mesh, table, v)
     up = _upwind_values(mesh, table, means)
-    if len(st.cells):
-        v_e = up[st.e_out]  # trace from the stabilized cell (upwind on e_out)
-        v_in = up[st.e_in]  # trace from the inflow neighbor (upwind on e_in)
-        up = up.copy()
-        up[st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
+    v_e = up[st.e_out]  # trace from the stabilized cell (upwind on e_out)
+    v_in = up[st.e_in]  # trace from the inflow neighbor (upwind on e_in)
+    up[st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
     return float(np.dot(up * table.flux_in, _test_jump(mesh, w_h)))
 
 
@@ -323,10 +272,9 @@ def bilinear_upwind(mesh, table, v, w_h) -> float:
     return total
 
 
-def bilinear_J(mesh, table, stab, v, w_h) -> float:
+def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float:
     """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w]."""
-    st = _as_stab(stab)
-    if not len(st.cells):
+    if not len(st):
         return 0.0
     means = face_side_means(mesh, table, v)
     up = _upwind_values(mesh, table, means)
@@ -368,10 +316,9 @@ def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
     return kappa * mesh.h
 
 
-def estimate_cb(mesh, stab, velocity, points_per_face: int = 1000) -> float:
+def estimate_cb(mesh, st: StabilizedCells, velocity, points_per_face: int = 1000) -> float:
     """Sampled min of |beta.n| over in/outflow faces of stabilized cells."""
-    st = _as_stab(stab)
-    if not len(st.cells):
+    if not len(st):
         return math.inf
     fids = np.concatenate([st.e_in, st.e_out])
     a = mesh.f_endpoints[fids, 0, :]
@@ -394,30 +341,24 @@ class SolveResult:
 class DoDScheme:
     """Assembled discretization for one problem/mesh pair.
 
-    Bundles the mesh, face table, stabilized records, operator matrix and
-    quadrature caches; everything is built once and treated as immutable,
-    so a scheme can be shared by solves, norms, and verification checks.
+    Bundles the mesh, face table, stabilized-cell table `records`, operator
+    matrix and quadrature caches; everything is built once and treated as
+    immutable, so a scheme can be shared by solves, norms, and verification
+    checks.
     """
 
-    def __init__(
-        self,
-        problem: RampTestProblem,
-        config: SchemeConfig,
-        n: int,
-        mesh: CutCellMesh | None = None,
-    ):
+    def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
         self.problem = problem
         self.config = config
-        self.mesh = mesh if mesh is not None else build_mesh(problem.ramp, n)
-        self.n = self.mesh.n
+        self.mesh = build_mesh(problem.ramp, n)
+        self.n = n
         self.face_rule = SegmentRule.gauss(config.quad.face_order)
         self.cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
         self.table = build_face_table(self.mesh, problem.velocity, self.face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
-        self.stab = StabArrays.from_records(self.records)
-        self.matrix = assemble_dod_matrix(self.mesh, self.table, self.stab)
+        self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
         self.cellquad = CellQuadratureTable(self.mesh, self.cell_rule)
-        self.c_b = estimate_cb(self.mesh, self.stab, problem.velocity)
+        self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
         if self.c_b < 1e-8:
             warnings.warn(
                 f"|beta.n| drops to {self.c_b:.3e} on stabilized faces; "
@@ -494,7 +435,3 @@ class DoDScheme:
             observer(n_steps, t, u, 0.0)
         return SolveResult(u=u, steps=n_steps, dt_nominal=dt_nom, t_final=t)
 
-
-def solve(problem: RampTestProblem, config: SchemeConfig, n: int, **kwargs) -> tuple[SolveResult, DoDScheme]:
-    scheme = DoDScheme(problem, config, n)
-    return scheme.solve(**kwargs), scheme

@@ -140,10 +140,6 @@ def make_ramp_problem(gamma_deg: float, x0: float, t_final: float = 0.5) -> Ramp
     return RampTestProblem(ramp=ramp, velocity=ramp_velocity(ramp), t_final=t_final)
 
 
-def exact_solution(problem: RampTestProblem, t: float, pts: np.ndarray) -> np.ndarray:
-    return problem.exact(t, pts)
-
-
 def beta_inf_norm(problem_or_field) -> float:
     """Sup of |beta|_2 over the bounding square (closed form for ramp fields)."""
     field = getattr(problem_or_field, "velocity", problem_or_field)

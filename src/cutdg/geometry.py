@@ -81,19 +81,6 @@ class RampDomain:
         return n / np.linalg.norm(n)
 
 
-@dataclass
-class StabilizedCellRecord:
-    """Bookkeeping for one DoD-stabilized triangular cut cell."""
-
-    cell: int
-    e_in: int
-    e_out: int
-    e_bdy: int
-    E_in: int
-    E_out: int
-    alpha: float
-
-
 def _polygon_area(vertices: np.ndarray) -> float:
     # shoelace in coordinates relative to the first vertex (cancellation-safe
     # for sliver cells whose extent is ~1e-10 of the coordinate magnitude)
@@ -358,7 +345,27 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     return mesh
 
 
-def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> list[StabilizedCellRecord]:
+@dataclass(frozen=True, eq=False)
+class StabilizedCells:
+    """The DoD-stabilized triangular cut cells, one row per cell.
+
+    `cells` are ascending cell ids; for each, `e_in`/`e_out` are its inflow
+    and outflow legs (interior faces), `E_in`/`E_out` the cells across them,
+    and `alpha` its capacity in (0, 1].
+    """
+
+    cells: np.ndarray
+    e_in: np.ndarray
+    e_out: np.ndarray
+    E_in: np.ndarray
+    E_out: np.ndarray
+    alpha: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+
+def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> StabilizedCells:
     """Select triangular cut cells with max(|e_in|, |e_out|) strictly < h/2.
 
     `table` provides per-face integrals flux_in (w.r.t. the stored normal)
@@ -366,50 +373,52 @@ def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> list[Stabilized
     """
     if tau <= 0.0:
         raise ValueError(f"capacity parameter tau must be positive, got {tau}")
-    records: list[StabilizedCellRecord] = []
-    half_h = 0.5 * mesh.h
-    for c in np.nonzero(mesh.kind_codes == K_CUT3)[0].tolist():
-        edges = slice(mesh.cell_ptr[c], mesh.cell_ptr[c + 1])
-        fids, signs = mesh.edge_face[edges], mesh.edge_sign[edges]
-        on_ramp = mesh.f_kind[fids] == F_RAMP
-        if np.count_nonzero(on_ramp) != 1:
-            raise AssertionError(f"cut3 cell {c} does not have two legs and a ramp face")
-        e_bdy = int(fids[on_ramp][0])
-        legs = list(zip(fids[~on_ramp].tolist(), signs[~on_ramp].tolist()))
-        if max(mesh.f_length[f] for f, _ in legs) >= half_h:
-            continue
-        signed = [(float(table.flux_in[f]) * o, f) for f, o in legs]
-        ins = [f for s, f in signed if s < 0.0]
-        outs = [f for s, f in signed if s > 0.0]
-        if len(ins) != 1 or len(outs) != 1:
-            raise InvalidStabilization(
-                f"cell {c}: legs are not one inflow / one outflow face"
-            )
-        e_in, e_out = ins[0], outs[0]
-        if mesh.f_right[e_in] < 0 or mesh.f_right[e_out] < 0:
-            raise InvalidStabilization(
-                f"cell {c}: stabilized in/out face touches the physical boundary"
-            )
-        denom = float(table.abs_flux[e_in])
-        if denom <= 0.0:
-            raise InvalidStabilization(
-                f"cell {c}: velocity flux vanishes on the inflow face"
-            )
-        alpha = min(float(mesh.areas[c]) / (tau * mesh.h * denom), 1.0)
-        neighbor = lambda f: int(mesh.f_left[f] if mesh.f_right[f] == c else mesh.f_right[f])
-        records.append(
-            StabilizedCellRecord(c, e_in, e_out, e_bdy, neighbor(e_in), neighbor(e_out), alpha)
+    cut3 = np.nonzero(mesh.kind_codes == K_CUT3)[0]
+    edges = mesh.cell_ptr[cut3][:, None] + np.arange(3)
+    fids, signs = mesh.edge_face[edges], mesh.edge_sign[edges]
+    on_ramp = mesh.f_kind[fids] == F_RAMP
+    bad = np.count_nonzero(on_ramp, axis=1) != 1
+    if np.any(bad):
+        raise AssertionError(
+            f"cut3 cell {cut3[np.argmax(bad)]} does not have two legs and a ramp face"
         )
+    # the two legs of each triangle, in edge order
+    fids, signs = fids[~on_ramp].reshape(-1, 2), signs[~on_ramp].reshape(-1, 2)
+    small = mesh.f_length[fids].max(axis=1) < 0.5 * mesh.h
+    cells, fids, signs = cut3[small], fids[small], signs[small]
 
-    stab_cells = {r.cell for r in records}
-    used_faces: set[int] = set()
-    for r in records:
-        if r.E_in in stab_cells or r.E_out in stab_cells:
-            raise InvalidStabilization(
-                f"cell {r.cell}: in/out neighbor is itself stabilized"
-            )
-        for f in (r.e_in, r.e_out):
-            if f in used_faces:
-                raise InvalidStabilization(f"face {f} shared by two stabilized records")
-            used_faces.add(f)
-    return records
+    signed = table.flux_in[fids] * signs
+    ins, outs = signed < 0.0, signed > 0.0
+    bad = (np.count_nonzero(ins, axis=1) != 1) | (np.count_nonzero(outs, axis=1) != 1)
+    if np.any(bad):
+        raise InvalidStabilization(
+            f"cell {cells[np.argmax(bad)]}: legs are not one inflow / one outflow face"
+        )
+    e_in, e_out = fids[ins], fids[outs]
+    bad = (mesh.f_right[e_in] < 0) | (mesh.f_right[e_out] < 0)
+    if np.any(bad):
+        raise InvalidStabilization(
+            f"cell {cells[np.argmax(bad)]}: stabilized in/out face touches the physical boundary"
+        )
+    bad = table.abs_flux[e_in] <= 0.0
+    if np.any(bad):
+        raise InvalidStabilization(
+            f"cell {cells[np.argmax(bad)]}: velocity flux vanishes on the inflow face"
+        )
+    alpha = np.minimum(mesh.areas[cells] / (tau * mesh.h * table.abs_flux[e_in]), 1.0)
+    across = lambda f: np.where(mesh.f_right[f] == cells, mesh.f_left[f], mesh.f_right[f])
+    st = StabilizedCells(cells, e_in, e_out, across(e_in), across(e_out), alpha)
+
+    bad = np.isin(st.E_in, cells) | np.isin(st.E_out, cells)
+    if np.any(bad):
+        raise InvalidStabilization(
+            f"cell {cells[np.argmax(bad)]}: in/out neighbor is itself stabilized"
+        )
+    faces = np.stack([e_in, e_out], axis=1).ravel()
+    repeat = np.ones(len(faces), dtype=bool)
+    repeat[np.unique(faces, return_index=True)[1]] = False
+    if np.any(repeat):
+        raise InvalidStabilization(
+            f"face {faces[np.argmax(repeat)]} shared by two stabilized records"
+        )
+    return st

@@ -52,7 +52,7 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float:
 
 def _seminorm_parts(scheme: DoDScheme, means: np.ndarray) -> tuple[float, float, float]:
     """(plain, capacity-weighted, extended-jump) parts from the face side means."""
-    mesh, table, st = scheme.mesh, scheme.table, scheme.stab
+    mesh, table, st = scheme.mesh, scheme.table, scheme.records
     # |beta.n|-weighted squared jump per face; one-sided on the boundary
     jump = means[:, 0].copy()
     has_r = mesh.f_right >= 0
@@ -75,7 +75,7 @@ def _seminorm_parts(scheme: DoDScheme, means: np.ndarray) -> tuple[float, float,
 def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
     int_e |beta.n| (own-trace mean)^2 over its faces."""
-    mesh, st = scheme.mesh, scheme.stab
+    mesh, st = scheme.mesh, scheme.records
     weights = np.ones(mesh.n_cells)
     weights[st.cells] = st.alpha
     has_r = mesh.f_right >= 0

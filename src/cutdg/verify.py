@@ -113,13 +113,11 @@ def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
     tau = scheme.config.tau
     bound = (4.0 * binf / mesh.h) * mesh.areas
     ratios = np.divide(sin, bound, out=np.zeros_like(sin), where=bound > 0)
-    st = scheme.stab
-    if len(st.cells):
-        stab_bound = mesh.areas[st.cells] / (tau * mesh.h)
-        ratios = ratios.copy()
-        ratios[st.cells] = st.alpha * sin[st.cells] / stab_bound
+    st = scheme.records
+    stab_bound = mesh.areas[st.cells] / (tau * mesh.h)
+    ratios[st.cells] = st.alpha * sin[st.cells] / stab_bound
     rep = LemmaReport.inequality(
-        "inverse-trace", ratios, stabilized=int(len(st.cells))
+        "inverse-trace", ratios, stabilized=len(st)
     )
     rep.passed = rep.passed and closure.passed
     rep.details["flux_closure_dev"] = closure.max_ratio - 1.0
@@ -131,7 +129,7 @@ def check_dissipation(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> L
     fields, _ = _random_fields(scheme, samples, seed)
     dev = []
     for v in fields:
-        lhs = bilinear_a_dod(scheme.mesh, scheme.table, scheme.stab, v, v)
+        lhs = bilinear_a_dod(scheme.mesh, scheme.table, scheme.records, v, v)
         rhs = 0.5 * beta_seminorm(scheme, v) ** 2
         dev.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return LemmaReport.identity("discrete-dissipation", dev, seed=seed)
@@ -210,7 +208,7 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
     for smooth, disc in _mixed_samples(scheme, samples, seed):
         v = (smooth, disc) if smooth is not None else disc
         w = rng.uniform(-1.0, 1.0, scheme.mesh.n_cells)
-        a = bilinear_a_dod(scheme.mesh, scheme.table, scheme.stab, v, w)
+        a = bilinear_a_dod(scheme.mesh, scheme.table, scheme.records, v, w)
         bound = triple_star_norm(scheme, v) * beta_seminorm(scheme, w)
         ratios1.append(abs(a) / max(bound, 1e-300))
     fields, _ = _random_fields(scheme, samples, seed + 2)
@@ -242,7 +240,7 @@ def check_consistency(
         bound_t = factor * h1_norm(scheme, u_t, grad=grad_t)
         for _ in range(samples):
             w = rng.uniform(-1.0, 1.0, scheme.mesh.n_cells)
-            j = bilinear_J(scheme.mesh, scheme.table, scheme.stab, u_t, w)
+            j = bilinear_J(scheme.mesh, scheme.table, scheme.records, u_t, w)
             ratios.append(abs(j) / max(bound_t * beta_seminorm(scheme, w), 1e-300))
     return LemmaReport.inequality(
         "stabilization-consistency", ratios, seed=seed, times=list(times)
@@ -296,7 +294,7 @@ def check_energy_decay(
     increase = np.diff(l2_norms)
     worst_step = int(np.argmax(increase)) + 1 if steps else 0
     worst = float(increase[worst_step - 1]) if steps else 0.0
-    min_alpha = float(scheme.stab.alpha.min()) if len(scheme.stab.cells) else 1.0
+    min_alpha = float(scheme.records.alpha.min()) if len(scheme.records) else 1.0
     min_frac = float(scheme.mesh.areas.min()) / scheme.h**2
     # ratio: worst per-step norm increase against the 1e-13 roundoff budget
     rep = LemmaReport.inequality(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CutCellMesh
+from .geometry import CutCellMesh, StabilizedCells
 
 _VTK_POLYGON = 7
 
@@ -50,12 +50,11 @@ def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
                         f.write(f"{float(v):.16e}\n")
 
 
-def mesh_cell_data(mesh: CutCellMesh, stab=None, u=None) -> dict:
+def mesh_cell_data(mesh: CutCellMesh, stab: StabilizedCells | None = None, u=None) -> dict:
     """Standard export arrays: kind, area, alpha (1 on unstabilized cells)."""
     alpha = np.ones(mesh.n_cells)
     if stab is not None:
-        for r in stab:
-            alpha[r.cell] = r.alpha
+        alpha[stab.cells] = stab.alpha
     data = {
         "kind": mesh.kind_codes.astype(np.int64),
         "area": mesh.areas,

@@ -54,6 +54,18 @@ class TestConfig:
         assert run(["run", "--n", "8", option, value]) == 1
         assert option.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [
+        ("scheme.tua = 2", "scheme.tua"),
+        ("run.accumulate = maybe", "run.accumulate"),
+    ])
+    def test_bad_config_entry_exits_one(self, line, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem.kind = ramp_paper\n{line}\n")
+        out = tmp_path / "m"
+        assert run(["export", "--config", str(cfg), "--n", "8", "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "m_mesh.vtk").exists()
+
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["run", "--nope", "1"]) == 1
 

@@ -27,21 +27,21 @@ def cartesian_mesh(n=4):
     return build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), n)
 
 
-def brute_force_row_sums(mesh, table, records, v):
+def brute_force_row_sums(mesh, table, st, v):
     """Independent evaluation of a_dod(v, 1_F) for every cell F.
 
     Plain python loop over faces with its own upwind/stabilization logic;
     shares nothing with the sparse-matrix assembly path.
     """
-    eout = {r.e_out: r for r in records}
+    eout = {f: k for k, f in enumerate(st.e_out.tolist())}
     out = np.zeros(mesh.n_cells)
     for f, (left, right) in enumerate(zip(mesh.f_left.tolist(), mesh.f_right.tolist())):
         flux = float(table.flux_in[f])
         if flux == 0.0:
             continue
         if f in eout:
-            r = eout[f]
-            value = r.alpha * v[r.cell] + (1.0 - r.alpha) * v[r.E_in]
+            k = eout[f]
+            value = st.alpha[k] * v[st.cells[k]] + (1.0 - st.alpha[k]) * v[st.E_in[k]]
         elif flux > 0.0:
             value = v[left]
         elif right < 0:
@@ -127,9 +127,9 @@ class TestOperator:
     def test_reduces_to_1d_upwind_on_cartesian_strip(self):
         mesh = cartesian_mesh(4)
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]))
-        records = identify_stabilized(mesh, table, 1.0)
-        assert records == []
-        A = assemble_dod_matrix(mesh, table, records)
+        st = identify_stabilized(mesh, table, 1.0)
+        assert len(st) == 0
+        A = assemble_dod_matrix(mesh, table, st)
         rng = np.random.default_rng(1)
         v = rng.uniform(-1, 1, mesh.n_cells)
         av = A @ v
@@ -159,7 +159,7 @@ class TestOperator:
         for F in rng.choice(mesh.n_cells, size=40, replace=False):
             w = np.zeros(mesh.n_cells)
             w[F] = 1.0
-            aF = bilinear_a_dod(mesh, base_scheme.table, base_scheme.stab, v, w)
+            aF = bilinear_a_dod(mesh, base_scheme.table, base_scheme.records, v, w)
             assert mesh.areas[F] * av[F] == pytest.approx(aF, rel=1e-12, abs=1e-15)
 
 
@@ -167,10 +167,10 @@ class TestBilinearForms:
     def test_zero_test_function(self, base_scheme):
         v = np.ones(base_scheme.mesh.n_cells)
         w = np.zeros(base_scheme.mesh.n_cells)
-        assert bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.stab, v, w) == 0.0
+        assert bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, w) == 0.0
 
     def test_dod_equals_upwind_plus_stabilization(self, base_scheme):
-        mesh, table, stab = base_scheme.mesh, base_scheme.table, base_scheme.stab
+        mesh, table, stab = base_scheme.mesh, base_scheme.table, base_scheme.records
         rng = np.random.default_rng(11)
         for _ in range(20):
             v = rng.uniform(-1, 1, mesh.n_cells)
@@ -190,13 +190,13 @@ class TestBilinearForms:
         rng = np.random.default_rng(12)
         for _ in range(20):
             v = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
-            a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.stab, v, v)
+            a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, v)
             assert a == pytest.approx(0.5 * beta_seminorm(base_scheme, v) ** 2, rel=1e-12)
 
     def test_stabilization_vanishes_for_constants(self, base_scheme):
         v = np.full(base_scheme.mesh.n_cells, 4.0)
         w = np.random.default_rng(13).uniform(-1, 1, base_scheme.mesh.n_cells)
-        assert bilinear_J(base_scheme.mesh, base_scheme.table, base_scheme.stab, v, w) == 0.0
+        assert bilinear_J(base_scheme.mesh, base_scheme.table, base_scheme.records, v, w) == 0.0
 
     def test_stabilization_vanishes_without_small_cells(self, scheme_cache):
         # alpha = 1 everywhere once tau is tiny: eta = 1 - alpha = 0
@@ -204,8 +204,8 @@ class TestBilinearForms:
         rng = np.random.default_rng(14)
         v = rng.uniform(-1, 1, scheme.mesh.n_cells)
         w = rng.uniform(-1, 1, scheme.mesh.n_cells)
-        assert np.all(scheme.stab.alpha == 1.0)
-        assert bilinear_J(scheme.mesh, scheme.table, scheme.stab, v, w) == 0.0
+        assert np.all(scheme.records.alpha == 1.0)
+        assert bilinear_J(scheme.mesh, scheme.table, scheme.records, v, w) == 0.0
 
 
 class TestRhsAndStep:
@@ -297,24 +297,6 @@ class TestCfl:
             cfl_dt(base_scheme.mesh, base_scheme.velocity, SchemeConfig(epsilon=0.5))
         with pytest.raises(InvalidConfig):
             SchemeConfig(tau=-1.0)
-
-
-def test_module_level_entry_points(base_scheme):
-    from cutdg import apply_dod_operator, exact_solution, solve
-
-    rng = np.random.default_rng(30)
-    v = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
-    av = apply_dod_operator(base_scheme.mesh, base_scheme.table, base_scheme.records, v)
-    np.testing.assert_allclose(av, base_scheme.apply(v), rtol=1e-14)
-
-    pts = rng.uniform(0.4, 0.9, size=(5, 2))
-    np.testing.assert_array_equal(
-        exact_solution(base_scheme.problem, 0.2, pts), base_scheme.problem.exact(0.2, pts)
-    )
-
-    problem = make_ramp_problem(25.0, 0.2001, t_final=0.02)
-    result, scheme = solve(problem, SchemeConfig(), 8)
-    assert result.steps >= 1 and scheme.mesh.n == 8
 
 
 class TestSolve:

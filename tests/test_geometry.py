@@ -185,9 +185,9 @@ def ramp_geometries(draw):
     return gamma_deg, x0, n
 
 
-@given(ramp_geometries())
+@given(ramp_geometries(), st.sampled_from([1.0, 0.3]))
 @settings(max_examples=50, deadline=None)
-def test_partition_property(geometry):
+def test_partition_property(geometry, tau):
     gamma_deg, x0, n = geometry
     ramp = RampDomain(gamma=math.radians(gamma_deg), x0=x0)
     assume(ramp.slope * (1.0 - x0) <= 0.98)
@@ -196,7 +196,27 @@ def test_partition_property(geometry):
     assert_faces_partition_boundaries(mesh)
     assert np.all(mesh.areas > 0.0)
     assert np.all(mesh.f_right[mesh.f_kind == F_RAMP] < 0)
-    identify_stabilized(mesh, build_face_table(mesh, ramp_velocity(ramp)), tau=1.0)
+    table = build_face_table(mesh, ramp_velocity(ramp))
+    assert_admissible_stabilization(mesh, table, identify_stabilized(mesh, table, tau), tau)
+
+
+def assert_admissible_stabilization(mesh, table, stab, tau):
+    """The stabilized-cell table against the selection rules, one cell at a time."""
+    assert np.all(np.diff(stab.cells) > 0)
+    assert np.all(mesh.kind_codes[stab.cells] == K_CUT3)
+    assert np.all((stab.alpha > 0.0) & (stab.alpha <= 1.0))
+    expected = [
+        min(float(mesh.areas[c]) / (tau * mesh.h * float(table.abs_flux[f])), 1.0)
+        for c, f in zip(stab.cells.tolist(), stab.e_in.tolist())
+    ]
+    np.testing.assert_array_equal(stab.alpha, expected)
+    assert np.all(mesh.f_right[stab.e_in] >= 0) and np.all(mesh.f_right[stab.e_out] >= 0)
+    for e, E in ((stab.e_in, stab.E_in), (stab.e_out, stab.E_out)):
+        np.testing.assert_array_equal(np.sort([mesh.f_left[e], mesh.f_right[e]], axis=0),
+                                      np.sort([stab.cells, E], axis=0))
+    faces = np.concatenate([stab.e_in, stab.e_out])
+    assert len(np.unique(faces)) == len(faces)
+    assert not np.any(np.isin(stab.E_in, stab.cells) | np.isin(stab.E_out, stab.cells))
 
 
 class TestIdentifyStabilized:
@@ -208,24 +228,23 @@ class TestIdentifyStabilized:
         ramp = RampDomain(gamma=math.pi / 4, x0=0.125, slope=1.0)
         mesh = build_mesh(ramp, 4)
         assert np.count_nonzero(mesh.kind_codes == K_CUT3) == 3
-        assert identify_stabilized(mesh, self.table(mesh), tau=1.0) == []
+        assert len(identify_stabilized(mesh, self.table(mesh), tau=1.0)) == 0
 
     def test_small_triangles_are_stabilized(self):
         ramp = RampDomain(gamma=math.pi / 4, x0=0.03125, slope=1.0)
         mesh = build_mesh(ramp, 4)
-        records = identify_stabilized(mesh, self.table(mesh), tau=1.0)
-        assert len(records) == 3
-        for r in records:
-            assert mesh.kind_codes[r.cell] == K_CUT3
-            assert 0.0 < r.alpha <= 1.0
-            assert mesh.kind_codes[r.E_in] != K_CUT3 or mesh.areas[r.E_in] >= mesh.h**2 / 8
-            assert mesh.f_right[r.e_in] >= 0 and mesh.f_right[r.e_out] >= 0
+        stab = identify_stabilized(mesh, self.table(mesh), tau=1.0)
+        assert len(stab) == 3
+        assert np.all(mesh.kind_codes[stab.cells] == K_CUT3)
+        assert np.all((0.0 < stab.alpha) & (stab.alpha <= 1.0))
+        assert np.all((mesh.kind_codes[stab.E_in] != K_CUT3) | (mesh.areas[stab.E_in] >= mesh.h**2 / 8))
+        assert np.all(mesh.f_right[stab.e_in] >= 0) and np.all(mesh.f_right[stab.e_out] >= 0)
 
     def test_alpha_clamps_at_one_for_tiny_tau(self):
         ramp = RampDomain(gamma=math.pi / 4, x0=0.03125, slope=1.0)
         mesh = build_mesh(ramp, 4)
-        records = identify_stabilized(mesh, self.table(mesh), tau=1e-6)
-        assert records and all(r.alpha == 1.0 for r in records)
+        stab = identify_stabilized(mesh, self.table(mesh), tau=1e-6)
+        assert len(stab) and np.all(stab.alpha == 1.0)
 
     def test_alpha_scales_linearly_in_leg_length(self):
         # alpha ~ delta / (2 tau h c) for legs delta and |beta.n| ~ c on e_in
@@ -235,19 +254,17 @@ class TestIdentifyStabilized:
             ramp = RampDomain(gamma=math.pi / 4, x0=delta, slope=1.0)
             mesh = build_mesh(ramp, n)
             table = self.table(mesh)
-            records = identify_stabilized(mesh, table, tau)
-            assert records
-            for r in records:
-                c_bar = table.abs_flux[r.e_in] / mesh.f_length[r.e_in]
-                expected = delta / (2.0 * tau * mesh.h * c_bar)
-                assert r.alpha == pytest.approx(expected, rel=1e-10)
+            stab = identify_stabilized(mesh, table, tau)
+            assert len(stab)
+            c_bar = table.abs_flux[stab.e_in] / mesh.f_length[stab.e_in]
+            expected = delta / (2.0 * tau * mesh.h * c_bar)
+            assert stab.alpha == pytest.approx(expected, rel=1e-10)
 
     def test_no_stabilized_adjacency(self, scheme_cache):
         for gamma in (5.0, 25.0, 45.0):
             scheme = scheme_cache(gamma, 0.2001, 16)
-            stab_cells = {r.cell for r in scheme.records}
-            for r in scheme.records:
-                assert r.E_in not in stab_cells
-                assert r.E_out not in stab_cells
-            faces = [f for r in scheme.records for f in (r.e_in, r.e_out)]
-            assert len(faces) == len(set(faces))
+            stab = scheme.records
+            assert not np.any(np.isin(stab.E_in, stab.cells))
+            assert not np.any(np.isin(stab.E_out, stab.cells))
+            faces = np.concatenate([stab.e_in, stab.e_out])
+            assert len(faces) == len(np.unique(faces))

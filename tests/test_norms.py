@@ -61,25 +61,26 @@ class TestBetaSeminorm:
 
         rng = np.random.default_rng(21)
         v = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
-        a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.stab, v, v)
+        a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, v)
         assert beta_seminorm(base_scheme, v) ** 2 == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_stabilized_branch_hand_oracle(self, scheme_cache):
         # indicator fields on a stabilized cell and its neighbors exercise
         # every branch; compare against the three-face sum written out by hand
         scheme = scheme_cache(25.0, 0.2001, 16)
-        assert scheme.records, "mesh is expected to contain stabilized cells"
-        r = scheme.records[0]
+        st = scheme.records
+        assert len(st), "mesh is expected to contain stabilized cells"
         t = scheme.table
         rng = np.random.default_rng(22)
         c_in, c_e, c_out = rng.uniform(-1, 1, 3)
         v = np.zeros(scheme.mesh.n_cells)
-        v[r.E_in], v[r.cell], v[r.E_out] = c_in, c_e, c_out
+        v[st.E_in[0]], v[st.cells[0]], v[st.E_out[0]] = c_in, c_e, c_out
         _, capacity, extended = beta_seminorm_parts(scheme, v)
-        by_hand_cap = r.alpha * (
-            t.abs_flux[r.e_in] * (c_in - c_e) ** 2 + t.abs_flux[r.e_out] * (c_e - c_out) ** 2
+        alpha, e_in, e_out = st.alpha[0], st.e_in[0], st.e_out[0]
+        by_hand_cap = alpha * (
+            t.abs_flux[e_in] * (c_in - c_e) ** 2 + t.abs_flux[e_out] * (c_e - c_out) ** 2
         )
-        by_hand_ext = (1.0 - r.alpha) * t.abs_flux[r.e_out] * (c_out - c_in) ** 2
+        by_hand_ext = (1.0 - alpha) * t.abs_flux[e_out] * (c_out - c_in) ** 2
         assert capacity == pytest.approx(by_hand_cap, rel=1e-13)
         assert extended == pytest.approx(by_hand_ext, rel=1e-13)
 
@@ -103,7 +104,8 @@ class TestTripleNorms:
         mesh, t = base_scheme.mesh, base_scheme.table
         rng = np.random.default_rng(24)
         v = rng.uniform(-1, 1, mesh.n_cells)
-        alpha = {r.cell: r.alpha for r in base_scheme.records}
+        st = base_scheme.records
+        alpha = dict(zip(st.cells.tolist(), st.alpha.tolist()))
         oracle = 0.0
         for c in range(mesh.n_cells):
             faces = mesh.edge_face[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]]
