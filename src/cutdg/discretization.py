@@ -23,10 +23,6 @@ from .quadrature import CellQuadratureTable, QuadratureConfig, SegmentRule, Tria
 PiecewiseConstantField = np.ndarray
 
 
-class ZeroFluxFace(ValueError):
-    """A beta-weighted mean was requested on a face with vanishing |beta.n|."""
-
-
 class InvalidConfig(ValueError):
     """Scheme configuration violates its admissible ranges."""
 
@@ -45,8 +41,13 @@ class SchemeConfig:
     quad: QuadratureConfig = dc_field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise InvalidConfig(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidConfig(f"tau must be finite and positive, got {self.tau}")
+        if self.cfl_kappa is not None:
+            if not 0.0 < self.cfl_kappa < math.inf:
+                raise InvalidConfig(f"cfl_kappa must be finite and positive, got {self.cfl_kappa}")
+        elif not 0.0 < self.epsilon < 0.5:
+            raise InvalidConfig(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
 
 
 @dataclass
@@ -69,7 +70,6 @@ class FaceIntegralTable:
     flux_in: np.ndarray
     abs_flux: np.ndarray
     upwind: np.ndarray
-    downwind: np.ndarray
     qpoints: np.ndarray
     qweights: np.ndarray
     bn: np.ndarray
@@ -112,14 +112,11 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = Non
 
     left, right = mesh.f_left, mesh.f_right
     upwind = np.full(mesh.n_faces, -2, dtype=np.int64)
-    downwind = np.full(mesh.n_faces, -2, dtype=np.int64)
     pos = flux > 0.0
     neg = flux < 0.0
     upwind[pos] = left[pos]
-    downwind[pos] = np.where(right[pos] >= 0, right[pos], -1)
     upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
-    downwind[neg] = left[neg]
-    return FaceIntegralTable(flux, absflux, upwind, downwind, pts, w, bn)
+    return FaceIntegralTable(flux, absflux, upwind, pts, w, bn)
 
 
 def split_parts(v):
@@ -161,30 +158,11 @@ def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v) -> np.ndarra
     return m
 
 
-def beta_weighted_mean(mesh: CutCellMesh, table: FaceIntegralTable, face_id: int, cell_id: int, v) -> float:
-    """Mean of the trace of v from `cell_id` on one face, weighted by |beta.n|."""
-    if table.abs_flux[face_id] <= 0.0:
-        raise ZeroFluxFace(f"face {face_id} carries no |beta.n| mass; mean undefined")
-    if cell_id not in (mesh.f_left[face_id], mesh.f_right[face_id]):
-        raise ValueError(f"cell {cell_id} is not adjacent to face {face_id}")
-    smooth, disc = split_parts(v)
-    out = 0.0
-    if smooth is not None:
-        vals = np.asarray(smooth(table.qpoints[face_id]), dtype=float)
-        out += float(
-            (table.qweights[face_id] * np.abs(table.bn[face_id]) * vals).sum()
-            / table.abs_flux[face_id]
-        )
-    if disc is not None:
-        out += float(disc[cell_id])
-    return out
-
-
 def _upwind_values(mesh, table, means) -> np.ndarray:
     """Per-face upwind trace mean; zero on inflow-boundary and no-flow faces."""
     up = np.where(table.flux_in > 0.0, means[:, 0], means[:, 1])
-    up = np.where(table.upwind == -1, 0.0, up)  # inflow boundary: extension by 0
-    up = np.where(table.upwind == -2, 0.0, up)
+    # inflow boundary (-1): extension by 0; no-flow faces (-2)
+    up[table.upwind < 0] = 0.0
     return up
 
 
@@ -305,25 +283,22 @@ def rhs_inflow(mesh, table, g, t: float) -> PiecewiseConstantField:
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
     """dt = kappa h, with kappa from the stability constant or an override."""
     if config.cfl_kappa is not None:
-        if config.cfl_kappa <= 0.0:
-            raise InvalidConfig(f"cfl_kappa must be positive, got {config.cfl_kappa}")
         return config.cfl_kappa * mesh.h
     eps = config.epsilon
-    if not 0.0 < eps < 0.5:
-        raise InvalidConfig(f"epsilon must lie in (0, 1/2), got {eps}")
     c_tr = max(4.0 * velocity.inf_norm, 1.0 / config.tau)
     kappa = (1.0 - 2.0 * eps) / ((1.0 + eps) * c_tr)
     return kappa * mesh.h
 
 
-def estimate_cb(mesh, st: StabilizedCells, velocity, points_per_face: int = 1000) -> float:
-    """Sampled min of |beta.n| over in/outflow faces of stabilized cells."""
+def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
+    """Sampled min of |beta.n| over in/outflow faces of stabilized cells,
+    1000 equispaced samples per face."""
     if not len(st):
         return math.inf
     fids = np.concatenate([st.e_in, st.e_out])
     a = mesh.f_endpoints[fids, 0, :]
     b = mesh.f_endpoints[fids, 1, :]
-    s = np.linspace(0.0, 1.0, points_per_face)
+    s = np.linspace(0.0, 1.0, 1000)
     pts = a[:, None, :] + s[None, :, None] * (b - a)[:, None, :]
     beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
     bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal[fids])

@@ -140,12 +140,6 @@ def make_ramp_problem(gamma_deg: float, x0: float, t_final: float = 0.5) -> Ramp
     return RampTestProblem(ramp=ramp, velocity=ramp_velocity(ramp), t_final=t_final)
 
 
-def beta_inf_norm(problem_or_field) -> float:
-    """Sup of |beta|_2 over the bounding square (closed form for ramp fields)."""
-    field = getattr(problem_or_field, "velocity", problem_or_field)
-    return field.inf_norm
-
-
 def sampled_inf_norm(field: VelocityField, square, tol: float = 1e-6) -> float:
     """Dense-sampling maximum of |beta|_2 with iterative window refinement."""
     (xlo, ylo), (xhi, yhi) = square

@@ -371,8 +371,8 @@ def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> StabilizedCells
     `table` provides per-face integrals flux_in (w.r.t. the stored normal)
     and abs_flux; the capacity is alpha = min(|E| / (tau h int_{e_in}|b.n|), 1).
     """
-    if tau <= 0.0:
-        raise ValueError(f"capacity parameter tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"capacity parameter tau must be finite and positive, got {tau}")
     cut3 = np.nonzero(mesh.kind_codes == K_CUT3)[0]
     edges = mesh.cell_ptr[cut3][:, None] + np.arange(3)
     fids, signs = mesh.edge_face[edges], mesh.edge_sign[edges]

@@ -121,18 +121,8 @@ def triple_star_norm(scheme: DoDScheme, v) -> float:
     return _evaluate(scheme, v).triple_star
 
 
-def h1_norm(scheme: DoDScheme, f, grad=None, fd_step: float | None = None) -> float:
-    """H1(Omega) norm by cell quadrature; central differences if no gradient."""
-    if grad is None:
-        step = fd_step if fd_step is not None else 1e-6 * scheme.h
-
-        def grad(pts):
-            p = np.asarray(pts, dtype=float)
-            ex = np.array([step, 0.0])
-            ey = np.array([0.0, step])
-            gx = (np.asarray(f(p + ex)) - np.asarray(f(p - ex))) / (2 * step)
-            gy = (np.asarray(f(p + ey)) - np.asarray(f(p - ey))) / (2 * step)
-            return np.stack([gx, gy], axis=-1)
+def h1_norm(scheme: DoDScheme, f, grad) -> float:
+    """H1(Omega) norm of f, with gradient `grad`, by cell quadrature."""
 
     def integrand(pts):
         g = np.asarray(grad(pts), dtype=float)

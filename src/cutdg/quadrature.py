@@ -78,20 +78,6 @@ class TriangleRule:
         return len(self.weights)
 
 
-def integrate_face(endpoints, integrand, rule: SegmentRule | None = None) -> float:
-    """Integrate a scalar function over the straight face with (2, 2) `endpoints`.
-
-    The integrand receives an (m, 2) array of points and returns (m,) values.
-    """
-    if rule is None:
-        rule = SegmentRule.gauss()
-    a, b = np.asarray(endpoints, dtype=float)
-    pts = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-    length = float(np.hypot(*(b - a)))
-    vals = np.asarray(integrand(pts), dtype=float)
-    return float(np.dot(rule.weights, vals) * length)
-
-
 def triangulate_fan(vertices: np.ndarray):
     """Fan triangles (v0, vk, vk+1) of a convex CCW polygon.
 

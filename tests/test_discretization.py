@@ -7,14 +7,13 @@ from cutdg.discretization import (
     DoDScheme,
     InvalidConfig,
     SchemeConfig,
-    ZeroFluxFace,
     assemble_dod_matrix,
-    beta_weighted_mean,
     bilinear_a_dod,
     bilinear_J,
     bilinear_upwind,
     build_face_table,
     cfl_dt,
+    face_side_means,
     rhs_inflow,
 )
 from cutdg.field import constant_velocity, make_ramp_problem
@@ -79,36 +78,40 @@ class TestFaceTable:
 
 
 class TestBetaWeightedMean:
+    """The |beta.n|-weighted face means of `face_side_means`."""
+
     def test_constant_function(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
-        fid = int(np.nonzero(table.abs_flux > 0)[0][0])
-        c = mesh.f_left[fid]
-        val = beta_weighted_mean(mesh, table, fid, c, lambda p: np.full(len(p), 3.25))
-        assert val == pytest.approx(3.25, rel=1e-14)
+        flux = table.abs_flux > 0
+        m = face_side_means(mesh, table, lambda p: np.full(len(p), 3.25))
+        np.testing.assert_allclose(m[flux], 3.25, rtol=1e-14)
 
     def test_discrete_trace_is_cell_value(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, mesh.n_cells)
-        for fid in np.nonzero(table.abs_flux > 0)[0][:10]:
-            left = mesh.f_left[fid]
-            assert beta_weighted_mean(mesh, table, int(fid), int(left), v) == v[left]
+        m = face_side_means(mesh, table, v)
+        has_r = mesh.f_right >= 0
+        np.testing.assert_array_equal(m[:, 0], v[mesh.f_left])
+        np.testing.assert_array_equal(m[has_r, 1], v[mesh.f_right[has_r]])
+        np.testing.assert_array_equal(m[~has_r, 1], 0.0)
 
     def test_coordinate_on_vertical_face(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
         vertical = np.nonzero(
             (np.abs(mesh.f_normal[:, 1]) < 1e-14) & (table.abs_flux > 0)
         )[0]
-        fid = int(vertical[0])
-        a = mesh.f_endpoints[fid, 0, 0]
-        val = beta_weighted_mean(mesh, table, fid, int(mesh.f_left[fid]), lambda p: p[:, 0])
-        assert val == pytest.approx(a, rel=1e-13)
+        m = face_side_means(mesh, table, lambda p: p[:, 0])
+        a = mesh.f_endpoints[vertical, 0, 0]
+        np.testing.assert_allclose(m[vertical, 0], a, rtol=1e-13)
+        np.testing.assert_allclose(m[vertical, 1], a, rtol=1e-13)
 
-    def test_zero_flux_face_raises(self, base_scheme):
+    def test_zero_flux_face_gets_mean_zero(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
-        fid = int(np.nonzero(mesh.f_kind == F_RAMP)[0][0])
-        with pytest.raises(ZeroFluxFace):
-            beta_weighted_mean(mesh, table, fid, int(mesh.f_left[fid]), lambda p: p[:, 0])
+        zero = table.abs_flux == 0.0
+        assert np.any(mesh.f_kind[zero] == F_RAMP)
+        m = face_side_means(mesh, table, lambda p: p[:, 0] + 1.0)
+        np.testing.assert_array_equal(m[zero], 0.0)
 
 
 class TestOperator:
@@ -288,15 +291,20 @@ class TestCfl:
 
     def test_manual_kappa_override(self, base_scheme):
         binf = base_scheme.velocity.inf_norm
-        config = SchemeConfig(cfl_kappa=0.5 / binf)
+        # the override leaves epsilon unchecked and unused
+        config = SchemeConfig(epsilon=0.7, cfl_kappa=0.5 / binf)
         dt = cfl_dt(base_scheme.mesh, base_scheme.velocity, config)
         assert dt == pytest.approx(base_scheme.h / (2.0 * binf), rel=1e-14)
 
-    def test_invalid_epsilon(self, base_scheme):
-        with pytest.raises(InvalidConfig):
-            cfl_dt(base_scheme.mesh, base_scheme.velocity, SchemeConfig(epsilon=0.5))
-        with pytest.raises(InvalidConfig):
-            SchemeConfig(tau=-1.0)
+    @pytest.mark.parametrize("name,value", [
+        *[("tau", v) for v in (0.0, -1.0, math.nan, math.inf)],
+        *[("cfl_kappa", v) for v in (0.0, -1.0, math.nan, math.inf)],
+        *[("epsilon", v) for v in (0.0, 0.5, math.nan)],
+    ])
+    def test_invalid_config_raises(self, name, value):
+        # cfl_kappa defaults to None, so epsilon is checked
+        with pytest.raises(InvalidConfig, match=name):
+            SchemeConfig(**{name: value})
 
 
 class TestSolve:

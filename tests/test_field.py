@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cutdg.field import (
-    beta_inf_norm,
     constant_velocity,
     make_ramp_problem,
     sampled_inf_norm,
@@ -121,11 +120,6 @@ class TestExactSolution:
         pts = np.array([[0.0, 0.5], [0.1, 0.0]])
         np.testing.assert_array_equal(z.g(0.3, pts), np.zeros(2))
         assert problem.g(0.3, pts[0]) != 0.0
-
-
-def test_beta_inf_norm_accessor(problem):
-    assert beta_inf_norm(problem) == problem.velocity.inf_norm
-    assert beta_inf_norm(problem.velocity) == problem.velocity.inf_norm
 
 
 def test_ramp_domain_validation():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cutdg.discretization import build_face_table
-from cutdg.field import ramp_velocity
+from cutdg.discretization import DoDScheme, SchemeConfig, build_face_table
+from cutdg.field import make_ramp_problem, ramp_velocity
 from cutdg.geometry import (
     CELL_KINDS,
     DegenerateGeometry,
@@ -18,6 +18,7 @@ from cutdg.geometry import (
     clip_cell,
     identify_stabilized,
 )
+from cutdg.verify import check_energy_decay
 
 
 def shoelace(poly):
@@ -189,15 +190,38 @@ def ramp_geometries(draw):
 @settings(max_examples=50, deadline=None)
 def test_partition_property(geometry, tau):
     gamma_deg, x0, n = geometry
-    ramp = RampDomain(gamma=math.radians(gamma_deg), x0=x0)
+    problem = make_ramp_problem(gamma_deg, x0).with_zero_inflow()
+    ramp = problem.ramp
     assume(ramp.slope * (1.0 - x0) <= 0.98)
-    mesh = build_mesh(ramp, n)
+    config = SchemeConfig(tau=tau, epsilon=1.0 / 14.0)
+    scheme = DoDScheme(problem, config, n)
+    mesh, table = scheme.mesh, scheme.table
     assert mesh.total_area() == pytest.approx(ramp.area(), rel=1e-12)
     assert_faces_partition_boundaries(mesh)
     assert np.all(mesh.areas > 0.0)
     assert np.all(mesh.f_right[mesh.f_kind == F_RAMP] < 0)
-    table = build_face_table(mesh, ramp_velocity(ramp))
-    assert_admissible_stabilization(mesh, table, identify_stabilized(mesh, table, tau), tau)
+    assert_admissible_stabilization(mesh, table, scheme.records, tau)
+    assert check_energy_decay(problem, config, n, steps=30).passed
+    assert_discrete_conservation(scheme, steps=30)
+
+
+def assert_discrete_conservation(scheme, steps):
+    """Zero inflow: each step changes the mass by the outflow-boundary flux.
+
+    r_k = sum |E| (u^{k+1} - u^k) / dt_k + sum_outflow flux_in u^k[f_left]
+    must vanish to roundoff relative to sum_f |flux_in| max |u^k|.
+    """
+    mesh, table = scheme.mesh, scheme.table
+    outflow = np.nonzero((mesh.f_right < 0) & (table.flux_in > 0.0))[0]
+    scale = np.abs(table.flux_in).sum()
+    states = []
+    scheme.solve(t_final=steps * scheme.cfl_dt(),
+                 observer=lambda k, t, u, dt: states.append((u, dt)))
+    assert len(states) == steps + 1
+    for (u, dt), (u_next, _) in zip(states, states[1:]):
+        r = (np.dot(mesh.areas, u_next - u) / dt
+             + np.dot(table.flux_in[outflow], u[mesh.f_left[outflow]]))
+        assert abs(r) <= 1e-12 * scale * np.abs(u).max()
 
 
 def assert_admissible_stabilization(mesh, table, stab, tau):
@@ -239,6 +263,12 @@ class TestIdentifyStabilized:
         assert np.all((0.0 < stab.alpha) & (stab.alpha <= 1.0))
         assert np.all((mesh.kind_codes[stab.E_in] != K_CUT3) | (mesh.areas[stab.E_in] >= mesh.h**2 / 8))
         assert np.all(mesh.f_right[stab.e_in] >= 0) and np.all(mesh.f_right[stab.e_out] >= 0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tau(self, tau):
+        mesh = build_mesh(RampDomain(gamma=math.pi / 4, x0=0.03125, slope=1.0), 4)
+        with pytest.raises(ValueError, match="tau"):
+            identify_stabilized(mesh, self.table(mesh), tau)
 
     def test_alpha_clamps_at_one_for_tiny_tau(self):
         ramp = RampDomain(gamma=math.pi / 4, x0=0.03125, slope=1.0)

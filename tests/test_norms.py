@@ -197,6 +197,13 @@ class TestErrorBreakdown:
 def test_h1_norm_fd_fallback_matches_analytic(base_scheme):
     u = lambda p: base_scheme.problem.exact(0.25, p)
     grad = lambda p: base_scheme.problem.exact_gradient(0.25, p)
+    step = 1e-6 * base_scheme.h
+
+    def fd_grad(p):
+        gx = (u(p + [step, 0.0]) - u(p - [step, 0.0])) / (2 * step)
+        gy = (u(p + [0.0, step]) - u(p - [0.0, step])) / (2 * step)
+        return np.stack([gx, gy], axis=-1)
+
     exact = h1_norm(base_scheme, u, grad=grad)
-    fd = h1_norm(base_scheme, u)
+    fd = h1_norm(base_scheme, u, grad=fd_grad)
     assert fd == pytest.approx(exact, rel=1e-7)

@@ -11,12 +11,10 @@ from cutdg.quadrature import (
     SegmentRule,
     TriangleRule,
     integrate_cell,
-    integrate_face,
     polygon_quadrature,
     triangulate_fan,
 )
 
-UNIT_FACE = np.array([[0.0, 0.0], [1.0, 0.0]])
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -27,27 +25,14 @@ def test_segment_weights_sum_to_one():
         assert abs(rule.weights.sum() - 1.0) < 1e-14
 
 
-def test_face_constant_gives_length():
-    face = np.array([[0.25, 0.5], [0.25, 1.25]])
-    assert integrate_face(face, lambda p: np.ones(len(p))) == pytest.approx(0.75, abs=1e-14)
-
-
-def test_face_affine_exact_at_one_point():
-    rule = SegmentRule.gauss(1)
-    face = np.array([[0.2, 0.1], [0.9, 0.6]])
-    length = np.hypot(0.7, 0.5)
-    val = integrate_face(face, lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1], rule)
-    exact = (2.0 * 0.55 - 3.0 * 0.35) * length  # affine: midpoint value times length
-    assert val == pytest.approx(exact, abs=1e-14)
-
-
 def test_face_sine_against_antiderivative():
     # 4-point Gauss carries an O(5e-6) remainder on sin(pi s); 6 points
     # push it below 1e-8
-    val4 = integrate_face(UNIT_FACE, lambda p: np.sin(np.pi * p[:, 0]))
-    assert val4 == pytest.approx(2.0 / np.pi, abs=1e-5)
-    val6 = integrate_face(UNIT_FACE, lambda p: np.sin(np.pi * p[:, 0]), SegmentRule.gauss(6))
-    assert val6 == pytest.approx(2.0 / np.pi, abs=1e-8)
+    def integrate(rule):
+        return float(np.dot(rule.weights, np.sin(np.pi * rule.points)))
+
+    assert integrate(SegmentRule.gauss()) == pytest.approx(2.0 / np.pi, abs=1e-5)
+    assert integrate(SegmentRule.gauss(6)) == pytest.approx(2.0 / np.pi, abs=1e-8)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
