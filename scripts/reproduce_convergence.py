@@ -3,7 +3,7 @@
 
 Writes one CSV per (angle, CFL) pair into results/ and prints the fitted
 orders over the last three refinements.  The full ladder up to n = 256
-runs in about 15 s on a 2-core VM; pass --quick for a n <= 64 smoke run.
+runs in about 10 s on a 2-core VM; pass --quick for a n <= 64 smoke run.
 """
 import argparse
 import sys

@@ -3,14 +3,15 @@
 from .discretization import (
     DoDScheme,
     FaceIntegralTable,
+    InflowOperator,
     SchemeConfig,
     assemble_dod_matrix,
     bilinear_a_dod,
     bilinear_J,
     bilinear_upwind,
     build_face_table,
+    build_inflow,
     cfl_dt,
-    rhs_inflow,
 )
 from .field import (
     RampTestProblem,

@@ -40,6 +40,10 @@ _DEFAULTS = {
 }
 
 
+# SchemeConfig field -> RunConfig field, where the two names differ
+_SCHEME_KEYS = {"epsilon": "cfl_epsilon"}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -69,7 +73,11 @@ class RunConfig:
             raise ConfigError(f"x0 must lie in [0, 1), got {self.x0}")
         if not 0.0 <= self.t_final < math.inf:
             raise ConfigError(f"t_final must be finite and nonnegative, got {self.t_final}")
-        self.scheme_config()  # SchemeConfig checks tau, epsilon and cfl_kappa
+        try:
+            self.scheme_config()  # SchemeConfig checks tau, epsilon and cfl_kappa
+        except InvalidConfig as exc:
+            key = _SCHEME_KEYS.get(exc.field, exc.field)
+            raise ConfigError(f"scheme.{key} (--{key.replace('_', '-')}): {exc}") from exc
         if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError(f"n-list must be strictly increasing, got {self.n_list}")
 

@@ -24,7 +24,11 @@ PiecewiseConstantField = np.ndarray
 
 
 class InvalidConfig(ValueError):
-    """Scheme configuration violates its admissible ranges."""
+    """Scheme configuration violates its admissible ranges; `field` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,12 @@ class SchemeConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
-            raise InvalidConfig(f"tau must be finite and positive, got {self.tau}")
+            raise InvalidConfig("tau", f"must be finite and positive, got {self.tau}")
         if self.cfl_kappa is not None:
             if not 0.0 < self.cfl_kappa < math.inf:
-                raise InvalidConfig(f"cfl_kappa must be finite and positive, got {self.cfl_kappa}")
+                raise InvalidConfig("cfl_kappa", f"must be finite and positive, got {self.cfl_kappa}")
         elif not 0.0 < self.epsilon < 0.5:
-            raise InvalidConfig(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+            raise InvalidConfig("epsilon", f"must lie in (0, 1/2), got {self.epsilon}")
 
 
 @dataclass
@@ -263,21 +267,44 @@ def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float:
     )
 
 
-def rhs_inflow(mesh, table, g, t: float) -> PiecewiseConstantField:
+@dataclass(frozen=True)
+class InflowOperator:
     """Inflow-data contribution to the update, -|F|^-1 int min(beta.n, 0) g.
 
     Nonnegative for nonnegative g; the step adds dt times this, so constant
-    data g = c exactly balances the boundary part of the operator.
+    data g = c exactly balances the boundary part of the operator.  Only the
+    cells with an inflow face receive data: `cells` lists each of them once
+    (a corner cell has two inflow faces), `points` holds the quadrature
+    points of the inflow faces, and `matrix` maps data at those points to
+    `cells` with the entries -w beta.n / |F|.
     """
-    out = np.zeros(mesh.n_cells)
-    inflow = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
-    if len(inflow) == 0:
+
+    n_cells: int
+    cells: np.ndarray
+    points: np.ndarray
+    matrix: sp.csr_matrix
+
+    def values(self, g, t: float) -> np.ndarray:
+        """The contribution on `cells`, in their order."""
+        return self.matrix @ np.asarray(g(t, self.points), dtype=float)
+
+    def rhs(self, g, t: float) -> PiecewiseConstantField:
+        """The contribution on every cell; zero off the inflow boundary."""
+        out = np.zeros(self.n_cells)
+        out[self.cells] = self.values(g, t)
         return out
-    pts = table.qpoints[inflow]
-    gv = np.asarray(g(t, pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    contrib = -(table.qweights[inflow] * table.bn[inflow] * gv).sum(axis=1)
-    np.add.at(out, mesh.f_left[inflow], contrib)
-    return out / mesh.areas
+
+
+def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
+    faces = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
+    cells, row = np.unique(mesh.f_left[faces], return_inverse=True)
+    nq = table.bn.shape[1]
+    weights = -(table.qweights[faces] * table.bn[faces]) / mesh.areas[mesh.f_left[faces], None]
+    matrix = sp.csr_matrix(
+        (weights.ravel(), (np.repeat(row, nq), np.arange(weights.size))),
+        shape=(len(cells), weights.size),
+    )
+    return InflowOperator(mesh.n_cells, cells, table.qpoints[faces].reshape(-1, 2), matrix)
 
 
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
@@ -317,9 +344,10 @@ class DoDScheme:
     """Assembled discretization for one problem/mesh pair.
 
     Bundles the mesh, face table, stabilized-cell table `records`, operator
-    matrix and quadrature caches; everything is built once and treated as
-    immutable, so a scheme can be shared by solves, norms, and verification
-    checks.
+    matrix, inflow operator and quadrature caches; everything is built once
+    and treated as immutable, so a scheme can be shared by solves, norms, and
+    verification checks.  The one mutable part is the cache of
+    `step_matrix`, which only ever holds I - dt A for the last dt.
     """
 
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
@@ -332,6 +360,9 @@ class DoDScheme:
         self.table = build_face_table(self.mesh, problem.velocity, self.face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
+        self.inflow = build_inflow(self.mesh, self.table)
+        self._step_dt: float | None = None
+        self._step_S: sp.csr_matrix | None = None
         self.cellquad = CellQuadratureTable(self.mesh, self.cell_rule)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
         if self.c_b < 1e-8:
@@ -359,14 +390,31 @@ class DoDScheme:
     def rhs(self, t: float) -> PiecewiseConstantField:
         if self.problem.zero_inflow:
             return np.zeros(self.mesh.n_cells)
-        return rhs_inflow(self.mesh, self.table, self.problem.g, t)
+        return self.inflow.rhs(self.problem.g, t)
 
     def cfl_dt(self) -> float:
         return cfl_dt(self.mesh, self.velocity, self.config)
 
+    def step_matrix(self, dt: float) -> sp.csr_matrix:
+        """S = I - dt A, the explicit Euler update without inflow data.
+
+        One slot caches S for the last dt asked for, so a solve builds it
+        once for its nominal step and once for a shortened last step.  The
+        matrix is shared with the cache and must not be modified.
+        """
+        if self._step_dt != dt:
+            identity = sp.identity(self.mesh.n_cells, format="csr")
+            self._step_S = identity - dt * self.matrix
+            self._step_dt = dt
+        return self._step_S
+
     def step(self, u: PiecewiseConstantField, t: float, dt: float) -> PiecewiseConstantField:
-        """Explicit Euler: u - dt*(A u) + dt*(inflow contribution)."""
-        return u - dt * self.apply(u) + dt * self.rhs(t)
+        """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt times the
+        inflow data added on the inflow cells only."""
+        out = self.step_matrix(dt) @ u
+        if not self.problem.zero_inflow:
+            out[self.inflow.cells] += dt * self.inflow.values(self.problem.g, t)
+        return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float:
         return math.sqrt(float(np.dot(self.mesh.areas, np.square(u))))
@@ -392,6 +440,10 @@ class DoDScheme:
         """
         T = self.problem.t_final if t_final is None else t_final
         dt_nom = self.cfl_dt() if dt is None else dt
+        if not 0.0 < dt_nom < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt_nom}")
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"t_final must be finite and nonnegative, got {T}")
         if dt_nom > self.cfl_dt() * (1.0 + 1e-12):
             warnings.warn(f"dt={dt_nom:.3e} exceeds the configured bound {self.cfl_dt():.3e}",
                           stacklevel=2)

@@ -1,6 +1,19 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
-from cutdg import DoDScheme, SchemeConfig, make_ramp_problem
+from cutdg import DoDScheme, RampTestProblem, SchemeConfig, make_ramp_problem
+
+
+@dataclass(frozen=True)
+class ConstantInflowProblem(RampTestProblem):
+    """The ramp problem with inflow data g = c at all times."""
+
+    c: float = 0.7
+
+    def g(self, t, pts):
+        return np.full(np.asarray(pts).shape[:-1], self.c)
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +39,10 @@ def scheme_cache():
 def base_scheme(scheme_cache):
     """The workhorse verification mesh: gamma=25 deg, x0=0.2001, n=16."""
     return scheme_cache(25.0, 0.2001, 16)
+
+
+@pytest.fixture(scope="session")
+def constant_inflow_scheme():
+    """The base geometry with inflow data g = 0.7, for constant preservation."""
+    ramp = make_ramp_problem(25.0, 0.2001)
+    return DoDScheme(ConstantInflowProblem(ramp.ramp, ramp.velocity, c=0.7), SchemeConfig(), 16)

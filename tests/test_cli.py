@@ -49,6 +49,8 @@ class TestConfig:
         ("--tau", "inf"),
         ("--cfl-kappa", "nan"),
         ("--cfl-kappa", "inf"),
+        ("--cfl-epsilon", "0.5"),
+        ("--cfl-epsilon", "nan"),
     ])
     def test_invalid_value_exits_one(self, option, value, capsys):
         assert run(["run", "--n", "8", option, value]) == 1

@@ -12,9 +12,9 @@ from cutdg.discretization import (
     bilinear_J,
     bilinear_upwind,
     build_face_table,
+    build_inflow,
     cfl_dt,
     face_side_means,
-    rhs_inflow,
 )
 from cutdg.field import constant_velocity, make_ramp_problem
 from cutdg.geometry import F_RAMP, RampDomain, build_mesh, identify_stabilized
@@ -51,6 +51,20 @@ def brute_force_row_sums(mesh, table, st, v):
         if right >= 0:
             out[right] -= value * flux
     return out
+
+
+def rhs_inflow_oracle(mesh, table, g, t):
+    """Inflow data per face, scattered with np.add.at and divided by |F|.
+
+    The rule `build_inflow` replaced, kept as the reference.
+    """
+    out = np.zeros(mesh.n_cells)
+    inflow = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
+    pts = table.qpoints[inflow]
+    gv = np.asarray(g(t, pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    contrib = -(table.qweights[inflow] * table.bn[inflow] * gv).sum(axis=1)
+    np.add.at(out, mesh.f_left[inflow], contrib)
+    return out / mesh.areas
 
 
 class TestFaceTable:
@@ -215,7 +229,7 @@ class TestRhsAndStep:
     def test_zero_data_gives_zero(self, base_scheme):
         g = lambda t, p: np.zeros(np.asarray(p).shape[:-1])
         np.testing.assert_array_equal(
-            rhs_inflow(base_scheme.mesh, base_scheme.table, g, 0.0),
+            build_inflow(base_scheme.mesh, base_scheme.table).rhs(g, 0.0),
             np.zeros(base_scheme.mesh.n_cells),
         )
 
@@ -224,20 +238,50 @@ class TestRhsAndStep:
         mesh = cartesian_mesh(4)
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]))
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
-        r = rhs_inflow(mesh, table, g, 0.0)
+        r = build_inflow(mesh, table).rhs(g, 0.0)
         left_col = mesh.background[:, 0] == 0
         rest = ~left_col
         np.testing.assert_allclose(r[left_col], 1.0 / mesh.h, rtol=1e-14)
         np.testing.assert_array_equal(r[rest], 0.0)
 
-    def test_constants_are_a_fixed_point(self, base_scheme):
-        c = 0.7
-        u = np.full(base_scheme.mesh.n_cells, c)
-        g = lambda t, p: np.full(np.asarray(p).shape[:-1], c)
-        r = rhs_inflow(base_scheme.mesh, base_scheme.table, g, 0.0)
-        dt = base_scheme.cfl_dt()
-        u_next = u - dt * base_scheme.apply(u) + dt * r
+    @pytest.mark.parametrize("case", ["ramp25", "sliver45", "cartesian"])
+    def test_inflow_operator_matches_face_rule(self, case, scheme_cache):
+        if case == "cartesian":
+            mesh = cartesian_mesh(8)
+            table = build_face_table(mesh, constant_velocity([1.0, 0.5]))
+        else:
+            scheme = (scheme_cache(25.0, 0.2001, 16) if case == "ramp25"
+                      else scheme_cache(45.0, 0.2 + 1e-10, 20))
+            mesh, table = scheme.mesh, scheme.table
+        inflow_faces = (mesh.f_right < 0) & (table.flux_in < 0.0)
+        # a corner cell has two inflow faces; a repeated-index += would drop one
+        assert np.bincount(mesh.f_left[inflow_faces]).max() == 2
+        g = lambda t, p: 2.0 + np.cos(5.0 * p[:, 0] - 3.0 * p[:, 1] + t)
+        op = build_inflow(mesh, table)
+        expected = rhs_inflow_oracle(mesh, table, g, 0.3)
+        np.testing.assert_array_equal(op.cells, np.nonzero(expected)[0])
+        got = op.rhs(g, 0.3)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_constants_are_a_fixed_point(self, constant_inflow_scheme):
+        scheme = constant_inflow_scheme
+        u = np.full(scheme.mesh.n_cells, scheme.problem.c)
+        u_next = scheme.step(u, 0.0, scheme.cfl_dt())
         assert np.abs(u_next - u).max() < 1e-13
+
+    def test_step_matrix_cache_follows_dt(self, base_scheme):
+        scheme, n = base_scheme, base_scheme.mesh.n_cells
+        rng = np.random.default_rng(16)
+        u = rng.uniform(-1, 1, n)
+        dt1 = scheme.cfl_dt()
+        dt2 = 0.37 * dt1  # a shortened last step
+        for dt in (dt1, dt2, dt1):
+            # the unfused update, kept as the reference
+            expected = u - dt * (scheme.matrix @ u) + dt * scheme.rhs(0.2)
+            got = scheme.step(u, 0.2, dt)
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+            S = scheme.step_matrix(dt)
+            np.testing.assert_array_equal(S.toarray(), np.eye(n) - dt * scheme.matrix.toarray())
 
     def test_l2_contraction_without_inflow(self, scheme_cache):
         problem = make_ramp_problem(25.0, 0.2001).with_zero_inflow()
@@ -259,7 +303,7 @@ class TestRhsAndStep:
         rng = np.random.default_rng(15)
         u = rng.uniform(-1, 1, mesh.n_cells)
         t = 0.1
-        r = rhs_inflow(mesh, table, base_scheme.problem.g, t)
+        r = base_scheme.rhs(t)
         dmass = float(np.dot(mesh.areas, -base_scheme.apply(u) + r))
         boundary = np.nonzero(mesh.f_right < 0)[0]
         flux_out = sum(
@@ -348,6 +392,15 @@ class TestSolve:
         result = scheme.solve(observer=lambda k, t, u, dt: seen.append((k, t, u, dt)))
         assert [(k, t, dt) for k, t, _, dt in seen] == [(0, 0.0, 0.0)]
         np.testing.assert_array_equal(seen[0][2], result.u)
+
+    @pytest.mark.parametrize("name,value", [
+        *[("dt", v) for v in (-0.01, 0.0, math.nan, math.inf)],
+        *[("t_final", v) for v in (-0.01, math.nan, math.inf)],
+    ])
+    def test_rejects_bad_arguments(self, name, value):
+        scheme = DoDScheme(make_ramp_problem(25.0, 0.2001, t_final=0.05), SchemeConfig(), 8)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            scheme.solve(**{name: value})
 
     def test_dt_above_bound_warns(self):
         problem = make_ramp_problem(25.0, 0.2001, t_final=0.05)
