@@ -5,6 +5,12 @@ piecewise constants).  Functions in the extended space (smooth + discrete)
 are passed as (smooth, discrete) parts; all face couplings reduce to the
 |beta.n|-weighted mean of the trace per face and side, so assembly is a
 handful of vectorized gathers over the face arrays.
+
+A block of discrete fields is a (fields, cells) array.  The face means, the
+bilinear forms and the norms accept one in place of a single field and
+return one value per row, equal to the value for that row alone: gathers
+along the face axis use np.take, which keeps the rows contiguous, so every
+row is summed in the same order as a single field.
 """
 from __future__ import annotations
 
@@ -123,6 +129,12 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = Non
     return FaceIntegralTable(flux, absflux, upwind, pts, w, bn)
 
 
+def per_field(x):
+    """A result with one value per field: a float for a single field, the
+    array for a block."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def split_parts(v):
     """Normalize a V*-element into (smooth callable | None, cell array | None).
 
@@ -146,37 +158,37 @@ def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v) -> np.ndarra
     Column 0 is the trace from f_left, column 1 from f_right (for the
     smooth part the trace is single-valued, so boundary faces carry it in
     both columns).  Zero-flux faces get mean 0; they never enter any form.
+    A (fields, cells) discrete part gives (fields, faces, 2) means.
     """
     smooth, disc = split_parts(v)
-    m = np.zeros((mesh.n_faces, 2))
+    if disc is None:
+        m = np.zeros((mesh.n_faces, 2))
+    else:
+        # f_right is -1 on boundary faces: take reads the last cell there
+        m = np.take(disc, np.stack([mesh.f_left, mesh.f_right], axis=-1), axis=-1)
+        m[..., mesh.f_right < 0, 1] = 0.0
     if smooth is not None:
         vals = np.asarray(smooth(table.qpoints.reshape(-1, 2)), dtype=float)
         vals = vals.reshape(table.bn.shape)
         num = (table.qweights * np.abs(table.bn) * vals).sum(axis=1)
         means = np.divide(num, table.abs_flux, out=np.zeros_like(num), where=table.abs_flux > 0.0)
         m += means[:, None]
-    if disc is not None:
-        m[:, 0] += disc[mesh.f_left]
-        has_r = mesh.f_right >= 0
-        m[has_r, 1] += disc[mesh.f_right[has_r]]
     return m
 
 
 def _upwind_values(mesh, table, means) -> np.ndarray:
     """Per-face upwind trace mean; zero on inflow-boundary and no-flow faces."""
-    up = np.where(table.flux_in > 0.0, means[:, 0], means[:, 1])
+    up = np.where(table.flux_in > 0.0, means[..., 0], means[..., 1])
     # inflow boundary (-1): extension by 0; no-flow faces (-2)
-    up[table.upwind < 0] = 0.0
+    up[..., table.upwind < 0] = 0.0
     return up
 
 
 def _test_jump(mesh, w_h) -> np.ndarray:
     """int_e beta.[w] = flux_in * jump, with the one-sided boundary jump."""
     w = np.asarray(w_h, dtype=float)
-    jump = w[mesh.f_left].copy()
-    has_r = mesh.f_right >= 0
-    jump[has_r] -= w[mesh.f_right[has_r]]
-    return jump
+    right = np.where(mesh.f_right >= 0, np.take(w, mesh.f_right, axis=-1), 0.0)
+    return np.take(w, mesh.f_left, axis=-1) - right
 
 
 def assemble_dod_matrix(
@@ -218,15 +230,16 @@ def assemble_dod_matrix(
     return mat.tocsr()
 
 
-def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h) -> float:
+def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
     """a_dod(v, w_h): upwind sum over non-stabilized-outflow faces plus the
-    capacity-blended flux alpha*v_E + (1-alpha)*v_in on each e_out."""
+    capacity-blended flux alpha*v_E + (1-alpha)*v_in on each e_out.  One
+    value per row when v or w_h is a block of fields."""
     means = face_side_means(mesh, table, v)
     up = _upwind_values(mesh, table, means)
-    v_e = up[st.e_out]  # trace from the stabilized cell (upwind on e_out)
-    v_in = up[st.e_in]  # trace from the inflow neighbor (upwind on e_in)
-    up[st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
-    return float(np.dot(up * table.flux_in, _test_jump(mesh, w_h)))
+    v_e = np.take(up, st.e_out, axis=-1)  # trace from the stabilized cell (upwind on e_out)
+    v_in = np.take(up, st.e_in, axis=-1)  # trace from the inflow neighbor (upwind on e_in)
+    up[..., st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
+    return per_field(np.vecdot(up * table.flux_in, _test_jump(mesh, w_h)))
 
 
 def bilinear_upwind(mesh, table, v, w_h) -> float:
@@ -254,17 +267,17 @@ def bilinear_upwind(mesh, table, v, w_h) -> float:
     return total
 
 
-def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float:
-    """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w]."""
-    if not len(st):
-        return 0.0
+def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
+    """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w].  One
+    value per row when v or w_h is a block of fields."""
     means = face_side_means(mesh, table, v)
     up = _upwind_values(mesh, table, means)
     wjump = _test_jump(mesh, w_h)
     eta = 1.0 - st.alpha
-    return float(
-        np.dot(eta * (up[st.e_in] - up[st.e_out]), table.flux_in[st.e_out] * wjump[st.e_out])
-    )
+    return per_field(np.vecdot(
+        eta * (np.take(up, st.e_in, axis=-1) - np.take(up, st.e_out, axis=-1)),
+        table.flux_in[st.e_out] * np.take(wjump, st.e_out, axis=-1),
+    ))
 
 
 @dataclass(frozen=True)
@@ -385,7 +398,9 @@ class DoDScheme:
         return max(4.0 * self.velocity.inf_norm, 1.0 / self.config.tau)
 
     def apply(self, v: PiecewiseConstantField) -> PiecewiseConstantField:
-        return self.matrix @ np.asarray(v, dtype=float)
+        """A v, for one field or row by row for a block of fields."""
+        # row-major, so that each row is laid out as a single A v would be
+        return np.ascontiguousarray((self.matrix @ np.asarray(v, dtype=float).T).T)
 
     def rhs(self, t: float) -> PiecewiseConstantField:
         if self.problem.zero_inflow:
@@ -416,8 +431,9 @@ class DoDScheme:
             out[self.inflow.cells] += dt * self.inflow.values(self.problem.g, t)
         return out
 
-    def l2_norm(self, u: PiecewiseConstantField) -> float:
-        return math.sqrt(float(np.dot(self.mesh.areas, np.square(u))))
+    def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:
+        """||u||_L2, one value per row for a block of fields."""
+        return per_field(np.sqrt(np.vecdot(np.square(u), self.mesh.areas)))
 
     def project_initial(self) -> PiecewiseConstantField:
         from .norms import l2_project

@@ -3,7 +3,8 @@
 The beta-seminorm collects |beta.n|-weighted squared jumps of face means,
 with the in/outflow faces of stabilized cells weighted by their capacity
 alpha and an extended jump (downwind-neighbor mean minus inflow-neighbor
-mean) weighted by 1 - alpha.
+mean) weighted by 1 - alpha.  Every norm takes a block of discrete fields
+as well as a single one and then returns one value per row.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .discretization import DoDScheme, face_side_means, split_parts
+from .discretization import DoDScheme, face_side_means, per_field, split_parts
 from .quadrature import CellQuadratureTable, TriangleRule
 
 
@@ -32,56 +33,61 @@ def l2_project(mesh, f, cellquad: CellQuadratureTable | None = None) -> np.ndarr
     return cellquad.integrate(f) / mesh.areas
 
 
-def l2_norm_squared(scheme: DoDScheme, v) -> float:
+def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
     """||smooth + discrete||^2 over the mesh, by cell quadrature.
 
     The square of the sum is evaluated pointwise (not expanded), so exact
-    cancellations between the parts survive floating point.
+    cancellations between the parts survive floating point.  A block of
+    discrete parts is summed one field at a time: its cell-point values
+    would take more memory than the loop takes time.
     """
     smooth, disc = split_parts(v)
     if smooth is None:
         if disc is None:
             return 0.0
-        return float(np.dot(scheme.mesh.areas, np.square(disc)))
+        return per_field(np.vecdot(np.square(disc), scheme.mesh.areas))
     cq = scheme.cellquad
     vals = np.asarray(smooth(cq.points), dtype=float)
-    if disc is not None:
-        vals = vals + disc[cq.cell_index]
-    return float(np.dot(cq.weights, np.square(vals)))
+    if disc is None:
+        return float(np.dot(cq.weights, np.square(vals)))
+    rows = disc.reshape(-1, disc.shape[-1])
+    sq = [np.dot(cq.weights, np.square(vals + d[cq.cell_index])) for d in rows]
+    return per_field(np.reshape(sq, disc.shape[:-1]))
 
 
 def _seminorm_parts(scheme: DoDScheme, means: np.ndarray) -> tuple[float, float, float]:
-    """(plain, capacity-weighted, extended-jump) parts from the face side means."""
+    """(plain, capacity-weighted, extended-jump) parts from the face side
+    means; one value per row for the (fields, faces, 2) means of a block."""
     mesh, table, st = scheme.mesh, scheme.table, scheme.records
     # |beta.n|-weighted squared jump per face; one-sided on the boundary
-    jump = means[:, 0].copy()
-    has_r = mesh.f_right >= 0
-    jump[has_r] -= means[has_r, 1]
+    jump = means[..., 0] - np.where(mesh.f_right >= 0, means[..., 1], 0.0)
     face_sq = table.abs_flux * np.square(jump)
     stab_faces = np.zeros(mesh.n_faces, dtype=bool)
     stab_faces[st.e_in] = True
     stab_faces[st.e_out] = True
-    plain = float(face_sq[~stab_faces].sum())
-    capacity = float((st.alpha * (face_sq[st.e_in] + face_sq[st.e_out])).sum())
+    plain = np.compress(~stab_faces, face_sq, axis=-1).sum(axis=-1)
+    capacity = (st.alpha * (np.take(face_sq, st.e_in, axis=-1)
+                            + np.take(face_sq, st.e_out, axis=-1))).sum(axis=-1)
     # extended jump: mean from the downwind neighbor on e_out minus the mean
     # from the inflow neighbor on e_in (both are upwind/downwind traces of
     # their faces)
-    v_out = np.where(table.flux_in[st.e_out] > 0.0, means[st.e_out, 1], means[st.e_out, 0])
-    v_in = np.where(table.flux_in[st.e_in] > 0.0, means[st.e_in, 0], means[st.e_in, 1])
-    extended = float(((1.0 - st.alpha) * table.abs_flux[st.e_out] * np.square(v_out - v_in)).sum())
-    return plain, capacity, extended
+    m_out, m_in = np.take(means, st.e_out, axis=-2), np.take(means, st.e_in, axis=-2)
+    v_out = np.where(table.flux_in[st.e_out] > 0.0, m_out[..., 1], m_out[..., 0])
+    v_in = np.where(table.flux_in[st.e_in] > 0.0, m_in[..., 0], m_in[..., 1])
+    extended = ((1.0 - st.alpha) * table.abs_flux[st.e_out] * np.square(v_out - v_in)).sum(axis=-1)
+    return per_field(plain), per_field(capacity), per_field(extended)
 
 
-def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float:
+def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
-    int_e |beta.n| (own-trace mean)^2 over its faces."""
+    int_e |beta.n| (own-trace mean)^2 over its faces; one value per row for
+    the means of a block."""
     mesh, st = scheme.mesh, scheme.records
     weights = np.ones(mesh.n_cells)
     weights[st.cells] = st.alpha
-    has_r = mesh.f_right >= 0
-    own = weights[mesh.f_left] * np.square(means[:, 0])
-    own[has_r] += weights[mesh.f_right[has_r]] * np.square(means[has_r, 1])
-    return float(np.dot(scheme.table.abs_flux, own))
+    right = np.where(mesh.f_right >= 0, weights[mesh.f_right] * np.square(means[..., 1]), 0.0)
+    own = weights[mesh.f_left] * np.square(means[..., 0]) + right
+    return per_field(np.vecdot(own, scheme.table.abs_flux))
 
 
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
@@ -89,25 +95,26 @@ def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
     return _seminorm_parts(scheme, face_side_means(scheme.mesh, scheme.table, v))
 
 
-def beta_seminorm(scheme: DoDScheme, v) -> float:
+def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
     plain, capacity, extended = beta_seminorm_parts(scheme, v)
-    return math.sqrt(max(plain + capacity + extended, 0.0))
+    return per_field(np.sqrt(np.maximum(plain + capacity + extended, 0.0)))
 
 
 def _evaluate(scheme: DoDScheme, v) -> ErrorBreakdown:
     """Every norm of a V* element from one pass over the cell points and one
-    over the face points (each part of v is evaluated once per point set)."""
+    over the face points (each part of v is evaluated once per point set).
+    For a block of discrete parts every norm holds one value per row."""
     l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
     means = face_side_means(scheme.mesh, scheme.table, v)
     plain, capacity, extended = _seminorm_parts(scheme, means)
-    semi_sq = max(plain + capacity + extended, 0.0)
-    l2, semi = math.sqrt(l2_sq), math.sqrt(semi_sq)
+    semi_sq = np.maximum(plain + capacity + extended, 0.0)
+    l2, semi = np.sqrt(l2_sq), np.sqrt(semi_sq)
     return ErrorBreakdown(
-        l2=l2,
-        beta_semi=semi,
-        triple=math.sqrt(l2 * l2 + semi * semi),
-        triple_star=math.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means)),
+        l2=per_field(l2),
+        beta_semi=per_field(semi),
+        triple=per_field(np.sqrt(l2 * l2 + semi * semi)),
+        triple_star=per_field(np.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means))),
         components={"plain": plain, "capacity": capacity, "extended": extended},
     )
 

@@ -4,6 +4,13 @@ Each check runs a quantified sweep (fixed seed, stated instance counts) and
 returns a LemmaReport with the worst observed ratio.  Inequalities pass at
 max_ratio <= 1 + 1e-10; identities are measured as relative deviations and
 pass at 1e-12 unless stated otherwise.
+
+The sampled checks draw their random fields in blocks of BLOCK rows (the
+same stream as drawing them one by one) and evaluate each block with the
+forms and norms at once.  An exact-solution snapshot is evaluated once on
+the cell points and once on the face points for all samples.  Their
+reports name the worst instance in `details`: `worst_sample`, plus
+`worst_time` where the instance has an exact-solution snapshot.
 """
 from __future__ import annotations
 
@@ -29,6 +36,9 @@ from .norms import (
 
 INEQ_TOL = 1e-10  # slack on ratio <= 1
 IDENT_TOL = 1e-12  # relative deviation for identities
+# random fields per batched evaluation: larger blocks raise the checks' peak
+# memory, smaller ones pay the per-call overhead of the forms more often
+BLOCK = 16
 
 
 @dataclass
@@ -67,9 +77,46 @@ class LemmaReport:
         return f"{status}  {self.lemma_id}: {value} ({self.instances} instances)"
 
 
-def _random_fields(scheme, samples, seed):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(samples, scheme.mesh.n_cells)), rng
+def _field_blocks(rng, samples, n_cells):
+    """(first sample, block) pairs of uniform(-1, 1) fields, drawn a block at a
+    time; the rows are the fields of `samples` one-by-one draws."""
+    for start in range(0, samples, BLOCK):
+        yield start, rng.uniform(-1.0, 1.0, size=(min(BLOCK, samples - start), n_cells))
+
+
+def _cancellation(terms):
+    """|sum| / sum of |.| over the last axis: how far a sum of terms that
+    must cancel is from 0, relative to its terms."""
+    return np.abs(terms.sum(axis=-1)) / np.maximum(np.abs(terms).sum(axis=-1), 1e-300)
+
+
+def _argmax(values) -> int | None:
+    """Index of the worst instance, the first one on ties; None for no instances."""
+    return int(np.argmax(values)) if np.size(values) else None
+
+
+class _Snapshot:
+    """p -> u(t, p), evaluated once per point array and then looked up.
+
+    The checks evaluate a snapshot on the scheme's cell and face quadrature
+    points only.  The cache keeps each array it was called on alive, so an
+    array with the same memory layout is a view of the same points.
+    """
+
+    def __init__(self, problem: RampTestProblem, t: float):
+        self.problem, self.t = problem, t
+        self._seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, pts):
+        for p, vals in self._seen:
+            if p.__array_interface__ == pts.__array_interface__:
+                return vals
+        vals = self.problem.exact(self.t, pts)
+        self._seen.append((pts, vals))
+        return vals
+
+    def gradient(self, pts):
+        return self.problem.exact_gradient(self.t, pts)
 
 
 def cell_flux_sums(scheme: DoDScheme):
@@ -91,7 +138,11 @@ def cell_flux_sums(scheme: DoDScheme):
 
 def check_incompressibility(scheme: DoDScheme) -> LemmaReport:
     """Per-cell flux closure: inflow and outflow |beta.n| masses agree."""
-    sin, sout, closure = cell_flux_sums(scheme)
+    return _flux_closure(scheme, cell_flux_sums(scheme))
+
+
+def _flux_closure(scheme: DoDScheme, sums) -> LemmaReport:
+    sin, sout, closure = sums
     perimeter = np.bincount(scheme.mesh.f_left, weights=scheme.mesh.f_length,
                             minlength=scheme.mesh.n_cells)
     has_r = scheme.mesh.f_right >= 0
@@ -106,8 +157,9 @@ def check_incompressibility(scheme: DoDScheme) -> LemmaReport:
 def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
     """Inflow |beta.n| mass per cell against (4|beta|_inf/h)|E|, capacity-
     weighted against |E|/(tau h) on stabilized cells."""
-    closure = check_incompressibility(scheme)
-    sin, sout, _ = cell_flux_sums(scheme)
+    sums = cell_flux_sums(scheme)
+    closure = _flux_closure(scheme, sums)
+    sin = sums[0]
     mesh = scheme.mesh
     binf = scheme.velocity.inf_norm
     tau = scheme.config.tau
@@ -126,38 +178,42 @@ def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
 
 def check_dissipation(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> LemmaReport:
     """a_dod(v, v) = 1/2 |v|_beta^2 for random discrete fields."""
-    fields, _ = _random_fields(scheme, samples, seed)
-    dev = []
-    for v in fields:
-        lhs = bilinear_a_dod(scheme.mesh, scheme.table, scheme.records, v, v)
+    mesh, table, st = scheme.mesh, scheme.table, scheme.records
+    dev = np.empty(samples)
+    for start, v in _field_blocks(np.random.default_rng(seed), samples, mesh.n_cells):
+        lhs = bilinear_a_dod(mesh, table, st, v, v)
         rhs = 0.5 * beta_seminorm(scheme, v) ** 2
-        dev.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return LemmaReport.identity("discrete-dissipation", dev, seed=seed)
+        dev[start:start + len(v)] = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    return LemmaReport.identity("discrete-dissipation", dev, seed=seed,
+                                worst_sample=_argmax(dev))
 
 
 def check_identities(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> list[LemmaReport]:
     """Face-sum identities: weighted average-jump sum and product-jump sum."""
     mesh, table = scheme.mesh, scheme.table
-    fields, rng = _random_fields(scheme, samples, seed)
-    w_fields = rng.uniform(-1.0, 1.0, size=fields.shape)
+    rng = np.random.default_rng(seed)
+    # every v is drawn before the first w
+    fields = rng.uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
     interior = mesh.f_right >= 0
     omega = np.where(interior, 1.0, 0.5)
-    dev1, dev2 = [], []
-    for v, w in zip(fields, w_fields):
-        mv = face_side_means(mesh, table, v)
+    dev1, dev2 = np.empty(samples), np.empty(samples)
+    for start, w in _field_blocks(rng, samples, mesh.n_cells):
+        rows = slice(start, start + len(w))
+        mv = face_side_means(mesh, table, fields[rows])
+        jump_v = np.where(interior, mv[..., 0] - mv[..., 1], mv[..., 0])
+        avg_v = np.where(interior, 0.5 * (mv[..., 0] + mv[..., 1]), mv[..., 0])
+        dev1[rows] = _cancellation(omega * avg_v * table.flux_in * jump_v)
+        # free a block's face arrays early: they set the check's peak memory
+        del jump_v, avg_v
         mw = face_side_means(mesh, table, w)
-        jump_v = np.where(interior, mv[:, 0] - mv[:, 1], mv[:, 0])
-        avg_v = np.where(interior, 0.5 * (mv[:, 0] + mv[:, 1]), mv[:, 0])
-        terms1 = omega * avg_v * table.flux_in * jump_v
-        dev1.append(abs(terms1.sum()) / max(np.abs(terms1).sum(), 1e-300))
         prod_jump = np.where(
-            interior, mv[:, 0] * mw[:, 0] - mv[:, 1] * mw[:, 1], mv[:, 0] * mw[:, 0]
+            interior, mv[..., 0] * mw[..., 0] - mv[..., 1] * mw[..., 1], mv[..., 0] * mw[..., 0]
         )
-        terms2 = table.flux_in * prod_jump
-        dev2.append(abs(terms2.sum()) / max(np.abs(terms2).sum(), 1e-300))
+        del mw
+        dev2[rows] = _cancellation(table.flux_in * prod_jump)
     return [
-        LemmaReport.identity("average-jump-sum", dev1, seed=seed),
-        LemmaReport.identity("product-jump-sum", dev2, seed=seed),
+        LemmaReport.identity("average-jump-sum", dev1, seed=seed, worst_sample=_argmax(dev1)),
+        LemmaReport.identity("product-jump-sum", dev2, seed=seed, worst_sample=_argmax(dev2)),
     ]
 
 
@@ -177,49 +233,51 @@ def check_algebraic_identity(samples: int = 100_000, seed: int = 0) -> LemmaRepo
 
 def check_inverse_estimate(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> LemmaReport:
     """|w|_beta <= 2 sqrt(C_tr/h) ||w||_L2 for random discrete fields."""
-    fields, _ = _random_fields(scheme, samples, seed)
     c = 2.0 * math.sqrt(scheme.c_tr / scheme.h)
-    ratios = [
-        beta_seminorm(scheme, w) / (c * scheme.l2_norm(w)) for w in fields
-    ]
-    return LemmaReport.inequality("inverse-estimate", ratios, seed=seed)
-
-
-def _mixed_samples(scheme, samples, seed):
-    """Random elements of smooth + discrete: exact snapshots plus noise."""
-    rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, scheme.problem.t_final, 4)
-    out = []
-    for k in range(samples):
-        disc = rng.uniform(-1.0, 1.0, scheme.mesh.n_cells)
-        if k % 2 == 0:
-            t = float(times[(k // 2) % len(times)])
-            smooth = lambda p, t=t: scheme.problem.exact(t, p)
-            out.append((smooth, disc))
-        else:
-            out.append((None, disc))
-    return out
+    ratios = np.empty(samples)
+    for start, w in _field_blocks(np.random.default_rng(seed), samples, scheme.mesh.n_cells):
+        ratios[start:start + len(w)] = beta_seminorm(scheme, w) / (c * scheme.l2_norm(w))
+    return LemmaReport.inequality("inverse-estimate", ratios, seed=seed,
+                                  worst_sample=_argmax(ratios))
 
 
 def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> list[LemmaReport]:
-    """|a_dod(v, w)| <= |||v|||_* |w|_beta and ||A v|| <= sqrt(C_tr/h)|v|_beta."""
-    rng = np.random.default_rng(seed + 1)
-    ratios1 = []
-    for smooth, disc in _mixed_samples(scheme, samples, seed):
-        v = (smooth, disc) if smooth is not None else disc
-        w = rng.uniform(-1.0, 1.0, scheme.mesh.n_cells)
-        a = bilinear_a_dod(scheme.mesh, scheme.table, scheme.records, v, w)
-        bound = triple_star_norm(scheme, v) * beta_seminorm(scheme, w)
-        ratios1.append(abs(a) / max(bound, 1e-300))
-    fields, _ = _random_fields(scheme, samples, seed + 2)
+    """|a_dod(v, w)| <= |||v|||_* |w|_beta and ||A v|| <= sqrt(C_tr/h)|v|_beta.
+
+    v runs over smooth + discrete: sample k adds the exact snapshot at
+    times[(k // 2) % 4] to its random field when k is even.
+    """
+    mesh, table, st = scheme.mesh, scheme.table, scheme.records
+    times = np.linspace(0.0, scheme.problem.t_final, 4)
+    smooth = [None] + [_Snapshot(scheme.problem, float(t)) for t in times]
+    k = np.arange(samples)
+    # index into smooth: 0 for a discrete sample, 1 + the snapshot otherwise
+    part = np.where(k % 2 == 0, 1 + (k // 2) % len(times), 0)
+    w_rng = np.random.default_rng(seed + 1)
+    ratios1 = np.empty(samples)
+    for start, disc in _field_blocks(np.random.default_rng(seed), samples, mesh.n_cells):
+        w = w_rng.uniform(-1.0, 1.0, size=disc.shape)
+        w_semi = beta_seminorm(scheme, w)
+        rows = part[start:start + len(disc)]
+        for i in np.unique(rows):
+            g = np.nonzero(rows == i)[0]
+            v = (smooth[i], disc[g])
+            a = bilinear_a_dod(mesh, table, st, v, w[g])
+            bound = triple_star_norm(scheme, v) * w_semi[g]
+            ratios1[start + g] = np.abs(a) / np.maximum(bound, 1e-300)
     c = math.sqrt(scheme.c_tr / scheme.h)
-    ratios2 = [
-        scheme.l2_norm(scheme.apply(v)) / max(c * beta_seminorm(scheme, v), 1e-300)
-        for v in fields
-    ]
+    ratios2 = np.empty(samples)
+    for start, v in _field_blocks(np.random.default_rng(seed + 2), samples, mesh.n_cells):
+        ratios2[start:start + len(v)] = (
+            scheme.l2_norm(scheme.apply(v)) / np.maximum(c * beta_seminorm(scheme, v), 1e-300)
+        )
+    worst = _argmax(ratios1)
+    worst_time = float(times[part[worst] - 1]) if worst is not None and part[worst] else None
     return [
-        LemmaReport.inequality("boundedness-star", ratios1, seed=seed),
-        LemmaReport.inequality("boundedness-operator", ratios2, seed=seed),
+        LemmaReport.inequality("boundedness-star", ratios1, seed=seed,
+                               worst_sample=worst, worst_time=worst_time),
+        LemmaReport.inequality("boundedness-operator", ratios2, seed=seed,
+                               worst_sample=_argmax(ratios2)),
     ]
 
 
@@ -230,20 +288,25 @@ def check_consistency(
     seed: int = 0,
 ) -> LemmaReport:
     """|J(u(t), w)| <= sqrt(tau h) |beta|_W1inf ||u(t)||_H1 |w|_beta."""
+    mesh, table, st = scheme.mesh, scheme.table, scheme.records
     rng = np.random.default_rng(seed)
     tau = scheme.config.tau
     factor = math.sqrt(tau * scheme.h) * scheme.velocity.w1inf_norm
-    ratios = []
-    for t in times:
-        u_t = lambda p, t=t: scheme.problem.exact(t, p)
-        grad_t = lambda p, t=t: scheme.problem.exact_gradient(t, p)
-        bound_t = factor * h1_norm(scheme, u_t, grad=grad_t)
-        for _ in range(samples):
-            w = rng.uniform(-1.0, 1.0, scheme.mesh.n_cells)
-            j = bilinear_J(scheme.mesh, scheme.table, scheme.records, u_t, w)
-            ratios.append(abs(j) / max(bound_t * beta_seminorm(scheme, w), 1e-300))
+    ratios = np.empty(len(times) * samples)  # time-major, as drawn
+    for ti, t in enumerate(times):
+        u_t = _Snapshot(scheme.problem, t)
+        bound_t = factor * h1_norm(scheme, u_t, grad=u_t.gradient)
+        for start, w in _field_blocks(rng, samples, mesh.n_cells):
+            j = bilinear_J(mesh, table, st, u_t, w)
+            first = ti * samples + start
+            ratios[first:first + len(w)] = (
+                np.abs(j) / np.maximum(bound_t * beta_seminorm(scheme, w), 1e-300)
+            )
+    worst = _argmax(ratios)
     return LemmaReport.inequality(
-        "stabilization-consistency", ratios, seed=seed, times=list(times)
+        "stabilization-consistency", ratios, seed=seed, times=list(times),
+        worst_sample=None if worst is None else worst % samples,
+        worst_time=None if worst is None else times[worst // samples],
     )
 
 

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutdg.discretization import SchemeConfig, bilinear_a_dod, build_face_table
+from cutdg.discretization import (
+    SchemeConfig,
+    bilinear_a_dod,
+    bilinear_J,
+    build_face_table,
+    face_side_means,
+)
 from cutdg.field import constant_velocity, make_ramp_problem
 from cutdg.geometry import RampDomain, build_mesh
-from cutdg.norms import beta_seminorm
+from cutdg.norms import beta_seminorm, h1_norm, triple_star_norm
 from cutdg import verify as vf
 
 
@@ -185,6 +191,165 @@ class TestEnergyDecay:
     "cell's perimeter, so flux closure misses its 1e-12 tolerance"))
 def test_flux_closure_on_near_grid_sliver(scheme_cache):
     assert vf.check_incompressibility(scheme_cache(45.0, 0.2 + 1e-10, 20)).passed
+
+
+class TestBatchedChecks:
+    """The block-wise checks against a loop over single fields."""
+
+    SAMPLES = 20  # a full block and a partial one
+    SEED = 21
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The per-instance values each report is built from, by lemma id."""
+        seen = {}
+        for name in ("inequality", "identity"):
+            make = getattr(vf.LemmaReport, name)
+
+            def record(lemma_id, values, *args, _make=make, **kwargs):
+                seen[lemma_id] = np.array(values, dtype=float)
+                return _make(lemma_id, values, *args, **kwargs)
+
+            monkeypatch.setattr(vf.LemmaReport, name, record)
+        return seen
+
+    @staticmethod
+    def fields(scheme, samples, seed):
+        rng = np.random.default_rng(seed)
+        return rng, [rng.uniform(-1.0, 1.0, scheme.mesh.n_cells) for _ in range(samples)]
+
+    def oracle(self, scheme):
+        """Per-instance ratios from the single-field forms and norms."""
+        mesh, table, stab = scheme.mesh, scheme.table, scheme.records
+        k, seed = self.SAMPLES, self.SEED
+        out = {}
+        _, fields = self.fields(scheme, k, seed)
+        out["discrete-dissipation"] = [
+            abs(bilinear_a_dod(mesh, table, stab, v, v) - 0.5 * beta_seminorm(scheme, v) ** 2)
+            / (0.5 * beta_seminorm(scheme, v) ** 2)
+            for v in fields
+        ]
+        rng, fields = self.fields(scheme, k, seed)
+        interior = mesh.f_right >= 0
+        dev1, dev2 = [], []
+        for v in fields:
+            w = rng.uniform(-1.0, 1.0, mesh.n_cells)
+            mv, mw = face_side_means(mesh, table, v), face_side_means(mesh, table, w)
+            jump = np.where(interior, mv[:, 0] - mv[:, 1], mv[:, 0])
+            avg = np.where(interior, 0.5 * (mv[:, 0] + mv[:, 1]), mv[:, 0])
+            terms1 = np.where(interior, 1.0, 0.5) * avg * table.flux_in * jump
+            terms2 = table.flux_in * np.where(
+                interior, mv[:, 0] * mw[:, 0] - mv[:, 1] * mw[:, 1], mv[:, 0] * mw[:, 0])
+            dev1.append(abs(terms1.sum()) / np.abs(terms1).sum())
+            dev2.append(abs(terms2.sum()) / np.abs(terms2).sum())
+        out["average-jump-sum"], out["product-jump-sum"] = dev1, dev2
+        c = math.sqrt(scheme.c_tr / scheme.h)
+        out["inverse-estimate"] = [
+            beta_seminorm(scheme, w) / (2.0 * c * scheme.l2_norm(w))
+            for w in self.fields(scheme, k, seed)[1]
+        ]
+        times = np.linspace(0.0, scheme.problem.t_final, 4)
+        w_fields = self.fields(scheme, k, seed + 1)[1]
+        star = []
+        for i, (disc, w) in enumerate(zip(self.fields(scheme, k, seed)[1], w_fields)):
+            t = float(times[(i // 2) % 4])
+            v = (lambda p, t=t: scheme.problem.exact(t, p), disc) if i % 2 == 0 else disc
+            a = bilinear_a_dod(mesh, table, stab, v, w)
+            star.append(abs(a) / (triple_star_norm(scheme, v) * beta_seminorm(scheme, w)))
+        out["boundedness-star"] = star
+        out["boundedness-operator"] = [
+            scheme.l2_norm(scheme.apply(v)) / (c * beta_seminorm(scheme, v))
+            for v in self.fields(scheme, k, seed + 2)[1]
+        ]
+        rng = np.random.default_rng(seed)
+        factor = math.sqrt(scheme.config.tau * scheme.h) * scheme.velocity.w1inf_norm
+        cons = []
+        for t in (0.0, 0.25, 0.5):
+            u_t = lambda p, t=t: scheme.problem.exact(t, p)
+            bound = factor * h1_norm(scheme, u_t, lambda p, t=t: scheme.problem.exact_gradient(t, p))
+            for _ in range(k):
+                w = rng.uniform(-1.0, 1.0, mesh.n_cells)
+                cons.append(abs(bilinear_J(mesh, table, stab, u_t, w)) / (bound * beta_seminorm(scheme, w)))
+        out["stabilization-consistency"] = cons
+        return {key: np.array(vals) for key, vals in out.items()}
+
+    @pytest.mark.parametrize("gamma, x0, n", [(25.0, 0.2001, 16), (45.0, 0.2 + 1e-10, 20)])
+    def test_instances_match_single_field_loop(self, scheme_cache, captured, gamma, x0, n):
+        scheme = scheme_cache(gamma, x0, n)
+        assert len(scheme.records)
+        k, seed = self.SAMPLES, self.SEED
+        reports = [
+            vf.check_dissipation(scheme, k, seed),
+            *vf.check_identities(scheme, k, seed),
+            vf.check_inverse_estimate(scheme, k, seed),
+            *vf.check_boundedness(scheme, k, seed),
+            vf.check_consistency(scheme, samples=k, seed=seed),
+        ]
+        expect = self.oracle(scheme)
+        assert {r.lemma_id for r in reports} == set(expect)
+        for r in reports:
+            ref = expect[r.lemma_id]
+            assert r.instances == len(ref), r.lemma_id
+            np.testing.assert_allclose(captured[r.lemma_id], ref, rtol=1e-13, atol=0.0,
+                                       err_msg=r.lemma_id)
+            worst = int(np.argmax(ref))
+            if r.lemma_id == "stabilization-consistency":
+                assert (r.details["worst_time"], r.details["worst_sample"]) == (
+                    (0.0, 0.25, 0.5)[worst // k], worst % k)
+            else:
+                assert r.details["worst_sample"] == worst, r.lemma_id
+        star = next(r for r in reports if r.lemma_id == "boundedness-star")
+        times = np.linspace(0.0, scheme.problem.t_final, 4)
+        i = star.details["worst_sample"]
+        assert star.details["worst_time"] == (float(times[(i // 2) % 4]) if i % 2 == 0 else None)
+
+    def test_one_exact_evaluation_per_point_set(self, base_scheme, monkeypatch):
+        problem = base_scheme.problem
+        exact = type(problem).exact
+        calls = []
+
+        def counting_exact(self, t, p):
+            calls.append(t)
+            return exact(self, t, p)
+
+        monkeypatch.setattr(type(problem), "exact", counting_exact)
+        snapshots = np.linspace(0.0, problem.t_final, 4)
+        for samples in (8, 40):
+            calls.clear()
+            vf.check_boundedness(base_scheme, samples, seed=3)
+            # once on the cell points (|||v|||_*) and once on the face points
+            assert sorted(set(calls)) == list(snapshots)
+            assert max(calls.count(t) for t in calls) <= 2
+            calls.clear()
+            vf.check_consistency(base_scheme, samples=samples, seed=3)
+            # the face means of J and the H1 norm of the bound
+            assert sorted(set(calls)) == [0.0, 0.25, 0.5]
+            assert max(calls.count(t) for t in calls) <= 2
+
+    def test_block_rows_equal_single_fields(self, base_scheme):
+        mesh, table, stab = base_scheme.mesh, base_scheme.table, base_scheme.records
+        rng = np.random.default_rng(22)
+        v = rng.uniform(-1.0, 1.0, (3, mesh.n_cells))
+        w = rng.uniform(-1.0, 1.0, (3, mesh.n_cells))
+        u0 = base_scheme.problem.u0
+        block = {
+            "a_dod": bilinear_a_dod(mesh, table, stab, (u0, v), w),
+            "J": bilinear_J(mesh, table, stab, u0, w),
+            "semi": beta_seminorm(base_scheme, (u0, v)),
+            "star": triple_star_norm(base_scheme, (u0, v)),
+            "l2": base_scheme.l2_norm(base_scheme.apply(v)),
+        }
+        for i in range(3):
+            single = {
+                "a_dod": bilinear_a_dod(mesh, table, stab, (u0, v[i]), w[i]),
+                "J": bilinear_J(mesh, table, stab, u0, w[i]),
+                "semi": beta_seminorm(base_scheme, (u0, v[i])),
+                "star": triple_star_norm(base_scheme, (u0, v[i])),
+                "l2": base_scheme.l2_norm(base_scheme.apply(v[i])),
+            }
+            for key, value in single.items():
+                assert type(value) is float, key
+                assert block[key][i] == pytest.approx(value, rel=1e-13, abs=0.0), key
 
 
 def test_report_csv_row(scheme_cache):
