@@ -7,7 +7,9 @@ Configuration comes from a flat key=value file plus command-line overrides
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -181,9 +183,19 @@ def _resolve(args, file_values: dict) -> RunConfig:
     return cfg
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise the error that writing `path` would raise if its directory is
+    missing, so a command fails before its work instead of after it."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_export(cfg: RunConfig) -> int:
-    scheme = DoDScheme(cfg.problem(), cfg.scheme_config(), cfg.n)
     path = f"{cfg.out}_mesh.vtk"
+    _check_out_dir(path)
+    scheme = DoDScheme(cfg.problem(), cfg.scheme_config(), cfg.n)
     write_vtk(path, scheme.mesh, mesh_cell_data(scheme.mesh, scheme.records))
     print(f"wrote {path}: {scheme.mesh.n_cells} cells, {scheme.mesh.n_faces} faces, "
           f"{len(scheme.records)} stabilized")
@@ -191,6 +203,8 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig, diagnostics: bool = False) -> int:
+    path = f"{cfg.out}_solution.vtk"
+    _check_out_dir(path)
     scheme = DoDScheme(cfg.problem(), cfg.scheme_config(), cfg.n)
     rows: list[str] = []
 
@@ -200,7 +214,6 @@ def cmd_run(cfg: RunConfig, diagnostics: bool = False) -> int:
 
     result = scheme.solve(observer=record if diagnostics else None)
     eb = error_breakdown(scheme, result.t_final, result.u)
-    path = f"{cfg.out}_solution.vtk"
     write_vtk(path, scheme.mesh, mesh_cell_data(scheme.mesh, scheme.records, u=result.u))
     print(f"wrote {path}")
     print(f"n={cfg.n} steps={result.steps} dt={result.dt_nominal:.6e}")
@@ -262,8 +275,9 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
 def cmd_converge(cfg: RunConfig) -> int:
     if not cfg.n_list:
         raise ConfigError("converge needs a nonempty --n-list")
-    report = converge(cfg)
     csv_path = f"{cfg.out}_convergence.csv"
+    _check_out_dir(csv_path)
+    report = converge(cfg)
     Path(csv_path).write_text("\n".join(report.csv_lines()) + "\n")
     for norm, key in (("l2", "l2_error"), ("beta", "beta_semi_error")):
         dat = "\n".join(f"{r['h']:.16e} {r[key]:.16e}" for r in report.rows)
@@ -275,6 +289,8 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    csv_path = f"{cfg.out}_verify.csv"
+    _check_out_dir(csv_path)
     reports = run_all(
         cfg.problem(),
         cfg.scheme_config(),
@@ -283,7 +299,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     lines = ["lemma_id,instances,max_ratio,pass"]
     lines += [r.csv_row() for r in reports]
-    Path(f"{cfg.out}_verify.csv").write_text("\n".join(lines) + "\n")
+    Path(csv_path).write_text("\n".join(lines) + "\n")
     for r in reports:
         print(r.status_line())
     ok = all(r.passed for r in reports)

@@ -230,11 +230,13 @@ def assemble_dod_matrix(
     return mat.tocsr()
 
 
-def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
+def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h, means=None) -> float | np.ndarray:
     """a_dod(v, w_h): upwind sum over non-stabilized-outflow faces plus the
     capacity-blended flux alpha*v_E + (1-alpha)*v_in on each e_out.  One
-    value per row when v or w_h is a block of fields."""
-    means = face_side_means(mesh, table, v)
+    value per row when v or w_h is a block of fields.  `means` is
+    `face_side_means(mesh, table, v)` when the caller already has it."""
+    if means is None:
+        means = face_side_means(mesh, table, v)
     up = _upwind_values(mesh, table, means)
     v_e = np.take(up, st.e_out, axis=-1)  # trace from the stabilized cell (upwind on e_out)
     v_in = np.take(up, st.e_in, axis=-1)  # trace from the inflow neighbor (upwind on e_in)

@@ -100,13 +100,15 @@ def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
     return per_field(np.sqrt(np.maximum(plain + capacity + extended, 0.0)))
 
 
-def _evaluate(scheme: DoDScheme, v) -> ErrorBreakdown:
+def _evaluate(scheme: DoDScheme, v, means=None) -> ErrorBreakdown:
     """Every norm of a V* element from one pass over the cell points and one
     over the face points (each part of v is evaluated once per point set).
-    For a block of discrete parts every norm holds one value per row."""
+    For a block of discrete parts every norm holds one value per row.
+    `means` is `face_side_means` of v when the caller already has it."""
     l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
-    means = face_side_means(scheme.mesh, scheme.table, v)
+    if means is None:
+        means = face_side_means(scheme.mesh, scheme.table, v)
     plain, capacity, extended = _seminorm_parts(scheme, means)
     semi_sq = np.maximum(plain + capacity + extended, 0.0)
     l2, semi = np.sqrt(l2_sq), np.sqrt(semi_sq)
@@ -123,9 +125,10 @@ def triple_norm(scheme: DoDScheme, v) -> float:
     return _evaluate(scheme, v).triple
 
 
-def triple_star_norm(scheme: DoDScheme, v) -> float:
-    """Triple norm plus capacity-weighted cell-boundary |beta.n| mass."""
-    return _evaluate(scheme, v).triple_star
+def triple_star_norm(scheme: DoDScheme, v, means=None) -> float | np.ndarray:
+    """Triple norm plus capacity-weighted cell-boundary |beta.n| mass.
+    `means` is `face_side_means` of v when the caller already has it."""
+    return _evaluate(scheme, v, means).triple_star
 
 
 def h1_norm(scheme: DoDScheme, f, grad) -> float:

@@ -262,8 +262,9 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
         for i in np.unique(rows):
             g = np.nonzero(rows == i)[0]
             v = (smooth[i], disc[g])
-            a = bilinear_a_dod(mesh, table, st, v, w[g])
-            bound = triple_star_norm(scheme, v) * w_semi[g]
+            means = face_side_means(mesh, table, v)
+            a = bilinear_a_dod(mesh, table, st, v, w[g], means)
+            bound = triple_star_norm(scheme, v, means) * w_semi[g]
             ratios1[start + g] = np.abs(a) / np.maximum(bound, 1e-300)
     c = math.sqrt(scheme.c_tr / scheme.h)
     ratios2 = np.empty(samples)

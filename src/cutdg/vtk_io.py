@@ -8,46 +8,98 @@ from .geometry import CutCellMesh, StabilizedCells
 _VTK_POLYGON = 7
 
 
+def _check_cell_data(cell_data: dict, n_cells: int) -> None:
+    """Reject what would make a malformed file: a name that is not one
+    whitespace-free token, or an array that is not one value per cell."""
+    for name, values in cell_data.items():
+        if str(name).split() != [str(name)]:
+            raise ValueError(f"cell_data name {name!r} must be one token without whitespace")
+        shape = np.shape(values)
+        if shape != (n_cells,):
+            raise ValueError(f"cell_data {name!r} has shape {shape}, expected ({n_cells},)")
+
+
+def _shared_points(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct corners numbered by first appearance, and the point number
+    of every vertex row.  Shared corners are bit-identical, so equal rows
+    are runs after one stable sort by (x, y)."""
+    order = np.lexsort((vertices[:, 1], vertices[:, 0]))
+    ranked = vertices[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    # the sort is stable, so each run starts at its first appearance
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    is_first = first == np.arange(len(first))
+    return vertices[is_first], (np.cumsum(is_first) - 1)[first]
+
+
+def _format_values(values: np.ndarray, fmt: str) -> np.ndarray:
+    """`fmt % v` of every value, as an object array of the same shape.  Each
+    distinct value is formatted once; doubles are told apart by their bit
+    pattern, so -0.0 and nan print as a per-value format prints them."""
+    if values.dtype == np.float64:
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+    text = (fmt + "\n") * len(distinct) % tuple(distinct.tolist())
+    return np.array(text.splitlines(), dtype=object)[inverse.reshape(values.shape)]
+
+
+def _rows(*columns) -> str:
+    """The columns (per-row strings or one shared string) joined row by row."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return "".join(table.ravel().tolist())
+
+
+def _cell_lines(cell_ptr: np.ndarray, conn: np.ndarray) -> str:
+    """One `k p_1 ... p_k` line per cell; one format per vertex count k."""
+    counts = np.diff(cell_ptr)
+    lines = np.empty(len(counts), dtype=object)
+    for k in np.unique(counts).tolist():
+        cells = np.flatnonzero(counts == k)
+        rows = np.column_stack([np.full(len(cells), k), conn[cell_ptr[cells, None] + np.arange(k)]])
+        text = ("%d" + " %d" * k + "\n") * len(cells) % tuple(rows.ravel().tolist())
+        lines[cells] = text.splitlines(keepends=True)
+    return "".join(lines.tolist())
+
+
 def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
     """Write the mesh as an UNSTRUCTURED_GRID of POLYGON cells.
 
     `cell_data` maps array names to per-cell values; the mesh arrays
     "kind" (as integer codes), "area", and "alpha" are callers' business.
+    Integer arrays are written as int, all others as double.  A name with
+    whitespace or an array of the wrong length raises ValueError before the
+    file is opened.
     """
-    # shared corners are bit-identical; number points by first appearance
-    points, first, inverse = np.unique(
-        mesh.vertices, axis=0, return_index=True, return_inverse=True
-    )
-    by_appearance = np.argsort(first)
-    conn = np.argsort(by_appearance)[inverse.ravel()].tolist()
-    ptr = mesh.cell_ptr.tolist()
     n_cells = mesh.n_cells
+    if cell_data:
+        _check_cell_data(cell_data, n_cells)
+    points, conn = _shared_points(mesh.vertices)
+    xy = _format_values(points, "%.16e")
 
     with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("cut-cell mesh\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {len(points)} double\n")
-        for x, y in points[by_appearance].tolist():
-            f.write(f"{x:.16e} {y:.16e} 0.0\n")
-        f.write(f"CELLS {n_cells} {len(conn) + n_cells}\n")
-        for lo, hi in zip(ptr, ptr[1:]):
-            f.write(" ".join(map(str, [hi - lo] + conn[lo:hi])) + "\n")
-        f.write(f"CELL_TYPES {n_cells}\n")
-        f.write(f"{_VTK_POLYGON}\n" * n_cells)
+        f.write("# vtk DataFile Version 3.0\n"
+                "cut-cell mesh\n"
+                "ASCII\n"
+                "DATASET UNSTRUCTURED_GRID\n"
+                f"POINTS {len(points)} double\n" + _rows(xy[:, 0], " ", xy[:, 1], " 0.0\n"))
+        f.write(f"CELLS {n_cells} {len(conn) + n_cells}\n" + _cell_lines(mesh.cell_ptr, conn))
+        f.write(f"CELL_TYPES {n_cells}\n" + f"{_VTK_POLYGON}\n" * n_cells)
         if cell_data:
             f.write(f"CELL_DATA {n_cells}\n")
             for name, values in cell_data.items():
                 arr = np.asarray(values)
                 if arr.dtype.kind in "iu":
-                    f.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        f.write(f"{int(v)}\n")
+                    kind, text = "int", _format_values(arr, "%d")
                 else:
-                    f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        f.write(f"{float(v):.16e}\n")
+                    arr = np.ascontiguousarray(arr, dtype=np.float64)
+                    kind, text = "double", _format_values(arr, "%.16e")
+                f.write(f"SCALARS {name} {kind} 1\nLOOKUP_TABLE default\n" + _rows(text, "\n"))
 
 
 def mesh_cell_data(mesh: CutCellMesh, stab: StabilizedCells | None = None, u=None) -> dict:

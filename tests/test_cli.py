@@ -68,6 +68,26 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "m_mesh.vtk").exists()
 
+    @pytest.mark.parametrize("argv,work", [
+        (["run", "--n", "8"], "DoDScheme"),
+        (["export", "--n", "8"], "DoDScheme"),
+        (["converge", "--n-list", "8"], "converge"),
+        (["verify", "--n-list", "8"], "run_all"),
+    ])
+    def test_missing_out_dir_fails_before_the_work(self, argv, work, tmp_path, monkeypatch, capsys):
+        import cutdg.cli as cli
+
+        def work_started(*args, **kwargs):
+            raise AssertionError(f"{work} ran although the output cannot be written")
+
+        monkeypatch.setattr(cli, work, work_started)
+        out = tmp_path / "missing" / "r"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert str(tmp_path / "missing") in err
+        assert not (tmp_path / "missing").exists()
+
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["run", "--nope", "1"]) == 1
 
