@@ -62,19 +62,23 @@ class SchemeConfig:
 
 @dataclass
 class FaceIntegralTable:
-    """Per-face integrals of beta.n plus cached face quadrature data.
+    """Per-face fluxes of beta plus cached face quadrature data.
 
-    flux_in  : int_e beta.n ds with n the stored face normal
-    abs_flux : int_e |beta.n| ds
+    flux_in  : int_e beta.n ds with n the stored face normal, exactly
+               psi(b) - psi(a) for the face from a to b and the field's
+               stream function psi
+    abs_flux : int_e |beta.n| ds = |flux_in|, since beta.n keeps one sign
+               along each face
     upwind   : cell id the upwind trace is taken from; -1 on inflow boundary
                faces (the upwind trace extension is zero there), -2 on
-               no-flow faces
+               no-flow faces (flux_in == 0)
     qpoints/qweights/bn : quadrature nodes, physical ds-weights, and beta.n
-               values (w.r.t. the stored normal) used for all face means
+               values (w.r.t. the stored normal) used for all face means;
+               the bn of each face are scaled to integrate to flux_in
 
-    Ramp faces are forced to exactly zero flux after asserting that the
-    field is tangent there; on sliver cells even O(1e-17) spurious normal
-    flux is fatal once divided by the cell area.
+    Every face endpoint on the ramp takes psi at the ramp start, so ramp
+    faces carry exactly zero flux and the fluxes of each cell sum to zero
+    up to rounding, however small the cell (the sum telescopes around it).
     """
 
     flux_in: np.ndarray
@@ -95,30 +99,34 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = Non
     beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
     bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal)
 
-    binf = max(velocity.inf_norm, 1e-300)
+    psi = velocity.stream(mesh.f_endpoints.reshape(-1, 2)).reshape(-1, 2)
     ramp = mesh.f_kind == F_RAMP
     if np.any(ramp):
-        worst = float(np.abs((w * bn)[ramp].sum(axis=1)).max())
-        if worst > 1e-10 * mesh.h * binf:
+        # the ramp is a streamline: an endpoint equal to an endpoint of a
+        # ramp face takes psi at the ramp start, in every face it ends
+        ends = mesh.f_endpoints.view(np.complex128)[..., 0]  # (x, y) as one key
+        keys = np.unique(ends[ramp])
+        on_line = keys[np.minimum(np.searchsorted(keys, ends), len(keys) - 1)] == ends
+        psi0 = velocity.stream(np.array([mesh.domain.x0, 0.0]))
+        worst = float(np.abs(psi[on_line] - psi0).max())
+        if worst > 1e-10 * mesh.h * velocity.inf_norm:
             raise ValueError(
-                f"velocity is not tangent to the ramp: max face flux {worst:.3e}"
+                f"velocity is not tangent to the ramp: the stream function varies "
+                f"by {worst:.3e} along it"
             )
-        bn[ramp] = 0.0
+        psi[on_line] = psi0
+    flux = psi[:, 1] - psi[:, 0]
 
-    # beta.n must not change sign along a face (no-flow faces are allowed)
-    peak = np.abs(bn).max(axis=1)
-    noflow = peak <= 1e-14 * binf
-    bn[noflow] = 0.0
-    mixed = ~noflow & (bn.min(axis=1) < -1e-12 * peak) & (bn.max(axis=1) > 1e-12 * peak)
+    # beta.n must not change sign along a face off the ramp
+    lo, hi = bn.min(axis=1), bn.max(axis=1)
+    tol = 1e-12 * np.maximum(hi, -lo)
+    mixed = ~ramp & (lo < -tol) & (hi > tol)
     if np.any(mixed):
         raise ValueError(
             f"beta.n changes sign on {int(mixed.sum())} face(s); refine or split faces"
         )
-
-    flux = (w * bn).sum(axis=1)
-    absflux = (w * np.abs(bn)).sum(axis=1)
-    flux[noflow | ramp] = 0.0
-    absflux[noflow | ramp] = 0.0
+    quad = (w * bn).sum(axis=1)
+    bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)[:, None]
 
     left, right = mesh.f_left, mesh.f_right
     upwind = np.full(mesh.n_faces, -2, dtype=np.int64)
@@ -126,7 +134,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = Non
     neg = flux < 0.0
     upwind[pos] = left[pos]
     upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
-    return FaceIntegralTable(flux, absflux, upwind, pts, w, bn)
+    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, w, bn)
 
 
 def per_field(x):

@@ -8,6 +8,12 @@ parallel to the ramp; in ramp-aligned coordinates
 the field is beta = (2 - eta)/2 * (cos g, sin g), streamlines are lines of
 constant eta, and the solution is u0 shifted by the (constant) speed along
 each streamline.
+
+Every field carries a stream function psi with beta = (d psi/dy, -d psi/dx),
+so it is divergence-free by construction and the flux of beta through a
+segment from a to b, against the normal on its right, is exactly
+psi(b) - psi(a).  The ramp field has psi = eta - eta^2/4, which vanishes on
+the ramp: the ramp is a streamline.
 """
 from __future__ import annotations
 
@@ -22,16 +28,16 @@ from .geometry import RampDomain
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Evaluable velocity with gradient access and precomputed sup-norms.
+    """Evaluable velocity with its stream function and precomputed sup-norms.
 
     evaluate : (m, 2) points -> (m, 2) vectors
-    gradient : (m, 2) points -> (m, 2, 2) Jacobians d beta_i / d x_j
+    stream : (m, 2) points -> (m,) values of psi, beta = (d psi/dy, -d psi/dx)
     inf_norm : max |beta|_2 over the bounding square
     w1inf_norm : max(inf_norm, sup |grad beta|_2)
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    stream: Callable[[np.ndarray], np.ndarray]
     inf_norm: float
     w1inf_norm: float
 
@@ -48,16 +54,15 @@ def ramp_velocity(ramp: RampDomain) -> VelocityField:
         factor = 0.5 * (2.0 + s * (p[..., 0] - x0) - c * p[..., 1])
         return factor[..., None] * tangent
 
-    jac = 0.5 * np.outer(tangent, np.array([s, -c]))  # constant, trace-free
-
-    def gradient(pts: np.ndarray) -> np.ndarray:
+    def stream(pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
-        return np.broadcast_to(jac, p.shape[:-1] + (2, 2)).copy()
+        eta = c * p[..., 1] - s * (p[..., 0] - x0)
+        return eta * (1.0 - 0.25 * eta)
 
     # the affine factor peaks at the square corner (1, 0)
     (xlo, ylo), (xhi, yhi) = ramp.square
     inf_norm = 0.5 * (2.0 + s * (xhi - x0))
-    return VelocityField(evaluate, gradient, inf_norm, max(inf_norm, 0.5))
+    return VelocityField(evaluate, stream, inf_norm, max(inf_norm, 0.5))
 
 
 def constant_velocity(vec) -> VelocityField:
@@ -68,12 +73,12 @@ def constant_velocity(vec) -> VelocityField:
         p = np.asarray(pts, dtype=float)
         return np.broadcast_to(v, p.shape[:-1] + (2,)).copy()
 
-    def gradient(pts):
+    def stream(pts):
         p = np.asarray(pts, dtype=float)
-        return np.zeros(p.shape[:-1] + (2, 2))
+        return v[0] * p[..., 1] - v[1] * p[..., 0]
 
     nrm = float(np.linalg.norm(v))
-    return VelocityField(evaluate, gradient, nrm, nrm)
+    return VelocityField(evaluate, stream, nrm, nrm)
 
 
 @dataclass(frozen=True)
@@ -159,30 +164,3 @@ def sampled_inf_norm(field: VelocityField, square, tol: float = 1e-6) -> float:
         lo = np.maximum([xlo, ylo], best - 2 * span)
         hi = np.minimum([xhi, yhi], best + 2 * span)
 
-
-def validate_field(field: VelocityField, ramp: RampDomain, n_samples: int = 400, seed: int = 0):
-    """Check the admissibility assumptions at sampled points.
-
-    Returns (max divergence, max |beta.n| on the ramp, min |beta| on the ramp);
-    raises AssertionError when divergence-freeness or ramp tangency fails.
-    """
-    rng = np.random.default_rng(seed)
-    (xlo, ylo), (xhi, yhi) = ramp.square
-    pts = rng.uniform([xlo, ylo], [xhi, yhi], size=(n_samples, 2))
-    jac = field.gradient(pts)
-    div = np.abs(jac[:, 0, 0] + jac[:, 1, 1])
-    max_div = float(div.max())
-    if max_div > 1e-12 * field.w1inf_norm:
-        raise AssertionError(f"field is not divergence-free: max |div| = {max_div:.3e}")
-
-    s = rng.uniform(0.0, 1.0, size=n_samples)
-    x_end = min(xhi, ramp.x0 + (yhi - ylo) / ramp.slope)
-    rx = ramp.x0 + s * (x_end - ramp.x0)
-    ramp_pts = np.stack([rx, ramp.slope * (rx - ramp.x0)], axis=-1)
-    vals = field.evaluate(ramp_pts)
-    bn = vals @ ramp.ramp_normal()
-    max_bn = float(np.abs(bn).max())
-    if max_bn > 1e-12 * max(field.inf_norm, 1.0):
-        raise AssertionError(f"field is not tangent to the ramp: max |beta.n| = {max_bn:.3e}")
-    min_speed = float(np.linalg.norm(vals, axis=-1).min())
-    return max_div, max_bn, min_speed

@@ -52,10 +52,6 @@ class RampDomain:
     def side(self) -> float:
         return self.square[1][0] - self.square[0][0]
 
-    def line_y(self, x):
-        """Height of the ramp line at abscissa x."""
-        return self.slope * (np.asarray(x) - self.x0)
-
     def signed_distance(self, pts) -> np.ndarray:
         """Distance to the ramp line, positive on the retained side.
 
@@ -74,11 +70,6 @@ class RampDomain:
     def tangent(self) -> np.ndarray:
         t = np.array([1.0, self.slope])
         return t / np.linalg.norm(t)
-
-    def ramp_normal(self) -> np.ndarray:
-        """Unit normal of the ramp line pointing into the retained domain."""
-        n = np.array([-self.slope, 1.0])
-        return n / np.linalg.norm(n)
 
 
 def _polygon_area(vertices: np.ndarray) -> float:

@@ -10,7 +10,10 @@ same stream as drawing them one by one) and evaluate each block with the
 forms and norms at once.  An exact-solution snapshot is evaluated once on
 the cell points and once on the face points for all samples.  Their
 reports name the worst instance in `details`: `worst_sample`, plus
-`worst_time` where the instance has an exact-solution snapshot.
+`worst_time` where the instance has an exact-solution snapshot.  The
+per-cell checks name their worst cell: `worst_cell`, its `worst_kind` code
+(geometry.K_*), `worst_volume_fraction` |E|/h^2 and `worst_alpha`, which is
+None unless the cell is stabilized.
 """
 from __future__ import annotations
 
@@ -95,6 +98,20 @@ def _argmax(values) -> int | None:
     return int(np.argmax(values)) if np.size(values) else None
 
 
+def _worst_cell(scheme: DoDScheme, values) -> dict:
+    """The `details` naming the cell with the largest of the per-cell values."""
+    c = _argmax(values)
+    mesh, st = scheme.mesh, scheme.records
+    k = int(np.searchsorted(st.cells, c))
+    stabilized = k < len(st) and st.cells[k] == c
+    return dict(
+        worst_cell=c,
+        worst_kind=int(mesh.kind_codes[c]),
+        worst_volume_fraction=float(mesh.areas[c]) / mesh.h**2,
+        worst_alpha=float(st.alpha[k]) if stabilized else None,
+    )
+
+
 class _Snapshot:
     """p -> u(t, p), evaluated once per point array and then looked up.
 
@@ -151,7 +168,8 @@ def _flux_closure(scheme: DoDScheme, sums) -> LemmaReport:
                              minlength=scheme.mesh.n_cells)
     scale = perimeter * scheme.velocity.inf_norm
     dev = np.maximum(np.abs(closure), np.abs(sin - sout)) / scale
-    return LemmaReport.identity("flux-closure", dev, n_cells=scheme.mesh.n_cells)
+    return LemmaReport.identity("flux-closure", dev, n_cells=scheme.mesh.n_cells,
+                                **_worst_cell(scheme, dev))
 
 
 def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
@@ -169,7 +187,7 @@ def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
     stab_bound = mesh.areas[st.cells] / (tau * mesh.h)
     ratios[st.cells] = st.alpha * sin[st.cells] / stab_bound
     rep = LemmaReport.inequality(
-        "inverse-trace", ratios, stabilized=len(st)
+        "inverse-trace", ratios, stabilized=len(st), **_worst_cell(scheme, ratios)
     )
     rep.passed = rep.passed and closure.passed
     rep.details["flux_closure_dev"] = closure.max_ratio - 1.0

@@ -16,9 +16,10 @@ from cutdg.discretization import (
     cfl_dt,
     face_side_means,
 )
-from cutdg.field import constant_velocity, make_ramp_problem
+from cutdg.field import VelocityField, constant_velocity, make_ramp_problem
 from cutdg.geometry import F_RAMP, RampDomain, build_mesh, identify_stabilized
 from cutdg.norms import beta_seminorm
+from cutdg.quadrature import SegmentRule
 
 
 def cartesian_mesh(n=4):
@@ -85,10 +86,34 @@ class TestFaceTable:
         assert np.all(base_scheme.table.abs_flux[ramp] == 0.0)
         assert np.all(base_scheme.table.upwind[ramp] == -2)
 
+    def test_flux_matches_gauss_integral(self, scheme_cache):
+        # psi(b) - psi(a) against an independent 8-point Gauss integral of beta.n
+        scheme = scheme_cache(25.0, 0.2001, 64)
+        mesh = scheme.mesh
+        rule = SegmentRule.gauss(8)
+        a, b = mesh.f_endpoints[:, :1], mesh.f_endpoints[:, 1:]
+        pts = a + rule.points[None, :, None] * (b - a)
+        bn = np.einsum("fqd,fd->fq", scheme.velocity.evaluate(pts), mesh.f_normal)
+        integral = (bn * rule.weights).sum(axis=1) * mesh.f_length
+        nonramp = mesh.f_kind != F_RAMP
+        np.testing.assert_allclose(scheme.table.flux_in[nonramp], integral[nonramp], rtol=1e-12, atol=0.0)
+
     def test_rejects_non_tangent_field(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=0.3), 8)
         with pytest.raises(ValueError, match="tangent"):
             build_face_table(mesh, constant_velocity([1.0, 0.0]))
+
+    def test_rejects_sign_change_along_a_face(self):
+        # beta = (y - 1/2, 0) turns on the vertical faces across y = 1/2,
+        # where the net flux psi(b) - psi(a) is zero
+        shear = VelocityField(
+            evaluate=lambda p: np.stack([p[..., 1] - 0.5, np.zeros_like(p[..., 1])], axis=-1),
+            stream=lambda p: 0.5 * (p[..., 1] - 0.5) ** 2,
+            inf_norm=0.5,
+            w1inf_norm=1.0,
+        )
+        with pytest.raises(ValueError, match="changes sign"):
+            build_face_table(cartesian_mesh(5), shear)
 
 
 class TestBetaWeightedMean:

@@ -7,11 +7,15 @@ from cutdg.field import (
     constant_velocity,
     make_ramp_problem,
     sampled_inf_norm,
-    validate_field,
 )
 from cutdg.geometry import RampDomain
 
 SQUARE = ((0.0, 0.0), (1.0, 1.0))
+RAMP_ANGLES = (5.0, 25.0, 45.0)
+FIELDS = [
+    *(pytest.param(make_ramp_problem(g, 0.2001).velocity, id=f"ramp{g:g}") for g in RAMP_ANGLES),
+    pytest.param(constant_velocity([1.0, 0.5]), id="constant"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +38,36 @@ def rk4_backtrace(problem, t, p, dt=1e-4):
     return problem.u0(x)
 
 
+def ramp_points(ramp, rng, m):
+    """m uniform random points on the ramp segment inside the square."""
+    x = ramp.x0 + rng.uniform(0.0, 1.0, m) * (ramp.square[1][0] - ramp.x0)
+    return np.stack([x, ramp.slope * (x - ramp.x0)], axis=-1)
+
+
 class TestVelocity:
-    def test_admissibility(self, problem):
-        max_div, max_bn, min_speed = validate_field(problem.velocity, problem.ramp)
-        assert max_div <= 1e-12 * problem.velocity.w1inf_norm
-        assert max_bn <= 1e-12
-        assert min_speed > 0.5  # nonvanishing along the ramp
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_evaluate_is_curl_of_stream(self, field):
+        # psi is at most quadratic, so central differences are exact up to rounding
+        pts = np.random.default_rng(6).uniform(0.0, 1.0, size=(400, 2))
+        d = 1e-6
+        dx, dy = np.array([d, 0.0]), np.array([0.0, d])
+        curl = np.stack([
+            field.stream(pts + dy) - field.stream(pts - dy),
+            field.stream(pts - dx) - field.stream(pts + dx),
+        ], axis=-1) / (2.0 * d)
+        beta = field.evaluate(pts)
+        err = np.linalg.norm(curl - beta, axis=-1)
+        assert np.all(err <= 1e-8 * np.linalg.norm(beta, axis=-1))
+
+    @pytest.mark.parametrize("gamma", RAMP_ANGLES, ids=lambda g: f"ramp{g:g}")
+    def test_ramp_is_streamline(self, gamma):
+        problem = make_ramp_problem(gamma, 0.2001)
+        velocity, ramp = problem.velocity, problem.ramp
+        pts = ramp_points(ramp, np.random.default_rng(7), 400)
+        psi0 = velocity.stream(np.array([ramp.x0, 0.0]))
+        np.testing.assert_allclose(velocity.stream(pts), psi0, rtol=0.0, atol=1e-15)
+        # nonvanishing along the ramp
+        assert np.linalg.norm(velocity.evaluate(pts), axis=-1).min() > 0.5
 
     def test_inf_norm_closed_form(self):
         prob = make_ramp_problem(45.0, 0.2001)
@@ -59,15 +87,6 @@ class TestVelocity:
         field = constant_velocity([1.0, 0.0])
         assert field.inf_norm == 1.0
         assert sampled_inf_norm(field, SQUARE) == pytest.approx(1.0, abs=1e-12)
-
-    def test_gradient_matches_finite_differences(self, problem):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0.1, 0.9, size=(20, 2))
-        jac = problem.velocity.gradient(pts)
-        eps = 1e-7
-        for d, e in ((0, [eps, 0.0]), (1, [0.0, eps])):
-            fd = (problem.velocity.evaluate(pts + e) - problem.velocity.evaluate(pts - e)) / (2 * eps)
-            np.testing.assert_allclose(jac[:, :, d], fd, atol=1e-8)
 
 
 class TestExactSolution:

@@ -18,7 +18,7 @@ from cutdg.geometry import (
     clip_cell,
     identify_stabilized,
 )
-from cutdg.verify import check_energy_decay
+from cutdg.verify import check_energy_decay, check_incompressibility
 
 
 def shoelace(poly):
@@ -201,6 +201,7 @@ def test_partition_property(geometry, tau):
     assert np.all(mesh.areas > 0.0)
     assert np.all(mesh.f_right[mesh.f_kind == F_RAMP] < 0)
     assert_admissible_stabilization(mesh, table, scheme.records, tau)
+    assert check_incompressibility(scheme).passed
     assert check_energy_decay(problem, config, n, steps=30).passed
     assert_discrete_conservation(scheme, steps=30)
 

@@ -23,6 +23,21 @@ def problem():
     return make_ramp_problem(25.0, 0.2001)
 
 
+@pytest.fixture
+def captured(monkeypatch):
+    """The per-instance values each report is built from, by lemma id."""
+    seen = {}
+    for name in ("inequality", "identity"):
+        make = getattr(vf.LemmaReport, name)
+
+        def record(lemma_id, values, *args, _make=make, **kwargs):
+            seen[lemma_id] = np.array(values, dtype=float)
+            return _make(lemma_id, values, *args, **kwargs)
+
+        monkeypatch.setattr(vf.LemmaReport, name, record)
+    return seen
+
+
 class TestInverseTrace:
     def test_cartesian_cells_ratio_below_half(self):
         # per-cell inflow mass b*h against the bound 4 b h: ratio 1/4 <= 1/2
@@ -185,12 +200,22 @@ class TestEnergyDecay:
         assert rep.details["min_alpha"] < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: build_face_table forces the ramp-face flux to exactly 0, but the "
-    "stored hypotenuse of a 1e-10 sliver lies ~1e-17 off the ramp line, ~1e-8 of the "
-    "cell's perimeter, so flux closure misses its 1e-12 tolerance"))
 def test_flux_closure_on_near_grid_sliver(scheme_cache):
     assert vf.check_incompressibility(scheme_cache(45.0, 0.2 + 1e-10, 20)).passed
+
+
+def test_per_cell_checks_name_their_worst_cell(base_scheme, captured):
+    mesh, st = base_scheme.mesh, base_scheme.records
+    reports = [vf.check_incompressibility(base_scheme), vf.check_inverse_trace(base_scheme)]
+    for rep in reports:
+        c = rep.details["worst_cell"]
+        assert c == np.argmax(captured[rep.lemma_id])
+        assert rep.details["worst_kind"] == mesh.kind_codes[c]
+        assert rep.details["worst_volume_fraction"] == mesh.areas[c] / mesh.h**2
+        alpha = st.alpha[st.cells == c]
+        assert rep.details["worst_alpha"] == (alpha[0] if len(alpha) else None)
+    # the inverse-trace maximum is a stabilized cell's capacity clamp
+    assert reports[1].details["worst_alpha"] is not None
 
 
 class TestBatchedChecks:
@@ -198,20 +223,6 @@ class TestBatchedChecks:
 
     SAMPLES = 20  # a full block and a partial one
     SEED = 21
-
-    @pytest.fixture
-    def captured(self, monkeypatch):
-        """The per-instance values each report is built from, by lemma id."""
-        seen = {}
-        for name in ("inequality", "identity"):
-            make = getattr(vf.LemmaReport, name)
-
-            def record(lemma_id, values, *args, _make=make, **kwargs):
-                seen[lemma_id] = np.array(values, dtype=float)
-                return _make(lemma_id, values, *args, **kwargs)
-
-            monkeypatch.setattr(vf.LemmaReport, name, record)
-        return seen
 
     @staticmethod
     def fields(scheme, samples, seed):
