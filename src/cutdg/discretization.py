@@ -176,12 +176,21 @@ def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v) -> np.ndarra
         m = np.take(disc, np.stack([mesh.f_left, mesh.f_right], axis=-1), axis=-1)
         m[..., mesh.f_right < 0, 1] = 0.0
     if smooth is not None:
-        vals = np.asarray(smooth(table.qpoints.reshape(-1, 2)), dtype=float)
-        vals = vals.reshape(table.bn.shape)
-        num = (table.qweights * np.abs(table.bn) * vals).sum(axis=1)
-        means = np.divide(num, table.abs_flux, out=np.zeros_like(num), where=table.abs_flux > 0.0)
-        m += means[:, None]
+        m += smooth_face_means(table, smooth)[:, None]
     return m
+
+
+def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarray:
+    """|beta.n|-weighted mean of a smooth function on each face, or on the
+    faces with the given ids, from one call of `smooth` on their quadrature
+    points.  Zero-flux faces get mean 0.  A face's mean does not depend on
+    which other faces are asked for."""
+    qpoints, qweights, bn, abs_flux = table.qpoints, table.qweights, table.bn, table.abs_flux
+    if faces is not None:
+        qpoints, qweights, bn, abs_flux = qpoints[faces], qweights[faces], bn[faces], abs_flux[faces]
+    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(bn.shape)
+    num = (qweights * np.abs(bn) * vals).sum(axis=1)
+    return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)
 
 
 def _upwind_values(mesh, table, means) -> np.ndarray:
@@ -341,16 +350,18 @@ def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
 
 
 def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
-    """Sampled min of |beta.n| over in/outflow faces of stabilized cells,
-    1000 equispaced samples per face."""
+    """Min of |beta.n| over the in/outflow faces of stabilized cells.
+
+    For both fields of `field`, beta.n is affine along a straight face and
+    keeps one sign there (the ramp field is a positive multiple of one
+    direction inside the square), so |beta.n| is least at one of the
+    face's two ends.
+    """
     if not len(st):
         return math.inf
     fids = np.concatenate([st.e_in, st.e_out])
-    a = mesh.f_endpoints[fids, 0, :]
-    b = mesh.f_endpoints[fids, 1, :]
-    s = np.linspace(0.0, 1.0, 1000)
-    pts = a[:, None, :] + s[None, :, None] * (b - a)[:, None, :]
-    beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
+    ends = mesh.f_endpoints[fids]
+    beta = velocity.evaluate(ends.reshape(-1, 2)).reshape(ends.shape)
     bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal[fids])
     return float(np.abs(bn).min())
 
@@ -366,8 +377,9 @@ class SolveResult:
 class DoDScheme:
     """Assembled discretization for one problem/mesh pair.
 
-    Bundles the mesh, face table, stabilized-cell table `records`, operator
-    matrix, inflow operator and quadrature caches; everything is built once
+    Bundles the mesh, face table, stabilized-cell table `records`, the
+    beta-seminorm's `jump_faces`, operator matrix, inflow operator and
+    quadrature caches; everything is built once
     and treated as immutable, so a scheme can be shared by solves, norms, and
     verification checks.  The one mutable part is the cache of
     `step_matrix`, which only ever holds I - dt A for the last dt.
@@ -382,6 +394,11 @@ class DoDScheme:
         self.cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
         self.table = build_face_table(self.mesh, problem.velocity, self.face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
+        # the faces on which a smooth part enters the beta-seminorm: it is
+        # single-valued, so it cancels from every other face's jump
+        jump = (self.mesh.f_right < 0) & (self.table.abs_flux > 0.0)
+        jump[self.records.e_in] = jump[self.records.e_out] = True
+        self.jump_faces = np.flatnonzero(jump)
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
         self.inflow = build_inflow(self.mesh, self.table)
         self._step_dt: float | None = None

@@ -144,23 +144,3 @@ def make_ramp_problem(gamma_deg: float, x0: float, t_final: float = 0.5) -> Ramp
     ramp = RampDomain(gamma=math.radians(gamma_deg), x0=x0)
     return RampTestProblem(ramp=ramp, velocity=ramp_velocity(ramp), t_final=t_final)
 
-
-def sampled_inf_norm(field: VelocityField, square, tol: float = 1e-6) -> float:
-    """Dense-sampling maximum of |beta|_2 with iterative window refinement."""
-    (xlo, ylo), (xhi, yhi) = square
-    lo = np.array([xlo, ylo])
-    hi = np.array([xhi, yhi])
-    m = 101
-    while True:
-        gx = np.linspace(lo[0], hi[0], m)
-        gy = np.linspace(lo[1], hi[1], m)
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        norms = np.linalg.norm(field.evaluate(pts), axis=-1)
-        best = pts[np.argmax(norms)]
-        span = (hi - lo) / (m - 1)
-        if max(span) < tol:
-            return float(norms.max())
-        lo = np.maximum([xlo, ylo], best - 2 * span)
-        hi = np.minimum([xhi, yhi], best + 2 * span)
-

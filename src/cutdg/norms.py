@@ -5,6 +5,13 @@ with the in/outflow faces of stabilized cells weighted by their capacity
 alpha and an extended jump (downwind-neighbor mean minus inflow-neighbor
 mean) weighted by 1 - alpha.  Every norm takes a block of discrete fields
 as well as a single one and then returns one value per row.
+
+The smooth part of a V* element is single-valued, so it cancels from every
+interior jump: the seminorm takes those jumps from the discrete part alone
+and needs the smooth part only on boundary faces and on the legs of
+stabilized cells.  `beta_seminorm` evaluates it on the scheme's
+`jump_faces` only, a few percent of the faces; the starred norm needs its
+mean on every face anyway and gives those means to the same formula.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .discretization import DoDScheme, face_side_means, per_field, split_parts
+from .discretization import DoDScheme, face_side_means, per_field, smooth_face_means, split_parts
 from .quadrature import CellQuadratureTable, TriangleRule
 
 
@@ -55,12 +62,20 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
     return per_field(np.reshape(sq, disc.shape[:-1]))
 
 
-def _seminorm_parts(scheme: DoDScheme, means: np.ndarray) -> tuple[float, float, float]:
-    """(plain, capacity-weighted, extended-jump) parts from the face side
-    means; one value per row for the (fields, faces, 2) means of a block."""
+def _seminorm_parts(
+    scheme: DoDScheme, disc_means: np.ndarray, means: np.ndarray
+) -> tuple[float, float, float]:
+    """(plain, capacity-weighted, extended-jump) parts of the squared
+    seminorm; one value per row for the (fields, faces, 2) means of a block.
+
+    `disc_means` are the side means of the discrete part and `means` those
+    of the whole element (`face_side_means`).  A smooth part is
+    single-valued, so the interior jumps come from `disc_means`; `means` is
+    read only on boundary faces and on the legs of stabilized cells.
+    """
     mesh, table, st = scheme.mesh, scheme.table, scheme.records
     # |beta.n|-weighted squared jump per face; one-sided on the boundary
-    jump = means[..., 0] - np.where(mesh.f_right >= 0, means[..., 1], 0.0)
+    jump = np.where(mesh.f_right >= 0, disc_means[..., 0] - disc_means[..., 1], means[..., 0])
     face_sq = table.abs_flux * np.square(jump)
     stab_faces = np.zeros(mesh.n_faces, dtype=bool)
     stab_faces[st.e_in] = True
@@ -91,8 +106,16 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
 
 
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
-    """(plain, capacity-weighted, extended-jump) parts of the squared seminorm."""
-    return _seminorm_parts(scheme, face_side_means(scheme.mesh, scheme.table, v))
+    """(plain, capacity-weighted, extended-jump) parts of the squared
+    seminorm; a smooth part of v is evaluated on `scheme.jump_faces` only."""
+    smooth, disc = split_parts(v)
+    disc_means = face_side_means(scheme.mesh, scheme.table, (None, disc))
+    means = disc_means
+    if smooth is not None:
+        faces = scheme.jump_faces
+        means = disc_means.copy()
+        means[..., faces, :] += smooth_face_means(scheme.table, smooth, faces)[:, None]
+    return _seminorm_parts(scheme, disc_means, means)
 
 
 def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
@@ -105,11 +128,16 @@ def _evaluate(scheme: DoDScheme, v, means=None) -> ErrorBreakdown:
     over the face points (each part of v is evaluated once per point set).
     For a block of discrete parts every norm holds one value per row.
     `means` is `face_side_means` of v when the caller already has it."""
+    smooth, disc = split_parts(v)
     l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
     if means is None:
         means = face_side_means(scheme.mesh, scheme.table, v)
-    plain, capacity, extended = _seminorm_parts(scheme, means)
+    if smooth is None:
+        disc_means = means
+    else:
+        disc_means = face_side_means(scheme.mesh, scheme.table, (None, disc))
+    plain, capacity, extended = _seminorm_parts(scheme, disc_means, means)
     semi_sq = np.maximum(plain + capacity + extended, 0.0)
     l2, semi = np.sqrt(l2_sq), np.sqrt(semi_sq)
     return ErrorBreakdown(

@@ -192,6 +192,29 @@ class TestConverge:
         assert acc > 0.0
         assert acc == float(f"{math.sqrt(acc2):.16e}")
 
+    def test_accumulated_seminorm_on_sliver(self, tmp_path, all_faces_seminorm):
+        from cutdg import DoDScheme, make_ramp_problem
+
+        out = tmp_path / "sliver"
+        assert run([
+            "converge", "--gamma", "45", "--x0", "0.2000000001", "--n-list", "20,40",
+            "--t-final", "0.05", "--accumulate", "--out", str(out),
+        ]) == 0
+        rows = (tmp_path / "sliver_convergence.csv").read_text().splitlines()[1:]
+        problem = make_ramp_problem(45.0, 0.2000000001, t_final=0.05)
+        for n, row in zip((20, 40), rows, strict=True):
+            # reference: left-endpoint sum of the seminorm from every face's means
+            scheme = DoDScheme(problem, SchemeConfig(), n)
+            acc2 = 0.0
+
+            def accumulate(k, t, u, dt_k):
+                nonlocal acc2
+                acc2 += dt_k * all_faces_seminorm(scheme, (lambda p: problem.exact(t, p), -u)) ** 2
+
+            scheme.solve(observer=accumulate)
+            assert len(scheme.records) > 0
+            assert float(row.split(",")[5]) == pytest.approx(math.sqrt(acc2), rel=1e-14)
+
     def test_order_columns_against_hand_computation(self, tmp_path):
         from cutdg.cli import RunConfig
 

@@ -14,6 +14,7 @@ from cutdg.discretization import (
     build_face_table,
     build_inflow,
     cfl_dt,
+    estimate_cb,
     face_side_means,
 )
 from cutdg.field import VelocityField, constant_velocity, make_ramp_problem
@@ -374,6 +375,27 @@ class TestCfl:
         # cfl_kappa defaults to None, so epsilon is checked
         with pytest.raises(InvalidConfig, match=name):
             SchemeConfig(**{name: value})
+
+
+def dense_cb(mesh, st, velocity, samples=1000):
+    """Min of |beta.n| over equispaced samples of every stabilized leg."""
+    fids = np.concatenate([st.e_in, st.e_out])
+    a, b = mesh.f_endpoints[fids, 0, :], mesh.f_endpoints[fids, 1, :]
+    s = np.linspace(0.0, 1.0, samples)
+    pts = a[:, None, :] + s[None, :, None] * (b - a)[:, None, :]
+    beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
+    return float(np.abs(np.einsum("fqd,fd->fq", beta, mesh.f_normal[fids])).min())
+
+
+class TestEstimateCb:
+    @pytest.mark.parametrize("gamma,x0,n", [
+        (25.0, 0.2001, 32), (25.0, 0.2001, 64), (45.0, 0.2 + 1e-10, 20), (45.0, 0.2 + 1e-10, 80),
+    ])
+    def test_endpoints_match_dense_sampling(self, scheme_cache, gamma, x0, n):
+        scheme = scheme_cache(gamma, x0, n)
+        assert len(scheme.records) > 0
+        dense = dense_cb(scheme.mesh, scheme.records, scheme.velocity)
+        assert scheme.c_b == pytest.approx(dense, rel=1e-14)
 
 
 class TestSolve:

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutdg.field import (
-    constant_velocity,
-    make_ramp_problem,
-    sampled_inf_norm,
-)
+from cutdg.field import VelocityField, constant_velocity, make_ramp_problem
 from cutdg.geometry import RampDomain
 
 SQUARE = ((0.0, 0.0), (1.0, 1.0))
@@ -42,6 +38,26 @@ def ramp_points(ramp, rng, m):
     """m uniform random points on the ramp segment inside the square."""
     x = ramp.x0 + rng.uniform(0.0, 1.0, m) * (ramp.square[1][0] - ramp.x0)
     return np.stack([x, ramp.slope * (x - ramp.x0)], axis=-1)
+
+
+def sampled_inf_norm(field: VelocityField, square, tol: float = 1e-6) -> float:
+    """Dense-sampling maximum of |beta|_2 with iterative window refinement."""
+    (xlo, ylo), (xhi, yhi) = square
+    lo = np.array([xlo, ylo])
+    hi = np.array([xhi, yhi])
+    m = 101
+    while True:
+        gx = np.linspace(lo[0], hi[0], m)
+        gy = np.linspace(lo[1], hi[1], m)
+        X, Y = np.meshgrid(gx, gy, indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        norms = np.linalg.norm(field.evaluate(pts), axis=-1)
+        best = pts[np.argmax(norms)]
+        span = (hi - lo) / (m - 1)
+        if max(span) < tol:
+            return float(norms.max())
+        lo = np.maximum([xlo, ylo], best - 2 * span)
+        hi = np.minimum([xhi, yhi], best + 2 * span)
 
 
 class TestVelocity:

@@ -85,6 +85,51 @@ class TestBetaSeminorm:
         assert extended == pytest.approx(by_hand_ext, rel=1e-13)
 
 
+SEMINORM_GEOMETRIES = [
+    pytest.param(5.0, 0.2001, 64, id="ramp5"),
+    pytest.param(25.0, 0.2001, 64, id="ramp25"),
+    pytest.param(45.0, 0.2 + 1e-10, 40, id="sliver45"),
+]
+
+
+class TestJumpFaces:
+    """A smooth part enters the seminorm only on `scheme.jump_faces`."""
+
+    @pytest.mark.parametrize("gamma,x0,n", SEMINORM_GEOMETRIES)
+    def test_matches_all_faces_reference(self, scheme_cache, all_faces_seminorm, gamma, x0, n):
+        scheme = scheme_cache(gamma, x0, n)
+        t = 0.3
+        exact_t = lambda p: scheme.problem.exact(t, p)
+        proj = l2_project(scheme.mesh, exact_t, scheme.cellquad)
+        noise = np.random.default_rng(27).uniform(-1, 1, scheme.mesh.n_cells)
+        # the small-error regime of a converged solution and a rough field
+        for u_h in (proj, proj + 1e-3 * noise, noise):
+            got = beta_seminorm(scheme, (exact_t, -u_h))
+            ref = all_faces_seminorm(scheme, (exact_t, -u_h))
+            assert ref > 0.0
+            assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
+
+    def test_jump_faces_are_boundary_faces_and_legs(self, scheme_cache):
+        scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
+        mesh, st = scheme.mesh, scheme.records
+        boundary = np.flatnonzero((mesh.f_right < 0) & (scheme.table.abs_flux > 0.0))
+        expected = np.union1d(boundary, np.concatenate([st.e_in, st.e_out]))
+        np.testing.assert_array_equal(scheme.jump_faces, expected)
+        assert len(st) > 0 and len(scheme.jump_faces) < mesh.n_faces // 10
+
+    def test_smooth_part_called_once_on_jump_faces(self, scheme_cache):
+        scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
+        u_h = np.random.default_rng(28).uniform(-1, 1, scheme.mesh.n_cells)
+        calls = []
+
+        def smooth(p):
+            calls.append(len(p))
+            return scheme.problem.exact(0.2, p)
+
+        beta_seminorm(scheme, (smooth, -u_h))
+        assert calls == [scheme.table.bn.shape[1] * len(scheme.jump_faces)]
+
+
 class TestTripleNorms:
     def test_zero_field(self, base_scheme):
         z = np.zeros(base_scheme.mesh.n_cells)
