@@ -37,6 +37,6 @@ from .norms import (
     triple_norm,
     triple_star_norm,
 )
-from .quadrature import QuadratureConfig, SegmentRule, TriangleRule, integrate_cell
+from .quadrature import QuadratureConfig, SegmentRule, TriangleRule
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -160,23 +160,30 @@ def split_parts(v):
     return smooth, disc
 
 
-def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v) -> np.ndarray:
-    """beta-weighted means of the traces of v, per face and side.
+def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v, faces=None) -> np.ndarray:
+    """beta-weighted means of the traces of v, per face and side, on every
+    face or on the faces with the given ids.
 
     Column 0 is the trace from f_left, column 1 from f_right (for the
     smooth part the trace is single-valued, so boundary faces carry it in
     both columns).  Zero-flux faces get mean 0; they never enter any form.
-    A (fields, cells) discrete part gives (fields, faces, 2) means.
+    A (fields, cells) discrete part gives (fields, faces, 2) means.  A
+    face's means do not depend on which other faces are asked for.
     """
     smooth, disc = split_parts(v)
+    left, right = mesh.f_left, mesh.f_right
+    if faces is not None:
+        left, right = left[faces], right[faces]
     if disc is None:
-        m = np.zeros((mesh.n_faces, 2))
+        m = np.zeros((len(left), 2))
     else:
         # f_right is -1 on boundary faces: take reads the last cell there
-        m = np.take(disc, np.stack([mesh.f_left, mesh.f_right], axis=-1), axis=-1)
-        m[..., mesh.f_right < 0, 1] = 0.0
+        m = np.take(disc, np.stack([left, right], axis=-1), axis=-1)
+        m[..., right < 0, 1] = 0.0
     if smooth is not None:
-        m += smooth_face_means(table, smooth)[:, None]
+        # one (faces, 2) addend: a stride-0 inner axis of length 2 is slow
+        s = smooth_face_means(table, smooth, faces)
+        m += np.stack([s, s], axis=-1)
     return m
 
 
@@ -193,19 +200,21 @@ def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarra
     return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)
 
 
-def _upwind_values(mesh, table, means) -> np.ndarray:
-    """Per-face upwind trace mean; zero on inflow-boundary and no-flow faces."""
-    up = np.where(table.flux_in > 0.0, means[..., 0], means[..., 1])
+def _upwind_values(table, means, faces=slice(None)) -> np.ndarray:
+    """Upwind trace mean per face of `means` (every face, or the given
+    ones); zero on inflow-boundary and no-flow faces."""
+    up = np.where(table.flux_in[faces] > 0.0, means[..., 0], means[..., 1])
     # inflow boundary (-1): extension by 0; no-flow faces (-2)
-    up[..., table.upwind < 0] = 0.0
+    up[..., table.upwind[faces] < 0] = 0.0
     return up
 
 
-def _test_jump(mesh, w_h) -> np.ndarray:
-    """int_e beta.[w] = flux_in * jump, with the one-sided boundary jump."""
+def _test_jump(mesh, w_h, faces=slice(None)) -> np.ndarray:
+    """[w] per face (every face, or the given ones), so that
+    int_e beta.[w] = flux_in * jump; one-sided on the boundary."""
     w = np.asarray(w_h, dtype=float)
-    right = np.where(mesh.f_right >= 0, np.take(w, mesh.f_right, axis=-1), 0.0)
-    return np.take(w, mesh.f_left, axis=-1) - right
+    left, right = mesh.f_left[faces], mesh.f_right[faces]
+    return np.take(w, left, axis=-1) - np.where(right >= 0, np.take(w, right, axis=-1), 0.0)
 
 
 def assemble_dod_matrix(
@@ -254,7 +263,7 @@ def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h, means=None) -> floa
     `face_side_means(mesh, table, v)` when the caller already has it."""
     if means is None:
         means = face_side_means(mesh, table, v)
-    up = _upwind_values(mesh, table, means)
+    up = _upwind_values(table, means)
     v_e = np.take(up, st.e_out, axis=-1)  # trace from the stabilized cell (upwind on e_out)
     v_in = np.take(up, st.e_in, axis=-1)  # trace from the inflow neighbor (upwind on e_in)
     up[..., st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
@@ -288,15 +297,14 @@ def bilinear_upwind(mesh, table, v, w_h) -> float:
 
 def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
     """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w].  One
-    value per row when v or w_h is a block of fields."""
-    means = face_side_means(mesh, table, v)
-    up = _upwind_values(mesh, table, means)
-    wjump = _test_jump(mesh, w_h)
+    value per row when v or w_h is a block of fields.  Reads v and w_h on
+    the legs e_in and e_out of the stabilized cells only."""
+    legs = np.concatenate([st.e_in, st.e_out])
+    up = _upwind_values(table, face_side_means(mesh, table, v, legs), legs)
+    v_in, v_e = np.split(up, 2, axis=-1)
+    wjump = _test_jump(mesh, w_h, st.e_out)
     eta = 1.0 - st.alpha
-    return per_field(np.vecdot(
-        eta * (np.take(up, st.e_in, axis=-1) - np.take(up, st.e_out, axis=-1)),
-        table.flux_in[st.e_out] * np.take(wjump, st.e_out, axis=-1),
-    ))
+    return per_field(np.vecdot(eta * (v_in - v_e), table.flux_in[st.e_out] * wjump))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .discretization import DoDScheme, face_side_means, per_field, smooth_face_means, split_parts
-from .quadrature import CellQuadratureTable, TriangleRule
+from .quadrature import CellQuadratureTable
 
 
 @dataclass
@@ -33,10 +33,10 @@ class ErrorBreakdown:
     components: dict = dc_field(default_factory=dict)
 
 
-def l2_project(mesh, f, cellquad: CellQuadratureTable | None = None) -> np.ndarray:
-    """Cell averages |E|^-1 int_E f, the L2 projection onto piecewise constants."""
-    if cellquad is None:
-        cellquad = CellQuadratureTable(mesh, TriangleRule.of_degree(6))
+def l2_project(mesh, f, cellquad: CellQuadratureTable) -> np.ndarray:
+    """Cell averages |E|^-1 int_E f, the L2 projection onto piecewise
+    constants, by the cell quadrature of `cellquad` (a scheme's is
+    `scheme.cellquad`)."""
     return cellquad.integrate(f) / mesh.areas
 
 

@@ -1,9 +1,10 @@
 """Gauss quadrature on segments and convex polygons.
 
 Face integrals use Gauss-Legendre on the reference interval [0, 1].  Cell
-integrals fan-triangulate the (convex) polygon from vertex 0 and apply a
-conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each triangle, exact
-for polynomials up to a configurable total degree.
+integrals use a tensor Gauss-Legendre rule on uncut grid squares and, on
+every other cell, fan-triangulate the (convex) polygon from vertex 0 and
+apply a conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each
+triangle.  Both are exact for polynomials up to a configurable total degree.
 """
 from __future__ import annotations
 
@@ -78,61 +79,48 @@ class TriangleRule:
         return len(self.weights)
 
 
-def triangulate_fan(vertices: np.ndarray):
-    """Fan triangles (v0, vk, vk+1) of a convex CCW polygon.
-
-    Returns (origins, edge1, edge2, areas); all sub-triangle areas are
-    positive for a valid convex CCW input.
-    """
-    v = np.asarray(vertices, dtype=float)
-    p0 = np.repeat(v[0][None, :], len(v) - 2, axis=0)
-    e1 = v[1:-1] - p0
-    e2 = v[2:] - p0
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return p0, e1, e2, areas
-
-
-def polygon_quadrature(vertices: np.ndarray, rule: TriangleRule):
-    """Physical points/weights for a convex CCW polygon; weights sum to its area."""
-    p0, e1, e2, areas = triangulate_fan(vertices)
-    if np.any(areas <= 0.0):
-        raise ValueError("polygon is not convex CCW: fan produced a non-positive triangle")
-    r = rule.points[:, 0]
-    s = rule.points[:, 1]
-    # (ntri, m, 2)
-    pts = p0[:, None, :] + r[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
-    wts = rule.weights[None, :] * (2.0 * areas)[:, None]
-    return pts.reshape(-1, 2), wts.ravel()
-
-
-def integrate_cell(vertices, integrand, rule: TriangleRule | None = None) -> float:
-    """Integrate a scalar function over a convex CCW polygon, such as
-    `mesh.cell_vertices(c)`."""
-    if rule is None:
-        rule = TriangleRule.of_degree(6)
-    pts, wts = polygon_quadrature(vertices, rule)
-    vals = np.asarray(integrand(pts), dtype=float)
-    return float(np.dot(wts, vals))
-
-
 class CellQuadratureTable:
     """Precomputed quadrature points for every cell of a mesh.
 
-    Cells are grouped by vertex count so point generation is vectorized;
-    `integrate` reduces integrand values back onto cells with bincount.
+    A cell stored as a parallelogram, 4 corners with v0 + v2 == v1 + v3
+    (exact in floating point for every uncut grid square, and false for a
+    square clipped by however little), takes the tensor Gauss-Legendre rule
+    with q = (rule.degree + 2) // 2 points per direction, mapped affinely
+    from the unit square: q^2 points, exact for total degree 2q - 1, which
+    is at least rule.degree.  Every other cell is fan-triangulated from
+    vertex 0 and takes `rule` on each triangle.  Cells are grouped by rule
+    and vertex count so point generation is vectorized; `integrate` reduces
+    integrand values back onto cells with bincount.
     """
 
     def __init__(self, mesh, rule: TriangleRule):
         self.rule = rule
         self.n_cells = mesh.n_cells
-        pts_parts = []
-        wts_parts = []
-        idx_parts = []
         counts = np.diff(mesh.cell_ptr)
+        quads = np.flatnonzero(counts == 4)
+        corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]  # (nq, 4, 2)
+        parallel = np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)
+        fan = np.ones(self.n_cells, dtype=bool)
+        fan[quads[parallel]] = False
+
+        # uncut squares: (nc, q*q, 2) points of the tensor rule
+        line = SegmentRule.gauss((rule.degree + 2) // 2)
+        u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
+        sq = corners[parallel]
+        p0 = sq[:, 0:1, :]
+        e1 = sq[:, 1:2, :] - p0
+        e3 = sq[:, 3:4, :] - p0
+        jac = e1[:, 0, 0] * e3[:, 0, 1] - e1[:, 0, 1] * e3[:, 0, 0]
+        pts = p0 + u[None, :, None] * e1 + v[None, :, None] * e3
+        wts = np.outer(line.weights, line.weights).ravel()[None, :] * jac[:, None]
+        pts_parts = [pts.reshape(-1, 2)]
+        wts_parts = [wts.reshape(-1)]
+        idx_parts = [np.repeat(quads[parallel], len(u))]
+
         r = rule.points[:, 0]
         s = rule.points[:, 1]
-        for nv in np.unique(counts).tolist():
-            ids = np.nonzero(counts == nv)[0]
+        for nv in np.unique(counts[fan]).tolist():
+            ids = np.flatnonzero(fan & (counts == nv))
             verts = mesh.vertices[mesh.cell_ptr[ids][:, None] + np.arange(nv)]  # (nc, nv, 2)
             p0 = verts[:, 0:1, :]
             e1 = verts[:, 1:-1, :] - p0  # (nc, nv-2, 2)

@@ -241,6 +241,33 @@ class TestBilinearForms:
         w = np.random.default_rng(13).uniform(-1, 1, base_scheme.mesh.n_cells)
         assert bilinear_J(base_scheme.mesh, base_scheme.table, base_scheme.records, v, w) == 0.0
 
+    @pytest.mark.parametrize("geometry", [(25.0, 0.2001, 16), (45.0, 0.2 + 1e-10, 20)])
+    def test_stabilization_matches_all_faces_reference(self, scheme_cache, geometry):
+        # bilinear_J reads the legs only; the same sum from every face's means
+        scheme = scheme_cache(*geometry)
+        mesh, table, stab = scheme.mesh, scheme.table, scheme.records
+
+        def all_faces_J(v, w):
+            # np.take keeps each row of a block contiguous, as bilinear_J does
+            means = face_side_means(mesh, table, v)
+            up = np.where(table.flux_in > 0.0, means[..., 0], means[..., 1])
+            up[..., table.upwind < 0] = 0.0
+            right = np.where(mesh.f_right >= 0, np.take(w, mesh.f_right, axis=-1), 0.0)
+            wjump = np.take(np.take(w, mesh.f_left, axis=-1) - right, stab.e_out, axis=-1)
+            eta = 1.0 - stab.alpha
+            jump = np.take(up, stab.e_in, axis=-1) - np.take(up, stab.e_out, axis=-1)
+            return np.vecdot(eta * jump, table.flux_in[stab.e_out] * wjump)
+
+        assert len(stab) > 0
+        rng = np.random.default_rng(15)
+        u0 = scheme.problem.u0
+        disc = rng.uniform(-1, 1, (3, mesh.n_cells))
+        for v in (u0, disc[0], (u0, disc[1]), (u0, disc)):
+            for w in (rng.uniform(-1, 1, mesh.n_cells), rng.uniform(-1, 1, (3, mesh.n_cells))):
+                got = bilinear_J(mesh, table, stab, v, w)
+                np.testing.assert_array_equal(got, all_faces_J(v, w))
+                assert np.all(got != 0.0)
+
     def test_stabilization_vanishes_without_small_cells(self, scheme_cache):
         # alpha = 1 everywhere once tau is tiny: eta = 1 - alpha = 0
         scheme = scheme_cache(25.0, 0.2001, 16, tau=1e-9)

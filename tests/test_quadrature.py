@@ -1,19 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutdg.geometry import K_CARTESIAN
-from cutdg.quadrature import (
-    CellQuadratureTable,
-    SegmentRule,
-    TriangleRule,
-    integrate_cell,
-    polygon_quadrature,
-    triangulate_fan,
-)
+from cutdg.field import make_ramp_problem
+from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
+from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
+from polygon_oracle import integrate_cell, polygon_quadrature, triangulate_fan
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -124,3 +120,87 @@ def test_cell_table_matches_per_cell_quadrature(scheme_cache):
     for c in range(0, mesh.n_cells, max(1, mesh.n_cells // 17)):
         expected = integrate_cell(mesh.cell_vertices(c), f)
         assert per_cell[c] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def one_cell_mesh(corners):
+    """The fields of a mesh that `CellQuadratureTable` reads, for one cell."""
+    corners = np.asarray(corners, dtype=float)
+    return SimpleNamespace(vertices=corners, cell_ptr=np.array([0, len(corners)]), n_cells=1)
+
+
+@pytest.mark.parametrize("degree", [2, 6, 10])
+def test_square_rule_monomial_exactness(degree):
+    # the tensor rule with q points per direction integrates x^a y^b for
+    # a, b <= 2q - 1 on an axis-aligned square
+    q = (degree + 2) // 2
+    mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
+    table = CellQuadratureTable(mesh, TriangleRule.of_degree(degree))
+    c = int(np.flatnonzero((mesh.background == [1, 2]).all(axis=1))[0])
+    (x0, y0), (x1, y1) = mesh.cell_vertices(c)[0], mesh.cell_vertices(c)[2]
+    at = table.cell_index == c
+    pts, wts = table.points[at], table.weights[at]
+    assert len(wts) == q * q
+    for a in range(2 * q):
+        for b in range(2 * q):
+            val = float(np.dot(wts, pts[:, 0] ** a * pts[:, 1] ** b))
+            exact = ((x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1)
+                     * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1))
+            assert val == pytest.approx(exact, rel=1e-14, abs=0.0), (a, b)
+
+
+@pytest.mark.parametrize("degree", [2, 6, 10])
+def test_parallelogram_rule_total_degree_exactness(degree):
+    # an affine map keeps only the total degree: a + b <= 2q - 1
+    q = (degree + 2) // 2
+    corners = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.5, 0.75]]  # v0 + v2 == v1 + v3
+    table = CellQuadratureTable(one_cell_mesh(corners), TriangleRule.of_degree(degree))
+    assert len(table.weights) == q * q
+    oracle = TriangleRule.of_degree(2 * q - 1)
+    for a in range(2 * q):
+        for b in range(2 * q - a):
+            f = lambda p: p[:, 0] ** a * p[:, 1] ** b
+            exact = integrate_cell(np.asarray(corners), f, oracle)
+            assert table.integrate_total(f) == pytest.approx(exact, rel=1e-14, abs=0.0), (a, b)
+
+
+def squares(mesh):
+    """Cells whose corners are those of their background grid square."""
+    i, j = mesh.background[:, 0], mesh.background[:, 1]
+    grid = np.stack([i, j, i + 1, j, i + 1, j + 1, i, j + 1], axis=-1).reshape(-1, 4, 2)
+    nv = np.diff(mesh.cell_ptr)
+    # the first four corners of each cell, a triangle's first one twice
+    corners = mesh.vertices[mesh.cell_ptr[:-1, None] + np.arange(4) % nv[:, None]]
+    return (nv == 4) & np.all(corners == grid / mesh.n, axis=(1, 2))
+
+
+TABLE_MESHES = {
+    "25deg-n16": lambda: build_mesh(make_ramp_problem(25.0, 0.2001).ramp, 16),
+    "45deg-sliver-n20": lambda: build_mesh(make_ramp_problem(45.0, 0.2 + 1e-10).ramp, 20),
+    # a 1e-10-degree ramp 1e-15 right of a grid node clips the squares it
+    # crosses into trapezoids within 2e-11 h^2 of a square; one of them is
+    # within the 1e-12 h^2 area tolerance that marks a cell K_CARTESIAN
+    "trapezoids-n8": lambda: build_mesh(RampDomain(gamma=math.radians(1e-10), x0=0.5 + 1e-15), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_MESHES))
+def test_cell_table_rules_per_cell(name):
+    mesh = TABLE_MESHES[name]()
+    rule = TriangleRule.of_degree(6)
+    table = CellQuadratureTable(mesh, rule)
+    square = squares(mesh)
+    if name.startswith("trapezoids"):
+        clipped = (np.diff(mesh.cell_ptr) == 4) & ~square
+        assert np.any(clipped & (mesh.kind_codes == K_CARTESIAN))
+    np.testing.assert_allclose(
+        np.bincount(table.cell_index, table.weights, minlength=mesh.n_cells),
+        mesh.areas, rtol=1e-13, atol=0.0,
+    )
+    q = (rule.degree + 2) // 2
+    expected = np.where(square, q * q, (np.diff(mesh.cell_ptr) - 2) * len(rule))
+    np.testing.assert_array_equal(np.bincount(table.cell_index, minlength=mesh.n_cells), expected)
+    for c in np.flatnonzero(~square).tolist():
+        at = table.cell_index == c
+        pts, wts = polygon_quadrature(mesh.cell_vertices(c), rule)
+        np.testing.assert_array_equal(table.points[at], pts)
+        np.testing.assert_array_equal(table.weights[at], wts)
