@@ -34,7 +34,6 @@ from .norms import (
     beta_seminorm,
     error_breakdown,
     l2_project,
-    triple_norm,
     triple_star_norm,
 )
 from .quadrature import QuadratureConfig, SegmentRule, TriangleRule

@@ -42,7 +42,7 @@ class SchemeConfig:
     """Scheme parameters: capacity factor tau, CFL selection, quadrature.
 
     `cfl_kappa`, when set, overrides the stability constant
-    kappa = (1 - 2 eps) / ((1 + eps) max(4 |beta|_inf, 1/tau)).
+    kappa = (1 - 2 eps) / ((1 + eps) C_tr).
     """
 
     tau: float = 1.0
@@ -59,6 +59,10 @@ class SchemeConfig:
         elif not 0.0 < self.epsilon < 0.5:
             raise InvalidConfig("epsilon", f"must lie in (0, 1/2), got {self.epsilon}")
 
+    def c_tr(self, velocity) -> float:
+        """The trace constant C_tr = max(4 |beta|_inf, 1/tau)."""
+        return max(4.0 * velocity.inf_norm, 1.0 / self.tau)
+
 
 @dataclass
 class FaceIntegralTable:
@@ -72,9 +76,9 @@ class FaceIntegralTable:
     upwind   : cell id the upwind trace is taken from; -1 on inflow boundary
                faces (the upwind trace extension is zero there), -2 on
                no-flow faces (flux_in == 0)
-    qpoints/qweights/bn : quadrature nodes, physical ds-weights, and beta.n
-               values (w.r.t. the stored normal) used for all face means;
-               the bn of each face are scaled to integrate to flux_in
+    qpoints/wbn : quadrature nodes and their physical ds-weights times the
+               beta.n values (w.r.t. the stored normal), used for all face
+               means; the wbn of each face sum to flux_in up to rounding
 
     Every face endpoint on the ramp takes psi at the ramp start, so ramp
     faces carry exactly zero flux and the fluxes of each cell sum to zero
@@ -85,8 +89,7 @@ class FaceIntegralTable:
     abs_flux: np.ndarray
     upwind: np.ndarray
     qpoints: np.ndarray
-    qweights: np.ndarray
-    bn: np.ndarray
+    wbn: np.ndarray
 
 
 def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = None) -> FaceIntegralTable:
@@ -134,7 +137,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = Non
     neg = flux < 0.0
     upwind[pos] = left[pos]
     upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
-    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, w, bn)
+    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, w * bn)
 
 
 def per_field(x):
@@ -192,11 +195,11 @@ def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarra
     faces with the given ids, from one call of `smooth` on their quadrature
     points.  Zero-flux faces get mean 0.  A face's mean does not depend on
     which other faces are asked for."""
-    qpoints, qweights, bn, abs_flux = table.qpoints, table.qweights, table.bn, table.abs_flux
+    qpoints, wbn, abs_flux = table.qpoints, table.wbn, table.abs_flux
     if faces is not None:
-        qpoints, qweights, bn, abs_flux = qpoints[faces], qweights[faces], bn[faces], abs_flux[faces]
-    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(bn.shape)
-    num = (qweights * np.abs(bn) * vals).sum(axis=1)
+        qpoints, wbn, abs_flux = qpoints[faces], wbn[faces], abs_flux[faces]
+    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(wbn.shape)
+    num = (np.abs(wbn) * vals).sum(axis=1)
     return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)
 
 
@@ -338,8 +341,8 @@ class InflowOperator:
 def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
     faces = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
     cells, row = np.unique(mesh.f_left[faces], return_inverse=True)
-    nq = table.bn.shape[1]
-    weights = -(table.qweights[faces] * table.bn[faces]) / mesh.areas[mesh.f_left[faces], None]
+    nq = table.wbn.shape[1]
+    weights = -table.wbn[faces] / mesh.areas[mesh.f_left[faces], None]
     matrix = sp.csr_matrix(
         (weights.ravel(), (np.repeat(row, nq), np.arange(weights.size))),
         shape=(len(cells), weights.size),
@@ -352,8 +355,7 @@ def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
     if config.cfl_kappa is not None:
         return config.cfl_kappa * mesh.h
     eps = config.epsilon
-    c_tr = max(4.0 * velocity.inf_norm, 1.0 / config.tau)
-    kappa = (1.0 - 2.0 * eps) / ((1.0 + eps) * c_tr)
+    kappa = (1.0 - 2.0 * eps) / ((1.0 + eps) * config.c_tr(velocity))
     return kappa * mesh.h
 
 
@@ -398,9 +400,9 @@ class DoDScheme:
         self.config = config
         self.mesh = build_mesh(problem.ramp, n)
         self.n = n
-        self.face_rule = SegmentRule.gauss(config.quad.face_order)
-        self.cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
-        self.table = build_face_table(self.mesh, problem.velocity, self.face_rule)
+        face_rule = SegmentRule.gauss(config.quad.face_order)
+        cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
+        self.table = build_face_table(self.mesh, problem.velocity, face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
         # the faces on which a smooth part enters the beta-seminorm: it is
         # single-valued, so it cancels from every other face's jump
@@ -411,7 +413,7 @@ class DoDScheme:
         self.inflow = build_inflow(self.mesh, self.table)
         self._step_dt: float | None = None
         self._step_S: sp.csr_matrix | None = None
-        self.cellquad = CellQuadratureTable(self.mesh, self.cell_rule)
+        self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
         if self.c_b < 1e-8:
             warnings.warn(
@@ -430,7 +432,7 @@ class DoDScheme:
 
     @property
     def c_tr(self) -> float:
-        return max(4.0 * self.velocity.inf_norm, 1.0 / self.config.tau)
+        return self.config.c_tr(self.velocity)
 
     def apply(self, v: PiecewiseConstantField) -> PiecewiseConstantField:
         """A v, for one field or row by row for a block of fields."""

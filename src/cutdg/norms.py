@@ -1,4 +1,4 @@
-"""L2 projection, the beta-seminorm, and the combined (starred) norms.
+"""L2 projection, the beta-seminorm, and the starred norm.
 
 The beta-seminorm collects |beta.n|-weighted squared jumps of face means,
 with the in/outflow faces of stabilized cells weighted by their capacity
@@ -9,14 +9,15 @@ as well as a single one and then returns one value per row.
 The smooth part of a V* element is single-valued, so it cancels from every
 interior jump: the seminorm takes those jumps from the discrete part alone
 and needs the smooth part only on boundary faces and on the legs of
-stabilized cells.  `beta_seminorm` evaluates it on the scheme's
-`jump_faces` only, a few percent of the faces; the starred norm needs its
-mean on every face anyway and gives those means to the same formula.
+stabilized cells.  `beta_seminorm`, and so `error_breakdown`, evaluates it
+on the scheme's `jump_faces` only, a few percent of the faces; the starred
+norm needs its mean on every face anyway and gives those means to the same
+formula.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +29,6 @@ from .quadrature import CellQuadratureTable
 class ErrorBreakdown:
     l2: float
     beta_semi: float
-    triple: float
-    triple_star: float
-    components: dict = dc_field(default_factory=dict)
 
 
 def l2_project(mesh, f, cellquad: CellQuadratureTable) -> np.ndarray:
@@ -123,40 +121,22 @@ def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
     return per_field(np.sqrt(np.maximum(plain + capacity + extended, 0.0)))
 
 
-def _evaluate(scheme: DoDScheme, v, means=None) -> ErrorBreakdown:
-    """Every norm of a V* element from one pass over the cell points and one
-    over the face points (each part of v is evaluated once per point set).
-    For a block of discrete parts every norm holds one value per row.
-    `means` is `face_side_means` of v when the caller already has it."""
+def triple_star_norm(scheme: DoDScheme, v, means=None) -> float | np.ndarray:
+    """(||v||^2 + |v|_beta^2 + capacity-weighted cell-boundary |beta.n|
+    mass)^(1/2), from one pass over the cell points and one over the face
+    points (each part of v is evaluated once per point set); one value per
+    row for a block of discrete parts.  `means` is `face_side_means` of v
+    when the caller already has it."""
     smooth, disc = split_parts(v)
     l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
     if means is None:
         means = face_side_means(scheme.mesh, scheme.table, v)
-    if smooth is None:
-        disc_means = means
-    else:
-        disc_means = face_side_means(scheme.mesh, scheme.table, (None, disc))
+    disc_means = (means if smooth is None
+                  else face_side_means(scheme.mesh, scheme.table, (None, disc)))
     plain, capacity, extended = _seminorm_parts(scheme, disc_means, means)
     semi_sq = np.maximum(plain + capacity + extended, 0.0)
-    l2, semi = np.sqrt(l2_sq), np.sqrt(semi_sq)
-    return ErrorBreakdown(
-        l2=per_field(l2),
-        beta_semi=per_field(semi),
-        triple=per_field(np.sqrt(l2 * l2 + semi * semi)),
-        triple_star=per_field(np.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means))),
-        components={"plain": plain, "capacity": capacity, "extended": extended},
-    )
-
-
-def triple_norm(scheme: DoDScheme, v) -> float:
-    return _evaluate(scheme, v).triple
-
-
-def triple_star_norm(scheme: DoDScheme, v, means=None) -> float | np.ndarray:
-    """Triple norm plus capacity-weighted cell-boundary |beta.n| mass.
-    `means` is `face_side_means` of v when the caller already has it."""
-    return _evaluate(scheme, v, means).triple_star
+    return per_field(np.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means)))
 
 
 def h1_norm(scheme: DoDScheme, f, grad) -> float:
@@ -170,12 +150,8 @@ def h1_norm(scheme: DoDScheme, f, grad) -> float:
 
 
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:
-    """Norms of u(t, .) - u_h against the problem's exact solution."""
-    return _evaluate(scheme, (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float)))
-
-
-def projection_error_norms(scheme: DoDScheme, t: float = 0.0) -> ErrorBreakdown:
-    """Norms of u(t, .) - Pi_h u(t, .), used by the projection-error checks."""
-    exact = lambda p: scheme.problem.exact(t, p)
-    proj = l2_project(scheme.mesh, exact, scheme.cellquad)
-    return error_breakdown(scheme, t, proj)
+    """L2 norm and beta-seminorm of u(t, .) - u_h against the problem's
+    exact solution, which is evaluated on the cell points and on the
+    scheme's `jump_faces`."""
+    diff = (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float))
+    return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), beta_seminorm(scheme, diff))

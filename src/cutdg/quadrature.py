@@ -94,7 +94,6 @@ class CellQuadratureTable:
     """
 
     def __init__(self, mesh, rule: TriangleRule):
-        self.rule = rule
         self.n_cells = mesh.n_cells
         counts = np.diff(mesh.cell_ptr)
         quads = np.flatnonzero(counts == 4)

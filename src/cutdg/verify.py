@@ -5,20 +5,24 @@ returns a LemmaReport with the worst observed ratio.  Inequalities pass at
 max_ratio <= 1 + 1e-10; identities are measured as relative deviations and
 pass at 1e-12 unless stated otherwise.
 
-The sampled checks draw their random fields in blocks of BLOCK rows (the
-same stream as drawing them one by one) and evaluate each block with the
-forms and norms at once.  An exact-solution snapshot is evaluated once on
-the cell points and once on the face points for all samples.  Their
-reports name the worst instance in `details`: `worst_sample`, plus
-`worst_time` where the instance has an exact-solution snapshot.  The
-per-cell checks name their worst cell: `worst_cell`, its `worst_kind` code
-(geometry.K_*), `worst_volume_fraction` |E|/h^2 and `worst_alpha`, which is
-None unless the cell is stabilized.
+The sampled checks draw their random fields in blocks of BLOCK rows or all
+at once (the same stream as drawing them one by one) and evaluate them
+BLOCK rows at a time with the forms and norms.  The checks with
+exact-solution snapshots go snapshot by snapshot: each snapshot is
+evaluated once on the cell points and once on the face points (of the
+stabilized legs only in `check_consistency`), in `check_boundedness` while
+samples <= 8 BLOCK, since one sample in eight takes each of its four
+snapshots.  Their reports name the worst instance in `details`:
+`worst_sample`, plus `worst_time` where the instance has an exact-solution
+snapshot.  The per-cell checks name their worst cell: `worst_cell`, its
+`worst_kind` code (geometry.K_*), `worst_volume_fraction` |E|/h^2 and
+`worst_alpha`, which is None unless the cell is stabilized.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -30,12 +34,7 @@ from .discretization import (
     face_side_means,
 )
 from .field import RampTestProblem
-from .norms import (
-    beta_seminorm,
-    h1_norm,
-    projection_error_norms,
-    triple_star_norm,
-)
+from .norms import beta_seminorm, h1_norm, l2_norm_squared, l2_project, triple_star_norm
 
 INEQ_TOL = 1e-10  # slack on ratio <= 1
 IDENT_TOL = 1e-12  # relative deviation for identities
@@ -110,33 +109,6 @@ def _worst_cell(scheme: DoDScheme, values) -> dict:
         worst_volume_fraction=float(mesh.areas[c]) / mesh.h**2,
         worst_alpha=float(st.alpha[k]) if stabilized else None,
     )
-
-
-class _Snapshot:
-    """p -> u(t, p), evaluated once per set of points and then looked up.
-
-    The checks evaluate a snapshot on the scheme's cell and face quadrature
-    points and on the face points of the stabilized legs, which `bilinear_J`
-    gathers afresh on every call.  The cache keeps each array it was called
-    on alive, so an array with the same memory layout is a view of the same
-    points; any other array is looked up by its values.
-    """
-
-    def __init__(self, problem: RampTestProblem, t: float):
-        self.problem, self.t = problem, t
-        self._seen: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def __call__(self, pts):
-        for p, vals in self._seen:
-            if p.__array_interface__ == pts.__array_interface__ or (
-                    p.shape == pts.shape and np.array_equal(p, pts)):
-                return vals
-        vals = self.problem.exact(self.t, pts)
-        self._seen.append((pts, vals))
-        return vals
-
-    def gradient(self, pts):
-        return self.problem.exact_gradient(self.t, pts)
 
 
 def cell_flux_sums(scheme: DoDScheme):
@@ -270,23 +242,24 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
     """
     mesh, table, st = scheme.mesh, scheme.table, scheme.records
     times = np.linspace(0.0, scheme.problem.t_final, 4)
-    smooth = [None] + [_Snapshot(scheme.problem, float(t)) for t in times]
     k = np.arange(samples)
-    # index into smooth: 0 for a discrete sample, 1 + the snapshot otherwise
-    part = np.where(k % 2 == 0, 1 + (k // 2) % len(times), 0)
-    w_rng = np.random.default_rng(seed + 1)
+    # the snapshot each sample adds, -1 for none
+    snap = np.where(k % 2 == 0, (k // 2) % len(times), -1)
+    disc = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
+    w = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
     ratios1 = np.empty(samples)
-    for start, disc in _field_blocks(np.random.default_rng(seed), samples, mesh.n_cells):
-        w = w_rng.uniform(-1.0, 1.0, size=disc.shape)
-        w_semi = beta_seminorm(scheme, w)
-        rows = part[start:start + len(disc)]
-        for i in np.unique(rows):
-            g = np.nonzero(rows == i)[0]
-            v = (smooth[i], disc[g])
+    # snapshot by snapshot, so that each one is evaluated once per point set
+    # for up to BLOCK of its samples
+    for i in range(-1, len(times)):
+        smooth = None if i < 0 else partial(scheme.problem.exact, float(times[i]))
+        ids = np.flatnonzero(snap == i)
+        for start in range(0, len(ids), BLOCK):
+            g = ids[start:start + BLOCK]
+            v = (smooth, disc[g])
             means = face_side_means(mesh, table, v)
             a = bilinear_a_dod(mesh, table, st, v, w[g], means)
-            bound = triple_star_norm(scheme, v, means) * w_semi[g]
-            ratios1[start + g] = np.abs(a) / np.maximum(bound, 1e-300)
+            bound = triple_star_norm(scheme, v, means) * beta_seminorm(scheme, w[g])
+            ratios1[g] = np.abs(a) / np.maximum(bound, 1e-300)
     c = math.sqrt(scheme.c_tr / scheme.h)
     ratios2 = np.empty(samples)
     for start, v in _field_blocks(np.random.default_rng(seed + 2), samples, mesh.n_cells):
@@ -294,7 +267,7 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
             scheme.l2_norm(scheme.apply(v)) / np.maximum(c * beta_seminorm(scheme, v), 1e-300)
         )
     worst = _argmax(ratios1)
-    worst_time = float(times[part[worst] - 1]) if worst is not None and part[worst] else None
+    worst_time = float(times[snap[worst]]) if worst is not None and snap[worst] >= 0 else None
     return [
         LemmaReport.inequality("boundedness-star", ratios1, seed=seed,
                                worst_sample=worst, worst_time=worst_time),
@@ -316,14 +289,15 @@ def check_consistency(
     factor = math.sqrt(tau * scheme.h) * scheme.velocity.w1inf_norm
     ratios = np.empty(len(times) * samples)  # time-major, as drawn
     for ti, t in enumerate(times):
-        u_t = _Snapshot(scheme.problem, t)
-        bound_t = factor * h1_norm(scheme, u_t, grad=u_t.gradient)
-        for start, w in _field_blocks(rng, samples, mesh.n_cells):
-            j = bilinear_J(mesh, table, st, u_t, w)
-            first = ti * samples + start
-            ratios[first:first + len(w)] = (
-                np.abs(j) / np.maximum(bound_t * beta_seminorm(scheme, w), 1e-300)
-            )
+        u_t = partial(scheme.problem.exact, t)
+        bound_t = factor * h1_norm(scheme, u_t, grad=partial(scheme.problem.exact_gradient, t))
+        w = rng.uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
+        j = bilinear_J(mesh, table, st, u_t, w)
+        ratios_t = ratios[ti * samples:(ti + 1) * samples]
+        for start in range(0, samples, BLOCK):
+            rows = slice(start, start + BLOCK)
+            semi = beta_seminorm(scheme, w[rows])
+            ratios_t[rows] = np.abs(j[rows]) / np.maximum(bound_t * semi, 1e-300)
     worst = _argmax(ratios)
     return LemmaReport.inequality(
         "stabilization-consistency", ratios, seed=seed, times=list(times),
@@ -345,14 +319,16 @@ def check_projection(
     cb = math.inf
     for n in n_values:
         scheme = (schemes or {}).get(n) or DoDScheme(problem, config, n)
-        eb = projection_error_norms(scheme, t=0.0)
+        exact = partial(scheme.problem.exact, 0.0)
+        diff = (exact, -l2_project(scheme.mesh, exact, scheme.cellquad))
         grad_norm = math.sqrt(
             scheme.cellquad.integrate_total(
                 lambda p: (np.asarray(problem.u0_gradient(p)) ** 2).sum(axis=-1)
             )
         )
-        l2_ratios.append(eb.l2 / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
-        stars.append(eb.triple_star)
+        l2 = math.sqrt(l2_norm_squared(scheme, diff))
+        l2_ratios.append(l2 / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
+        stars.append(triple_star_norm(scheme, diff))
         hs.append(scheme.h)
         cb = min(cb, scheme.c_b)
     slope = float(np.polyfit(np.log(hs), np.log(stars), 1)[0])

@@ -64,7 +64,7 @@ def rhs_inflow_oracle(mesh, table, g, t):
     inflow = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
     pts = table.qpoints[inflow]
     gv = np.asarray(g(t, pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    contrib = -(table.qweights[inflow] * table.bn[inflow] * gv).sum(axis=1)
+    contrib = -(table.wbn[inflow] * gv).sum(axis=1)
     np.add.at(out, mesh.f_left[inflow], contrib)
     return out / mesh.areas
 
@@ -369,7 +369,7 @@ class TestRhsAndStep:
         for f in boundary:
             if table.flux_in[f] < 0:
                 vals = gv(t, table.qpoints[f])
-                flux_in += float((table.qweights[f] * table.bn[f] * vals).sum())
+                flux_in += float((table.wbn[f] * vals).sum())
         assert dmass == pytest.approx(-flux_out - flux_in, rel=1e-12, abs=1e-13)
 
 
