@@ -8,7 +8,6 @@ from .discretization import (
     assemble_dod_matrix,
     bilinear_a_dod,
     bilinear_J,
-    bilinear_upwind,
     build_face_table,
     build_inflow,
     cfl_dt,
@@ -26,7 +25,6 @@ from .geometry import (
     RampDomain,
     StabilizedCells,
     build_mesh,
-    clip_cell,
     identify_stabilized,
 )
 from .norms import (

@@ -50,6 +50,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _key_error(key: str, message: str) -> ConfigError:
+    """ConfigError naming `key` and its flag: quad.face_order is --quad-face-order,
+    problem.gamma_deg is --gamma, and any other section.name is --name."""
+    section, name = key.split(".")
+    flag = f"quad_{name}" if section == "quad" else name.removesuffix("_deg")
+    flag = flag.replace("_", "-")
+    return ConfigError(f"{key} (--{flag}): {message}")
+
+
 @dataclass
 class RunConfig:
     """Resolved configuration for one CLI invocation."""
@@ -69,19 +78,23 @@ class RunConfig:
     accumulate: bool = False
 
     def validate(self):
-        if not 0.0 < self.gamma_deg < 90.0:
-            raise ConfigError(f"gamma must lie in (0, 90) degrees, got {self.gamma_deg}")
-        if not 0.0 <= self.x0 < 1.0:
-            raise ConfigError(f"x0 must lie in [0, 1), got {self.x0}")
-        if not 0.0 <= self.t_final < math.inf:
-            raise ConfigError(f"t_final must be finite and nonnegative, got {self.t_final}")
+        for key, ok, rule in (
+            ("problem.gamma_deg", 0.0 < self.gamma_deg < 90.0, "must lie in (0, 90) degrees"),
+            ("problem.x0", 0.0 <= self.x0 < 1.0, "must lie in [0, 1)"),
+            ("problem.t_final", 0.0 <= self.t_final < math.inf, "must be finite and nonnegative"),
+            ("quad.face_order", self.face_order >= 1, "need at least 1 point per face"),
+            ("quad.cell_degree", self.cell_degree >= 1, "need degree >= 1"),
+            ("run.n", self.n >= 4, "need at least 4 cells per side"),
+            ("run.n_list", min(self.n_list, default=4) >= 4, "need at least 4 cells per side"),
+            ("run.n_list", self.n_list == sorted(set(self.n_list)), "must be strictly increasing"),
+            ("run.seed", self.seed >= 0, "must be a nonnegative integer"),
+        ):
+            if not ok:  # each key's last part is the RunConfig field
+                raise _key_error(key, f"{rule}, got {getattr(self, key.split('.')[1])}")
         try:
             self.scheme_config()  # SchemeConfig checks tau, epsilon and cfl_kappa
         except InvalidConfig as exc:
-            key = _SCHEME_KEYS.get(exc.field, exc.field)
-            raise ConfigError(f"scheme.{key} (--{key.replace('_', '-')}): {exc}") from exc
-        if self.n_list and any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ConfigError(f"n-list must be strictly increasing, got {self.n_list}")
+            raise _key_error(f"scheme.{_SCHEME_KEYS.get(exc.field, exc.field)}", str(exc)) from exc
 
     def problem(self):
         return make_ramp_problem(self.gamma_deg, self.x0, self.t_final)
@@ -98,7 +111,7 @@ class RunConfig:
 @dataclass
 class ConvergenceReport:
     rows: list[dict]
-    metadata: dict
+    wall_time: float
 
     def csv_lines(self) -> list[str]:
         header = "n,h,dt,l2_error,beta_semi_error,accumulated_seminorm,order_l2,order_beta"
@@ -260,16 +273,7 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
             row["order_l2"] = math.log(prev["l2_error"] / row["l2_error"]) / ratio
             row["order_beta"] = math.log(prev["beta_semi_error"] / row["beta_semi_error"]) / ratio
         rows.append(row)
-    meta = {
-        "gamma_deg": cfg.gamma_deg,
-        "x0": cfg.x0,
-        "tau": cfg.tau,
-        "kappa": cfg.cfl_kappa,
-        "epsilon": cfg.cfl_epsilon,
-        "seed": cfg.seed,
-        "wall_time": time.perf_counter() - t0,
-    }
-    return ConvergenceReport(rows, meta)
+    return ConvergenceReport(rows, time.perf_counter() - t0)
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -284,7 +288,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         Path(f"{cfg.out}_{norm}.dat").write_text(dat + "\n")
     for line in report.csv_lines():
         print(line)
-    print(f"# wall time {report.metadata['wall_time']:.2f}s")
+    print(f"# wall time {report.wall_time:.2f}s")
     return 0
 
 

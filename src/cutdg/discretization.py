@@ -273,31 +273,6 @@ def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h, means=None) -> floa
     return per_field(np.vecdot(up * table.flux_in, _test_jump(mesh, w_h)))
 
 
-def bilinear_upwind(mesh, table, v, w_h) -> float:
-    """Unstabilized upwind form in centered-plus-penalty shape.
-
-    Interior faces: int {v} beta.[w] + 1/2 |beta.n| [v].[w]; boundary faces:
-    int (beta.n)^+ v w.  Independent algebra from `bilinear_a_dod`, used to
-    cross-check a_dod = upwind + J.
-    """
-    means = face_side_means(mesh, table, v)
-    wjump = _test_jump(mesh, w_h)
-    interior = mesh.f_right >= 0
-    avg = 0.5 * (means[:, 0] + means[:, 1])
-    vjump = means[:, 0] - means[:, 1]
-    total = float(
-        np.dot(
-            (table.flux_in * avg + 0.5 * table.abs_flux * vjump)[interior],
-            wjump[interior],
-        )
-    )
-    bdy = ~interior
-    pos_flux = np.maximum(table.flux_in[bdy], 0.0)
-    w = np.asarray(w_h, dtype=float)
-    total += float(np.dot(pos_flux * means[bdy, 0], w[mesh.f_left[bdy]]))
-    return total
-
-
 def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
     """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w].  One
     value per row when v or w_h is a block of fields.  Reads v and w_h on
@@ -398,10 +373,10 @@ class DoDScheme:
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
         self.problem = problem
         self.config = config
-        self.mesh = build_mesh(problem.ramp, n)
-        self.n = n
         face_rule = SegmentRule.gauss(config.quad.face_order)
         cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
+        self.mesh = build_mesh(problem.ramp, n)
+        self.n = n
         self.table = build_face_table(self.mesh, problem.velocity, face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
         # the faces on which a smooth part enters the beta-seminorm: it is

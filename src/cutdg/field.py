@@ -32,7 +32,7 @@ class VelocityField:
 
     evaluate : (m, 2) points -> (m, 2) vectors
     stream : (m, 2) points -> (m,) values of psi, beta = (d psi/dy, -d psi/dx)
-    inf_norm : max |beta|_2 over the bounding square
+    inf_norm : max |beta|_2 over the unit square
     w1inf_norm : max(inf_norm, sup |grad beta|_2)
     """
 
@@ -60,25 +60,8 @@ def ramp_velocity(ramp: RampDomain) -> VelocityField:
         return eta * (1.0 - 0.25 * eta)
 
     # the affine factor peaks at the square corner (1, 0)
-    (xlo, ylo), (xhi, yhi) = ramp.square
-    inf_norm = 0.5 * (2.0 + s * (xhi - x0))
+    inf_norm = 0.5 * (2.0 + s * (1.0 - x0))
     return VelocityField(evaluate, stream, inf_norm, max(inf_norm, 0.5))
-
-
-def constant_velocity(vec) -> VelocityField:
-    """Uniform field, mostly for reduction tests on ramp-free meshes."""
-    v = np.asarray(vec, dtype=float)
-
-    def evaluate(pts):
-        p = np.asarray(pts, dtype=float)
-        return np.broadcast_to(v, p.shape[:-1] + (2,)).copy()
-
-    def stream(pts):
-        p = np.asarray(pts, dtype=float)
-        return v[0] * p[..., 1] - v[1] * p[..., 0]
-
-    nrm = float(np.linalg.norm(v))
-    return VelocityField(evaluate, stream, nrm, nrm)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Ramp cut-cell meshes: clip a Cartesian grid against a ramp half-plane.
 
-The domain is an axis-aligned square with the region strictly below the ramp
+The domain is the unit square with the region strictly below the ramp
 line y = slope*(x - x0) removed for x > x0.  Every background cell is clipped
 exactly; all positive-area cells are kept (no merging, arbitrarily small cut
 cells survive), and each face is a grid edge or a piece of the ramp line.
@@ -28,7 +28,7 @@ class InvalidStabilization(ValueError):
 
 @dataclass(frozen=True)
 class RampDomain:
-    """Square domain with a ramp of angle `gamma` cut out, starting at (x0, 0).
+    """Unit square with a ramp of angle `gamma` cut out, starting at (x0, 0).
 
     `slope` defaults to tan(gamma); tests may pin it exactly (tan(pi/4) != 1
     in floating point) since all geometry is built from the slope.
@@ -36,21 +36,15 @@ class RampDomain:
 
     gamma: float
     x0: float
-    square: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 0.0), (1.0, 1.0))
     slope: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5 * math.pi:
             raise ValueError(f"ramp angle must lie in (0, pi/2), got {self.gamma}")
-        (xlo, ylo), (xhi, yhi) = self.square
-        if not (xlo <= self.x0 <= xhi):
+        if not (0.0 <= self.x0 <= 1.0):
             raise ValueError(f"ramp start x0={self.x0} not on the bottom edge")
         if self.slope is None:
             object.__setattr__(self, "slope", math.tan(self.gamma))
-
-    @property
-    def side(self) -> float:
-        return self.square[1][0] - self.square[0][0]
 
     def signed_distance(self, pts) -> np.ndarray:
         """Distance to the ramp line, positive on the retained side.
@@ -62,14 +56,9 @@ class RampDomain:
         return c * (p[..., 1] - self.slope * (p[..., 0] - self.x0))
 
     def area(self) -> float:
-        """|Omega| = |square| - area of the removed triangle."""
-        (xlo, ylo), (xhi, yhi) = self.square
-        w = xhi - self.x0
-        return (xhi - xlo) * (yhi - ylo) - 0.5 * self.slope * w * w
-
-    def tangent(self) -> np.ndarray:
-        t = np.array([1.0, self.slope])
-        return t / np.linalg.norm(t)
+        """|Omega| = 1 - area of the removed triangle."""
+        w = 1.0 - self.x0
+        return 1.0 - 0.5 * self.slope * w * w
 
 
 def _polygon_area(vertices: np.ndarray) -> float:
@@ -86,8 +75,8 @@ def _clip_marked(corners, etas, ramp: RampDomain, eps: float):
 
     Intersections with grid lines are computed canonically from the line
     equation so adjacent cells produce bit-identical shared vertices.
-    Returns (vertices, on_line_flags); flags mark vertices on the ramp line.
-    Both lists are empty when no polygon of positive area remains.
+    Returns (vertices, on_line_flags, area); flags mark vertices on the ramp
+    line.  Returns ([], [], 0.0) when no polygon of positive area remains.
     """
     out: list[tuple[float, float]] = []
     flags: list[bool] = []
@@ -126,26 +115,8 @@ def _clip_marked(corners, etas, ramp: RampDomain, eps: float):
                 del out[i], flags[i]
                 changed = True
                 break
-    if len(out) < 3 or _polygon_area(out) <= 0.0:
-        return [], []
-    return out, flags
-
-
-def clip_cell(square_cell, ramp: RampDomain) -> np.ndarray:
-    """Clip an axis-aligned square cell against the retained half-plane.
-
-    Returns the counter-clockwise intersection polygon (collinear duplicates
-    removed), or an empty (0, 2) array if the cell lies below the ramp.
-    """
-    corners = [tuple(map(float, p)) for p in np.asarray(square_cell, dtype=float)]
-    h = max(abs(corners[1][0] - corners[0][0]), abs(corners[1][1] - corners[0][1]))
-    eps = 1e-12 * h
-    etas = [float(ramp.signed_distance(p)) for p in corners]
-    etas = [0.0 if abs(e) <= eps else e for e in etas]
-    if min(etas) >= 0.0:
-        return np.asarray(corners)
-    out, _ = _clip_marked(corners, etas, ramp, eps)
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+    area = _polygon_area(out) if len(out) >= 3 else 0.0
+    return (out, flags, area) if area > 0.0 else ([], [], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +161,7 @@ class CutCellMesh:
 
     @property
     def h(self) -> float:
-        return self.domain.side / self.n
+        return 1.0 / self.n
 
     @property
     def n_cells(self) -> int:
@@ -217,17 +188,15 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     """
     if n < 4:
         raise ValueError(f"need at least 4 cells per side, got n={n}")
-    (xlo, ylo), (xhi, yhi) = ramp.square
-    exit_y = ramp.slope * (xhi - ramp.x0)
-    if exit_y > (yhi - ylo) * (1.0 + 1e-12):
+    exit_y = ramp.slope * (1.0 - ramp.x0)
+    if exit_y > 1.0 + 1e-12:
         raise DegenerateGeometry(
-            f"ramp exits through the top (y={exit_y:.6g} at x={xhi}); "
+            f"ramp exits through the top (y={exit_y:.6g} at x=1.0); "
             "only bottom-to-right ramps are supported"
         )
-    h = (xhi - xlo) / n
+    h = 1.0 / n
     eps = 1e-12 * h
-    xs = xlo + np.arange(n + 1) * (xhi - xlo) / n
-    ys = ylo + np.arange(n + 1) * (yhi - ylo) / n
+    xs = ys = np.arange(n + 1) / n
 
     # corner distances to the ramp line, snapped to zero within eps
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -249,13 +218,13 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     nv = np.full(len(bi), 4)
     areas = np.diff(xs)[bi] * np.diff(ys)[bj]
     for c in np.nonzero(corner_eta.min(axis=1) < 0.0)[0]:
-        out, flags = _clip_marked(poly[c, :4].tolist(), corner_eta[c].tolist(), ramp, eps)
+        out, flags, area = _clip_marked(poly[c, :4].tolist(), corner_eta[c].tolist(), ramp, eps)
         if len(out) > 5:
             raise AssertionError(f"half-plane clip of a square produced {len(out)} vertices")
         nv[c] = len(out)
         if out:
             poly[c, :nv[c]], on_line[c, :nv[c]] = out, flags
-            areas[c] = _polygon_area(out)
+            areas[c] = area
     keep = nv > 0
     bi, bj, nv, areas = bi[keep], bj[keep], nv[keep], areas[keep]
     slot = np.arange(5) < nv[:, None]

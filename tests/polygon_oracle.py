@@ -1,8 +1,10 @@
-"""Per-polygon cell quadrature, the oracle the vectorized cell table is
-checked against: one convex polygon at a time, fan-triangulated from its
-vertex 0 with a `TriangleRule` on each triangle."""
+"""Per-polygon oracles: cell quadrature, the oracle the vectorized cell
+table is checked against (one convex polygon at a time, fan-triangulated from
+its vertex 0 with a `TriangleRule` on each triangle), and the clip of one
+square cell against the ramp."""
 import numpy as np
 
+from cutdg.geometry import RampDomain, _clip_marked
 from cutdg.quadrature import TriangleRule
 
 
@@ -41,3 +43,20 @@ def integrate_cell(vertices, integrand, rule: TriangleRule | None = None) -> flo
     pts, wts = polygon_quadrature(vertices, rule)
     vals = np.asarray(integrand(pts), dtype=float)
     return float(np.dot(wts, vals))
+
+
+def clip_cell(square_cell, ramp: RampDomain) -> np.ndarray:
+    """Clip an axis-aligned square cell against the retained half-plane.
+
+    Returns the counter-clockwise intersection polygon (collinear duplicates
+    removed), or an empty (0, 2) array if the cell lies below the ramp.
+    """
+    corners = [tuple(map(float, p)) for p in np.asarray(square_cell, dtype=float)]
+    h = max(abs(corners[1][0] - corners[0][0]), abs(corners[1][1] - corners[0][1]))
+    eps = 1e-12 * h
+    etas = [float(ramp.signed_distance(p)) for p in corners]
+    etas = [0.0 if abs(e) <= eps else e for e in etas]
+    if min(etas) >= 0.0:
+        return np.asarray(corners)
+    out, _, _ = _clip_marked(corners, etas, ramp, eps)
+    return np.asarray(out, dtype=float).reshape(-1, 2)

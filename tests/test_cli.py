@@ -94,6 +94,23 @@ class TestConfig:
     def test_decreasing_n_list_exits_one(self):
         assert run(["converge", "--n-list", "16,8"]) == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--n", "2"], "--n"),
+        (["run", "--n", "8", "--quad-face-order", "0"], "--quad-face-order"),
+        (["run", "--n", "8", "--quad-cell-degree", "0"], "--quad-cell-degree"),
+        (["export", "--n", "3"], "--n"),
+        (["converge", "--n-list", "2,8"], "--n-list"),
+        (["verify", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
+        import cutdg.cli as cli
+
+        for work in ("DoDScheme", "converge", "run_all"):
+            monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 1
+        assert f"({flag})" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestExport:
     def test_polygon_count_matches_geometry_oracle(self, tmp_path):

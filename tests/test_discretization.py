@@ -10,17 +10,18 @@ from cutdg.discretization import (
     assemble_dod_matrix,
     bilinear_a_dod,
     bilinear_J,
-    bilinear_upwind,
     build_face_table,
     build_inflow,
     cfl_dt,
     estimate_cb,
     face_side_means,
+    _test_jump,
 )
-from cutdg.field import VelocityField, constant_velocity, make_ramp_problem
+from cutdg.field import VelocityField, make_ramp_problem
 from cutdg.geometry import F_RAMP, RampDomain, build_mesh, identify_stabilized
 from cutdg.norms import beta_seminorm
 from cutdg.quadrature import SegmentRule
+from velocity_fields import constant_velocity
 
 
 def cartesian_mesh(n=4):
@@ -67,6 +68,31 @@ def rhs_inflow_oracle(mesh, table, g, t):
     contrib = -(table.wbn[inflow] * gv).sum(axis=1)
     np.add.at(out, mesh.f_left[inflow], contrib)
     return out / mesh.areas
+
+
+def bilinear_upwind(mesh, table, v, w_h) -> float:
+    """Unstabilized upwind form in centered-plus-penalty shape.
+
+    Interior faces: int {v} beta.[w] + 1/2 |beta.n| [v].[w]; boundary faces:
+    int (beta.n)^+ v w.  Independent algebra from `bilinear_a_dod`, used to
+    cross-check a_dod = upwind + J.
+    """
+    means = face_side_means(mesh, table, v)
+    wjump = _test_jump(mesh, w_h)
+    interior = mesh.f_right >= 0
+    avg = 0.5 * (means[:, 0] + means[:, 1])
+    vjump = means[:, 0] - means[:, 1]
+    total = float(
+        np.dot(
+            (table.flux_in * avg + 0.5 * table.abs_flux * vjump)[interior],
+            wjump[interior],
+        )
+    )
+    bdy = ~interior
+    pos_flux = np.maximum(table.flux_in[bdy], 0.0)
+    w = np.asarray(w_h, dtype=float)
+    total += float(np.dot(pos_flux * means[bdy, 0], w[mesh.f_left[bdy]]))
+    return total
 
 
 class TestFaceTable:

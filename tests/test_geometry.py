@@ -15,10 +15,10 @@ from cutdg.geometry import (
     K_CUT3,
     RampDomain,
     build_mesh,
-    clip_cell,
     identify_stabilized,
 )
 from cutdg.verify import check_energy_decay, check_incompressibility
+from polygon_oracle import clip_cell
 
 
 def shoelace(poly):

@@ -12,10 +12,11 @@ from cutdg.discretization import (
     build_face_table,
     face_side_means,
 )
-from cutdg.field import constant_velocity, make_ramp_problem
+from cutdg.field import make_ramp_problem
 from cutdg.geometry import RampDomain, build_mesh
 from cutdg.norms import beta_seminorm, h1_norm, triple_star_norm
 from cutdg import verify as vf
+from velocity_fields import constant_velocity
 
 
 @pytest.fixture(scope="module")

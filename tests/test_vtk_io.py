@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cutdg.discretization import build_face_table
-from cutdg.field import constant_velocity
 from cutdg.geometry import RampDomain, build_mesh, identify_stabilized
 from cutdg.vtk_io import mesh_cell_data, write_vtk
+from velocity_fields import constant_velocity
 
 _VTK_POLYGON = 7
 
