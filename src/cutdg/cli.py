@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -24,39 +25,74 @@ from .quadrature import QuadratureConfig
 from .verify import run_all
 from .vtk_io import mesh_cell_data, write_vtk
 
-_DEFAULTS = {
-    "problem.kind": "ramp_paper",
-    "problem.gamma_deg": 25.0,
-    "problem.x0": 0.2001,
-    "problem.t_final": 0.5,
-    "scheme.tau": 1.0,
-    "scheme.cfl_epsilon": 0.25,
-    "scheme.cfl_kappa": None,
-    "quad.face_order": 4,
-    "quad.cell_degree": 6,
-    "run.n": 32,
-    "run.n_list": "16,32,64",
-    "run.seed": 0,
-    "run.out": "out",
-    "run.accumulate": False,
-}
-
-
-# SchemeConfig field -> RunConfig field, where the two names differ
-_SCHEME_KEYS = {"epsilon": "cfl_epsilon"}
+COMMANDS = ("run", "converge", "verify", "export")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _key_error(key: str, message: str) -> ConfigError:
-    """ConfigError naming `key` and its flag: quad.face_order is --quad-face-order,
-    problem.gamma_deg is --gamma, and any other section.name is --name."""
-    section, name = key.split(".")
-    flag = f"quad_{name}" if section == "quad" else name.removesuffix("_deg")
-    flag = flag.replace("_", "-")
-    return ConfigError(f"{key} (--{flag}): {message}")
+def _boolean(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"must be a boolean (1/0, true/false, yes/no, on/off), got {raw!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(s) for s in raw.split(",") if s.strip()]
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One configuration key: its file name `section.field` (`field` is the
+    RunConfig field), its flag, the parser that flag, file and default text
+    all go through, its default text (None: unset), the (check, rule) pairs
+    its parsed value must pass, and the subcommands that take the flag."""
+
+    key: str
+    flag: str
+    parse: Callable[[str], object]
+    default: str | None
+    rules: tuple = ()
+    commands: tuple[str, ...] = COMMANDS
+
+    @property
+    def field(self) -> str:
+        return self.key.split(".")[1]
+
+    def error(self, message: str) -> ConfigError:
+        return ConfigError(f"{self.key} ({self.flag}): {message}")
+
+
+# tau, cfl_epsilon and cfl_kappa have no rules here: SchemeConfig checks them
+CONFIG_KEYS = (
+    ConfigKey("problem.gamma_deg", "--gamma", float, "25.0",
+              rules=((lambda v: 0.0 < v < 90.0, "must lie in (0, 90) degrees"),)),
+    ConfigKey("problem.x0", "--x0", float, "0.2001",
+              rules=((lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),)),
+    ConfigKey("problem.t_final", "--t-final", float, "0.5",
+              rules=((lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),)),
+    ConfigKey("scheme.tau", "--tau", float, "1.0"),
+    ConfigKey("scheme.cfl_epsilon", "--cfl-epsilon", float, "0.25"),
+    ConfigKey("scheme.cfl_kappa", "--cfl-kappa", float, None),
+    ConfigKey("quad.face_order", "--quad-face-order", int, "4",
+              rules=((lambda v: v >= 1, "need at least 1 point per face"),)),
+    ConfigKey("quad.cell_degree", "--quad-cell-degree", int, "6",
+              rules=((lambda v: v >= 1, "need degree >= 1"),)),
+    ConfigKey("run.n", "--n", int, "32", commands=("run", "export"),
+              rules=((lambda v: v >= 4, "need at least 4 cells per side"),)),
+    ConfigKey("run.n_list", "--n-list", _int_list, "16,32,64", commands=("converge", "verify"),
+              rules=((lambda v: min(v, default=4) >= 4, "need at least 4 cells per side"),
+                     (lambda v: v == sorted(set(v)), "must be strictly increasing"))),
+    ConfigKey("run.seed", "--seed", int, "0",
+              rules=((lambda v: v >= 0, "must be a nonnegative integer"),)),
+    ConfigKey("run.out", "--out", str, "out"),
+    ConfigKey("run.accumulate", "--accumulate", _boolean, "false", commands=("converge",)),
+)
+
+# SchemeConfig field -> RunConfig field, where the two names differ
+_SCHEME_KEYS = {"epsilon": "cfl_epsilon"}
 
 
 @dataclass
@@ -78,23 +114,16 @@ class RunConfig:
     accumulate: bool = False
 
     def validate(self):
-        for key, ok, rule in (
-            ("problem.gamma_deg", 0.0 < self.gamma_deg < 90.0, "must lie in (0, 90) degrees"),
-            ("problem.x0", 0.0 <= self.x0 < 1.0, "must lie in [0, 1)"),
-            ("problem.t_final", 0.0 <= self.t_final < math.inf, "must be finite and nonnegative"),
-            ("quad.face_order", self.face_order >= 1, "need at least 1 point per face"),
-            ("quad.cell_degree", self.cell_degree >= 1, "need degree >= 1"),
-            ("run.n", self.n >= 4, "need at least 4 cells per side"),
-            ("run.n_list", min(self.n_list, default=4) >= 4, "need at least 4 cells per side"),
-            ("run.n_list", self.n_list == sorted(set(self.n_list)), "must be strictly increasing"),
-            ("run.seed", self.seed >= 0, "must be a nonnegative integer"),
-        ):
-            if not ok:  # each key's last part is the RunConfig field
-                raise _key_error(key, f"{rule}, got {getattr(self, key.split('.')[1])}")
+        for row in CONFIG_KEYS:
+            value = getattr(self, row.field)
+            for check, rule in row.rules:
+                if not check(value):
+                    raise row.error(f"{rule}, got {value}")
         try:
-            self.scheme_config()  # SchemeConfig checks tau, epsilon and cfl_kappa
+            self.scheme_config()
         except InvalidConfig as exc:
-            raise _key_error(f"scheme.{_SCHEME_KEYS.get(exc.field, exc.field)}", str(exc)) from exc
+            field = _SCHEME_KEYS.get(exc.field, exc.field)
+            raise next(row for row in CONFIG_KEYS if row.field == field).error(str(exc)) from exc
 
     def problem(self):
         return make_ramp_problem(self.gamma_deg, self.x0, self.t_final)
@@ -113,18 +142,16 @@ class ConvergenceReport:
     rows: list[dict]
     wall_time: float
 
+    COLUMNS = ("n", "h", "dt", "l2_error", "beta_semi_error", "accumulated_seminorm",
+               "order_l2", "order_beta")
+
     def csv_lines(self) -> list[str]:
-        header = "n,h,dt,l2_error,beta_semi_error,accumulated_seminorm,order_l2,order_beta"
-        lines = [header]
-        for r in self.rows:
-            acc = "" if r["accumulated_seminorm"] is None else f"{r['accumulated_seminorm']:.16e}"
-            ol = "" if r["order_l2"] is None else f"{r['order_l2']:.16e}"
-            ob = "" if r["order_beta"] is None else f"{r['order_beta']:.16e}"
-            lines.append(
-                f"{r['n']},{r['h']:.16e},{r['dt']:.16e},"
-                f"{r['l2_error']:.16e},{r['beta_semi_error']:.16e},{acc},{ol},{ob}"
-            )
-        return lines
+        def cell(column, value):  # None (no value yet) is an empty cell
+            return "" if value is None else format(value, "" if column == "n" else ".16e")
+
+        return [",".join(self.COLUMNS)] + [
+            ",".join(cell(c, r[c]) for c in self.COLUMNS) for r in self.rows
+        ]
 
     def fitted_order(self, key: str, last: int = 3) -> float:
         rows = self.rows[-last:]
@@ -146,52 +173,23 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _resolve(args, file_values: dict) -> RunConfig:
-    unknown = sorted(set(file_values) - set(_DEFAULTS))
+    unknown = sorted(set(file_values) - {row.key for row in CONFIG_KEYS} - {"problem.kind"})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def pick(key, cli_value, cast):
-        if cli_value is not None:
-            return cli_value
-        if key in file_values:
-            raw = file_values[key]
-            if cast is bool:
-                if raw.lower() not in _BOOLEANS:
-                    raise ConfigError(f"{key} must be a boolean (1/0, true/false, yes/no, on/off), "
-                                      f"got {raw!r}")
-                return _BOOLEANS[raw.lower()]
-            return cast(raw)
-        return _DEFAULTS[key]
-
-    kind = file_values.get("problem.kind", _DEFAULTS["problem.kind"])
+    kind = file_values.get("problem.kind", "ramp_paper")
     if kind != "ramp_paper":
         raise ConfigError(f"unknown problem.kind {kind!r}; only 'ramp_paper' is available")
-    try:
-        n_list_raw = pick("run.n_list", getattr(args, "n_list", None), str)
-        n_list = [int(s) for s in str(n_list_raw).split(",") if s.strip()] if n_list_raw else []
-        kappa = pick("scheme.cfl_kappa", getattr(args, "cfl_kappa", None), float)
-        cfg = RunConfig(
-            gamma_deg=pick("problem.gamma_deg", args.gamma, float),
-            x0=pick("problem.x0", args.x0, float),
-            t_final=pick("problem.t_final", args.t_final, float),
-            tau=pick("scheme.tau", args.tau, float),
-            cfl_epsilon=pick("scheme.cfl_epsilon", args.cfl_epsilon, float),
-            cfl_kappa=None if kappa in (None, "") else float(kappa),
-            face_order=pick("quad.face_order", args.quad_face_order, int),
-            cell_degree=pick("quad.cell_degree", args.quad_cell_degree, int),
-            n=pick("run.n", getattr(args, "n", None), int),
-            n_list=n_list,
-            seed=pick("run.seed", args.seed, int),
-            out=pick("run.out", args.out, str),
-            accumulate=pick("run.accumulate", getattr(args, "accumulate", None), bool),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {}
+    for row in CONFIG_KEYS:  # CLI > file > default, each through the row's parser
+        raw = getattr(args, row.field, None)
+        if raw is None:
+            raw = file_values.get(row.key, row.default)
+        try:
+            values[row.field] = None if raw is None else row.parse(raw)
+        except ValueError as exc:
+            raise row.error(str(exc)) from exc
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -318,25 +316,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="cutdg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("run", "converge", "verify", "export"):
+    for name in COMMANDS:
         q = sub.add_parser(name)
         q.add_argument("--config", help="flat key=value configuration file")
-        q.add_argument("--gamma", type=float, help="ramp angle in degrees")
-        q.add_argument("--x0", type=float, help="ramp start abscissa")
-        q.add_argument("--t-final", type=float, dest="t_final")
-        q.add_argument("--tau", type=float)
-        q.add_argument("--cfl-epsilon", type=float, dest="cfl_epsilon")
-        q.add_argument("--cfl-kappa", type=float, dest="cfl_kappa")
-        q.add_argument("--seed", type=int)
-        q.add_argument("--out")
-        q.add_argument("--quad-face-order", type=int, dest="quad_face_order")
-        q.add_argument("--quad-cell-degree", type=int, dest="quad_cell_degree")
-        if name in ("run", "export"):
-            q.add_argument("--n", type=int)
-        if name in ("converge", "verify"):
-            q.add_argument("--n-list", dest="n_list")
-        if name == "converge":
-            q.add_argument("--accumulate", action="store_true", default=None)
+        for row in CONFIG_KEYS:
+            if name in row.commands:  # values stay raw text until _resolve parses them
+                store = {"action": "store_const", "const": "true"} if row.parse is _boolean else {}
+                default = "unset" if row.default is None else row.default
+                q.add_argument(row.flag, dest=row.field, help=f"{row.key}, default {default}", **store)
         if name == "run":
             q.add_argument("--diagnostics", action="store_true")
     return p
@@ -351,18 +338,16 @@ def main(argv=None) -> int:
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = _resolve(args, file_values)
-        if args.command == "run":
-            return cmd_run(cfg, diagnostics=getattr(args, "diagnostics", False))
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "export":
-            return cmd_export(cfg)
+        command = {
+            "run": lambda c: cmd_run(c, diagnostics=args.diagnostics),
+            "converge": cmd_converge,
+            "verify": cmd_verify,
+            "export": cmd_export,
+        }[args.command]
+        return command(cfg)
     except (ConfigError, InvalidConfig, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -92,9 +92,7 @@ class FaceIntegralTable:
     wbn: np.ndarray
 
 
-def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule | None = None) -> FaceIntegralTable:
-    if rule is None:
-        rule = SegmentRule.gauss()
+def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceIntegralTable:
     a = mesh.f_endpoints[:, 0, :]
     b = mesh.f_endpoints[:, 1, :]
     pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]

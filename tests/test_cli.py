@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +61,9 @@ class TestConfig:
     @pytest.mark.parametrize("line,key", [
         ("scheme.tua = 2", "scheme.tua"),
         ("run.accumulate = maybe", "run.accumulate"),
+        ("quad.face_order = 2.5", "quad.face_order"),
+        ("problem.gamma_deg = abc", "problem.gamma_deg"),
+        ("scheme.cfl_kappa =", "scheme.cfl_kappa"),
     ])
     def test_bad_config_entry_exits_one(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -101,6 +106,8 @@ class TestConfig:
         (["export", "--n", "3"], "--n"),
         (["converge", "--n-list", "2,8"], "--n-list"),
         (["verify", "--seed", "-1"], "--seed"),
+        (["converge", "--n-list", "8,a"], "--n-list"),
+        (["run", "--gamma", "abc"], "--gamma"),
     ])
     def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
         import cutdg.cli as cli
@@ -110,6 +117,32 @@ class TestConfig:
         assert run(argv + ["--out", str(tmp_path / "r")]) == 1
         assert f"({flag})" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+COMMON_FLAGS = {"--gamma", "--x0", "--t-final", "--tau", "--cfl-epsilon", "--cfl-kappa",
+                "--seed", "--out", "--quad-face-order", "--quad-cell-degree", "--config"}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command,extra", [
+        ("run", {"--n", "--diagnostics"}),
+        ("export", {"--n"}),
+        ("converge", {"--n-list", "--accumulate"}),
+        ("verify", {"--n-list"}),
+    ])
+    def test_flags_per_subcommand(self, command, extra, capsys):
+        assert run([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        flags = re.findall(r"\[(--[a-z0-9-]+)", usage)
+        assert len(flags) == len(set(flags))
+        assert set(flags) == COMMON_FLAGS | extra
+
+    def test_every_field_has_one_row(self):
+        from cutdg.cli import CONFIG_KEYS, RunConfig
+
+        fields = [row.field for row in CONFIG_KEYS]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert len({row.key for row in CONFIG_KEYS}) == len({row.flag for row in CONFIG_KEYS}) == len(fields)
 
 
 class TestExport:

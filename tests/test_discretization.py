@@ -128,7 +128,7 @@ class TestFaceTable:
     def test_rejects_non_tangent_field(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=0.3), 8)
         with pytest.raises(ValueError, match="tangent"):
-            build_face_table(mesh, constant_velocity([1.0, 0.0]))
+            build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
 
     def test_rejects_sign_change_along_a_face(self):
         # beta = (y - 1/2, 0) turns on the vertical faces across y = 1/2,
@@ -140,7 +140,7 @@ class TestFaceTable:
             w1inf_norm=1.0,
         )
         with pytest.raises(ValueError, match="changes sign"):
-            build_face_table(cartesian_mesh(5), shear)
+            build_face_table(cartesian_mesh(5), shear, SegmentRule.gauss())
 
 
 class TestBetaWeightedMean:
@@ -195,7 +195,7 @@ class TestOperator:
 
     def test_reduces_to_1d_upwind_on_cartesian_strip(self):
         mesh = cartesian_mesh(4)
-        table = build_face_table(mesh, constant_velocity([1.0, 0.0]))
+        table = build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
         st = identify_stabilized(mesh, table, 1.0)
         assert len(st) == 0
         A = assemble_dod_matrix(mesh, table, st)
@@ -315,7 +315,7 @@ class TestRhsAndStep:
     def test_unit_inflow_face_contribution(self):
         # beta.n = -1 on the left boundary, g = 1, |e| = h, |F| = h^2 -> 1/h
         mesh = cartesian_mesh(4)
-        table = build_face_table(mesh, constant_velocity([1.0, 0.0]))
+        table = build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
         r = build_inflow(mesh, table).rhs(g, 0.0)
         left_col = mesh.background[:, 0] == 0
@@ -327,7 +327,7 @@ class TestRhsAndStep:
     def test_inflow_operator_matches_face_rule(self, case, scheme_cache):
         if case == "cartesian":
             mesh = cartesian_mesh(8)
-            table = build_face_table(mesh, constant_velocity([1.0, 0.5]))
+            table = build_face_table(mesh, constant_velocity([1.0, 0.5]), SegmentRule.gauss())
         else:
             scheme = (scheme_cache(25.0, 0.2001, 16) if case == "ramp25"
                       else scheme_cache(45.0, 0.2 + 1e-10, 20))

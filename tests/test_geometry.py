@@ -17,6 +17,7 @@ from cutdg.geometry import (
     build_mesh,
     identify_stabilized,
 )
+from cutdg.quadrature import SegmentRule
 from cutdg.verify import check_energy_decay, check_incompressibility
 from polygon_oracle import clip_cell
 
@@ -246,7 +247,7 @@ def assert_admissible_stabilization(mesh, table, stab, tau):
 
 class TestIdentifyStabilized:
     def table(self, mesh):
-        return build_face_table(mesh, ramp_velocity(mesh.domain))
+        return build_face_table(mesh, ramp_velocity(mesh.domain), SegmentRule.gauss())
 
     def test_half_h_legs_excluded(self):
         # legs land exactly on h/2 (dyadic slope/offsets): strict criterion

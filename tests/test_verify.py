@@ -15,6 +15,7 @@ from cutdg.discretization import (
 from cutdg.field import make_ramp_problem
 from cutdg.geometry import RampDomain, build_mesh
 from cutdg.norms import beta_seminorm, h1_norm, triple_star_norm
+from cutdg.quadrature import SegmentRule
 from cutdg import verify as vf
 from velocity_fields import constant_velocity
 
@@ -43,7 +44,7 @@ class TestInverseTrace:
     def test_cartesian_cells_ratio_below_half(self):
         # per-cell inflow mass b*h against the bound 4 b h: ratio 1/4 <= 1/2
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
-        table = build_face_table(mesh, constant_velocity([0.6, 0.0]))
+        table = build_face_table(mesh, constant_velocity([0.6, 0.0]), SegmentRule.gauss())
         sin_mass, sout_mass, _ = vf.cell_flux_sums(
             type("S", (), {"mesh": mesh, "table": table, "velocity": constant_velocity([0.6, 0.0])})()
         )

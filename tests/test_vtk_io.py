@@ -6,6 +6,7 @@ import pytest
 
 from cutdg.discretization import build_face_table
 from cutdg.geometry import RampDomain, build_mesh, identify_stabilized
+from cutdg.quadrature import SegmentRule
 from cutdg.vtk_io import mesh_cell_data, write_vtk
 from velocity_fields import constant_velocity
 
@@ -82,7 +83,7 @@ def meshes(scheme_cache):
     """(mesh, stabilized cells) for a 25 degree ramp, the 45 degree sliver,
     and an 8 x 8 Cartesian grid under a constant velocity."""
     cartesian = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 8)
-    table = build_face_table(cartesian, constant_velocity([1.0, 0.5]))
+    table = build_face_table(cartesian, constant_velocity([1.0, 0.5]), SegmentRule.gauss())
     out = {"cartesian": (cartesian, identify_stabilized(cartesian, table, 1.0))}
     for name, args in (("ramp25", (25.0, 0.2001, 16)), ("sliver45", (45.0, 0.2 + 1e-10, 20))):
         scheme = scheme_cache(*args)
