@@ -83,7 +83,8 @@ CONFIG_KEYS = (
     ConfigKey("run.n", "--n", int, "32", commands=("run", "export"),
               rules=((lambda v: v >= 4, "need at least 4 cells per side"),)),
     ConfigKey("run.n_list", "--n-list", _int_list, "16,32,64", commands=("converge", "verify"),
-              rules=((lambda v: min(v, default=4) >= 4, "need at least 4 cells per side"),
+              rules=((lambda v: len(v) > 0, "must be nonempty"),
+                     (lambda v: min(v) >= 4, "need at least 4 cells per side"),
                      (lambda v: v == sorted(set(v)), "must be strictly increasing"))),
     ConfigKey("run.seed", "--seed", int, "0",
               rules=((lambda v: v >= 0, "must be a nonnegative integer"),)),
@@ -275,8 +276,6 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    if not cfg.n_list:
-        raise ConfigError("converge needs a nonempty --n-list")
     csv_path = f"{cfg.out}_convergence.csv"
     _check_out_dir(csv_path)
     report = converge(cfg)
@@ -296,7 +295,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports = run_all(
         cfg.problem(),
         cfg.scheme_config(),
-        n_values=tuple(cfg.n_list) if cfg.n_list else (16, 32),
+        n_values=tuple(cfg.n_list),
         seed=cfg.seed,
     )
     lines = ["lemma_id,instances,max_ratio,pass"]
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="cutdg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        q = sub.add_parser(name)
+        q = sub.add_parser(name, allow_abbrev=False)  # no flag stands for a longer one
         q.add_argument("--config", help="flat key=value configuration file")
         for row in CONFIG_KEYS:
             if name in row.commands:  # values stay raw text until _resolve parses them

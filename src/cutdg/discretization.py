@@ -335,10 +335,10 @@ def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
 def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
     """Min of |beta.n| over the in/outflow faces of stabilized cells.
 
-    For both fields of `field`, beta.n is affine along a straight face and
-    keeps one sign there (the ramp field is a positive multiple of one
-    direction inside the square), so |beta.n| is least at one of the
-    face's two ends.
+    For the ramp velocity of `field.ramp_velocity`, beta.n is affine along
+    a straight face and keeps one sign there (the field is a positive
+    multiple of one direction inside the square), so |beta.n| is least at
+    one of the face's two ends.
     """
     if not len(st):
         return math.inf

@@ -61,62 +61,44 @@ class RampDomain:
         return 1.0 - 0.5 * self.slope * w * w
 
 
-def _polygon_area(vertices: np.ndarray) -> float:
-    # shoelace in coordinates relative to the first vertex (cancellation-safe
-    # for sliver cells whose extent is ~1e-10 of the coordinate magnitude)
-    v = np.asarray(vertices, dtype=float)
-    x = v[:, 0] - v[0, 0]
-    y = v[:, 1] - v[0, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _clip_squares(corners: np.ndarray, eta: np.ndarray, ramp: RampDomain):
+    """Sutherland-Hodgman clip of m square cells against eta >= 0 at once.
 
-
-def _clip_marked(corners, etas, ramp: RampDomain, eps: float):
-    """Sutherland-Hodgman clip of one square cell against eta >= 0.
-
-    Intersections with grid lines are computed canonically from the line
+    `corners` (m, 4, 2) run counter-clockwise and `eta` (m, 4) holds their
+    snapped distances to the ramp line.  Edge k offers two slots: its
+    crossing of the line, kept on a strict sign change, then its end corner,
+    kept where eta >= 0.  Crossings are computed canonically from the line
     equation so adjacent cells produce bit-identical shared vertices.
-    Returns (vertices, on_line_flags, area); flags mark vertices on the ramp
-    line.  Returns ([], [], 0.0) when no polygon of positive area remains.
+    Returns (poly (m, 5, 2), on_line (m, 5), nv (m,), areas (m,)): the first
+    nv[c] rows of poly[c] are the CCW polygon, on_line flags its vertices on
+    the ramp line, and nv is 0 where no polygon of positive area remains.
     """
-    out: list[tuple[float, float]] = []
-    flags: list[bool] = []
-    k = len(corners)
-    for i in range(k):
-        px, py = corners[i]
-        qx, qy = corners[(i + 1) % k]
-        ep, eq = etas[i], etas[(i + 1) % k]
-        if ep < 0.0 < eq or eq < 0.0 < ep:
-            if px == qx:  # vertical grid edge
-                ix, iy = px, ramp.slope * (px - ramp.x0)
-            else:  # horizontal grid edge
-                ix, iy = ramp.x0 + py / ramp.slope, py
-            out.append((ix, iy))
-            flags.append(True)
-        if eq >= 0.0:
-            out.append((qx, qy))
-            flags.append(eq == 0.0)
-    # drop duplicate and collinear vertices
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        m = len(out)
-        for i in range(m):
-            ax, ay = out[i - 1]
-            bx, by = out[i]
-            if max(abs(bx - ax), abs(by - ay)) <= eps:
-                flags[i - 1] = flags[i - 1] or flags[i]
-                del out[i], flags[i]
-                changed = True
-                break
-            cx, cy = out[(i + 1) % m]
-            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            span = max(abs(bx - ax), abs(by - ay), abs(cx - bx), abs(cy - by))
-            if abs(cross) <= eps * span:
-                del out[i], flags[i]
-                changed = True
-                break
-    area = _polygon_area(out) if len(out) >= 3 else 0.0
-    return (out, flags, area) if area > 0.0 else ([], [], 0.0)
+    q, eq = np.roll(corners, -1, axis=1), np.roll(eta, -1, axis=1)
+    px, py = corners[..., 0], corners[..., 1]
+    vertical = px == q[..., 0]
+    crossing = np.stack([np.where(vertical, px, ramp.x0 + py / ramp.slope),
+                         np.where(vertical, ramp.slope * (px - ramp.x0), py)], axis=-1)
+    slots = np.stack([crossing, q], axis=2).reshape(-1, 8, 2)
+    strict = (np.minimum(eta, eq) < 0.0) & (np.maximum(eta, eq) > 0.0)
+    kept = np.stack([strict, eq >= 0.0], axis=2).reshape(-1, 8)
+    flags = np.stack([np.ones_like(strict), eq == 0.0], axis=2).reshape(-1, 8)
+    nv = np.count_nonzero(kept, axis=1)
+    if np.any(nv > 5):
+        raise AssertionError(f"half-plane clip of a square produced {nv.max()} vertices")
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :5]
+    poly = np.take_along_axis(slots, order[..., None], axis=1)
+    on_line = np.take_along_axis(flags, order, axis=1)
+    # shoelace relative to vertex 0 (cancellation-safe for 1e-10 slivers), per
+    # vertex count so each dot product sums the same terms as one cell's would
+    areas = np.zeros(len(nv))
+    for k in (3, 4, 5):
+        rows = np.flatnonzero(nv == k)
+        x = poly[rows, :k, 0] - poly[rows, :1, 0]
+        y = poly[rows, :k, 1] - poly[rows, :1, 1]
+        areas[rows] = 0.5 * (np.vecdot(x, np.roll(y, -1, axis=1))
+                             - np.vecdot(y, np.roll(x, -1, axis=1)))
+    nv[areas <= 0.0] = 0
+    return poly, on_line, nv, areas
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +119,10 @@ class CutCellMesh:
 
     A face is either a grid edge, shared by the cells on its two sides, or
     the piece of the ramp line inside one cut cell.  `build_mesh` asserts
-    3 to 5 vertices per cell, convex CCW polygons, at most two cells per
-    face with matching endpoints, no interior face on the ramp, and that the
-    cell areas partition the domain.  The mesh is never mutated and may be
-    shared across threads.
+    3 to 5 vertices per cell, edges longer than 1e-12 h, convex CCW polygons,
+    at most two cells per face with matching endpoints, no interior face on
+    the ramp, and that the cell areas partition the domain.  The mesh is
+    never mutated and may be shared across threads.
     """
 
     domain: RampDomain
@@ -182,9 +164,10 @@ class CutCellMesh:
 def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     """Clip an n x n background grid against the ramp and assemble faces.
 
-    Cells above the ramp line are copied from the grid; only the O(n) cells
-    that straddle it are clipped.  Raises DegenerateGeometry if the ramp does
-    not exit through the right edge of the square, and ValueError for n < 4.
+    Cells above the ramp line are copied from the grid; the O(n) cells that
+    straddle it are clipped together in one array pass.  Raises
+    DegenerateGeometry if the ramp does not exit through the right edge of
+    the square, and ValueError for n < 4.
     """
     if n < 4:
         raise ValueError(f"need at least 4 cells per side, got n={n}")
@@ -217,14 +200,8 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     on_line[:, :4] = corner_eta == 0.0
     nv = np.full(len(bi), 4)
     areas = np.diff(xs)[bi] * np.diff(ys)[bj]
-    for c in np.nonzero(corner_eta.min(axis=1) < 0.0)[0]:
-        out, flags, area = _clip_marked(poly[c, :4].tolist(), corner_eta[c].tolist(), ramp, eps)
-        if len(out) > 5:
-            raise AssertionError(f"half-plane clip of a square produced {len(out)} vertices")
-        nv[c] = len(out)
-        if out:
-            poly[c, :nv[c]], on_line[c, :nv[c]] = out, flags
-            areas[c] = area
+    cut = np.flatnonzero(corner_eta.min(axis=1) < 0.0)
+    poly[cut], on_line[cut], nv[cut], areas[cut] = _clip_squares(poly[cut, :4], corner_eta[cut], ramp)
     keep = nv > 0
     bi, bj, nv, areas = bi[keep], bj[keep], nv[keep], areas[keep]
     slot = np.arange(5) < nv[:, None]
@@ -242,6 +219,10 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
     a, b = vertices, vertices[nxt]
     d = b - a
+    short = np.abs(d).max(axis=1) <= eps
+    if np.any(short):
+        c = cell[np.argmax(short)]
+        raise AssertionError(f"cell ({bi[c]},{bj[c]}) has an edge no longer than {eps:.3e}")
     cross = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
     if np.any(cross < -eps * h):
         c = cell[np.argmax(cross < -eps * h)]

@@ -1,10 +1,10 @@
 """Per-polygon oracles: cell quadrature, the oracle the vectorized cell
 table is checked against (one convex polygon at a time, fan-triangulated from
 its vertex 0 with a `TriangleRule` on each triangle), and the clip of one
-square cell against the ramp."""
+square cell against the ramp with its per-cell reference."""
 import numpy as np
 
-from cutdg.geometry import RampDomain, _clip_marked
+from cutdg.geometry import RampDomain, _clip_squares
 from cutdg.quadrature import TriangleRule
 
 
@@ -45,18 +45,48 @@ def integrate_cell(vertices, integrand, rule: TriangleRule | None = None) -> flo
     return float(np.dot(wts, vals))
 
 
+def _snapped_corners(square_cell, ramp: RampDomain):
+    corners = np.asarray(square_cell, dtype=float)
+    h = max(abs(corners[1, 0] - corners[0, 0]), abs(corners[1, 1] - corners[0, 1]))
+    etas = ramp.signed_distance(corners)
+    etas[np.abs(etas) <= 1e-12 * h] = 0.0
+    return corners, etas
+
+
 def clip_cell(square_cell, ramp: RampDomain) -> np.ndarray:
     """Clip an axis-aligned square cell against the retained half-plane.
 
-    Returns the counter-clockwise intersection polygon (collinear duplicates
-    removed), or an empty (0, 2) array if the cell lies below the ramp.
+    The corners run counter-clockwise.  Returns the counter-clockwise
+    intersection polygon from the mesh builder's array clip, or an empty
+    (0, 2) array if the cell lies below the ramp.
     """
-    corners = [tuple(map(float, p)) for p in np.asarray(square_cell, dtype=float)]
-    h = max(abs(corners[1][0] - corners[0][0]), abs(corners[1][1] - corners[0][1]))
-    eps = 1e-12 * h
-    etas = [float(ramp.signed_distance(p)) for p in corners]
-    etas = [0.0 if abs(e) <= eps else e for e in etas]
-    if min(etas) >= 0.0:
-        return np.asarray(corners)
-    out, _, _ = _clip_marked(corners, etas, ramp, eps)
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+    corners, etas = _snapped_corners(square_cell, ramp)
+    if etas.min() >= 0.0:
+        return corners
+    poly, _, nv, _ = _clip_squares(corners[None], etas[None], ramp)
+    return poly[0, :nv[0]]
+
+
+def clip_cell_reference(square_cell, ramp: RampDomain) -> np.ndarray:
+    """Per-cell Sutherland-Hodgman reference for `clip_cell` on a cell the
+    ramp line crosses: edge k in turn appends its strict crossing of the
+    line, then its end corner if that is retained.  Empty (0, 2) when no
+    polygon of positive area remains."""
+    corners, etas = _snapped_corners(square_cell, ramp)
+    out = []
+    for k in range(4):
+        (px, py), (qx, qy) = corners[k], corners[(k + 1) % 4]
+        ep, eq = etas[k], etas[(k + 1) % 4]
+        if ep < 0.0 < eq or eq < 0.0 < ep:
+            if px == qx:  # vertical grid edge
+                out.append((px, ramp.slope * (px - ramp.x0)))
+            else:
+                out.append((ramp.x0 + py / ramp.slope, py))
+        if eq >= 0.0:
+            out.append((qx, qy))
+    poly = np.asarray(out, dtype=float).reshape(-1, 2)
+    if len(poly) < 3:
+        return np.zeros((0, 2))
+    x, y = poly[:, 0] - poly[0, 0], poly[:, 1] - poly[0, 1]
+    area = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return poly if area > 0.0 else np.zeros((0, 2))

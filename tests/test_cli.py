@@ -93,8 +93,16 @@ class TestConfig:
         assert str(tmp_path / "missing") in err
         assert not (tmp_path / "missing").exists()
 
-    def test_unknown_flag_exits_one(self, capsys):
-        assert run(["run", "--nope", "1"]) == 1
+    def test_unknown_flag_exits_one(self, monkeypatch, capsys):
+        import cutdg.cli as cli
+
+        for work in ("DoDScheme", "converge", "run_all"):
+            monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
+        # a flag the subcommand lacks is unknown, not short for a longer one
+        for argv in (["run", "--nope", "1"], ["converge", "--n", "8"], ["verify", "--n", "64"],
+                     ["run", "--diag"]):
+            assert run(argv) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_decreasing_n_list_exits_one(self):
         assert run(["converge", "--n-list", "16,8"]) == 1
@@ -108,6 +116,8 @@ class TestConfig:
         (["verify", "--seed", "-1"], "--seed"),
         (["converge", "--n-list", "8,a"], "--n-list"),
         (["run", "--gamma", "abc"], "--gamma"),
+        (["converge", "--n-list", ""], "--n-list"),
+        (["verify", "--n-list", ""], "--n-list"),
     ])
     def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
         import cutdg.cli as cli

@@ -12,6 +12,7 @@ from cutdg.geometry import (
     DegenerateGeometry,
     F_INTERIOR,
     F_RAMP,
+    K_CARTESIAN,
     K_CUT3,
     RampDomain,
     build_mesh,
@@ -19,7 +20,7 @@ from cutdg.geometry import (
 )
 from cutdg.quadrature import SegmentRule
 from cutdg.verify import check_energy_decay, check_incompressibility
-from polygon_oracle import clip_cell
+from polygon_oracle import clip_cell, clip_cell_reference
 
 
 def shoelace(poly):
@@ -74,6 +75,26 @@ class TestClipCell:
         ramp = RampDomain(gamma=math.pi / 4, x0=1e-14, slope=1.0)
         poly = clip_cell([(0, 0), (h, 0), (h, h), (0, h)], ramp)
         assert len(poly) == 3
+
+    @pytest.mark.parametrize("ramp,n", [
+        (RampDomain(math.radians(25.0), 0.2001), 16),
+        (RampDomain(math.radians(5.0), 0.25 + 1e-15), 16),
+        (RampDomain(math.radians(45.0), 0.2 + 1e-10), 20),
+        (diag45(0.25), 8),
+    ])
+    def test_matches_per_cell_reference(self, ramp, n):
+        # every cell with a corner below the ramp line after snapping
+        h = 1.0 / n
+        crossed = 0
+        for i in range(n):
+            for j in range(n):
+                cell = [(i * h, j * h), ((i + 1) * h, j * h),
+                        ((i + 1) * h, (j + 1) * h), (i * h, (j + 1) * h)]
+                if ramp.signed_distance(np.asarray(cell)).min() >= -1e-12 * h:
+                    continue
+                crossed += 1
+                np.testing.assert_array_equal(clip_cell(cell, ramp), clip_cell_reference(cell, ramp))
+        assert crossed > 0
 
 
 class TestBuildMesh:
@@ -173,6 +194,36 @@ class TestBuildMesh:
         mesh = build_mesh(ramp, 40)
         assert mesh.total_area() == pytest.approx(ramp.area(), rel=1e-12)
         assert float(mesh.areas.min()) / mesh.h**2 < 1e-8
+
+    @pytest.mark.parametrize("gamma_deg,slope", [
+        (1e-6, None), (5.0, None), (25.0, None), (80.0, None), (89.9, None), (45.0, 1.0),
+    ])
+    def test_clipped_cells_need_no_repair(self, gamma_deg, slope):
+        # x0 on a grid node or a hair off one: no clipped polygon has a
+        # vertex within eps of the next or three collinear consecutive
+        # vertices, the two cases a per-cell clip would have to repair
+        clipped = 0
+        for n in (4, 7, 16):
+            eps = 1e-12 / n
+            for k in range(n + 1):
+                for offset in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-10, -1e-10):
+                    x0 = k / n + offset
+                    if not 0.0 <= x0 <= 1.0:
+                        continue
+                    ramp = RampDomain(math.radians(gamma_deg), x0, slope)
+                    if ramp.slope * (1.0 - x0) > 1.0 + 1e-12:
+                        continue
+                    mesh = build_mesh(ramp, n)
+                    nxt = np.arange(1, len(mesh.vertices) + 1)
+                    nxt[mesh.cell_ptr[1:] - 1] = mesh.cell_ptr[:-1]
+                    d = mesh.vertices[nxt] - mesh.vertices
+                    step = np.abs(d).max(axis=1)
+                    cross = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+                    assert np.all(step > eps)
+                    assert np.all(np.abs(cross) > eps * np.maximum(step, step[nxt]))
+                    assert abs(mesh.total_area() - ramp.area()) <= 1e-12 * ramp.area()
+                    clipped += np.count_nonzero(mesh.kind_codes != K_CARTESIAN)
+        assert clipped > 0
 
 
 @st.composite
