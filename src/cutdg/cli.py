@@ -20,7 +20,7 @@ import numpy as np
 
 from .discretization import DoDScheme, InvalidConfig, SchemeConfig
 from .field import make_ramp_problem
-from .norms import beta_seminorm, error_breakdown
+from .norms import error_breakdown, error_seminorm
 from .quadrature import QuadratureConfig
 from .verify import run_all
 from .vtk_io import mesh_cell_data, write_vtk
@@ -76,10 +76,14 @@ CONFIG_KEYS = (
     ConfigKey("scheme.tau", "--tau", float, "1.0"),
     ConfigKey("scheme.cfl_epsilon", "--cfl-epsilon", float, "0.25"),
     ConfigKey("scheme.cfl_kappa", "--cfl-kappa", float, None),
+    # upper bounds: 16 points per face (4 by default); degree 20 puts
+    # 11 x 11 points on every triangle and uncut square (4 x 4 by default)
     ConfigKey("quad.face_order", "--quad-face-order", int, "4",
-              rules=((lambda v: v >= 1, "need at least 1 point per face"),)),
+              rules=((lambda v: v >= 1, "need at least 1 point per face"),
+                     (lambda v: v <= 16, "need at most 16 points per face"))),
     ConfigKey("quad.cell_degree", "--quad-cell-degree", int, "6",
-              rules=((lambda v: v >= 1, "need degree >= 1"),)),
+              rules=((lambda v: v >= 1, "need degree >= 1"),
+                     (lambda v: v <= 20, "need degree <= 20"))),
     ConfigKey("run.n", "--n", int, "32", commands=("run", "export"),
               rules=((lambda v: v >= 4, "need at least 4 cells per side"),)),
     ConfigKey("run.n_list", "--n-list", _int_list, "16,32,64", commands=("converge", "verify"),
@@ -251,7 +255,7 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
         def accumulate(k, t, u, dt_k):
             # left-endpoint rule for int_0^T |u(t) - u_h(t)|_beta^2 dt
             nonlocal acc2
-            acc2 += dt_k * beta_seminorm(scheme, (lambda p: problem.exact(t, p), -u)) ** 2
+            acc2 += dt_k * error_seminorm(scheme, t, u) ** 2
 
         result = scheme.solve(observer=accumulate if cfg.accumulate else None)
         acc = math.sqrt(acc2) if cfg.accumulate else None

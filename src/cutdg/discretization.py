@@ -196,8 +196,22 @@ def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarra
     qpoints, wbn, abs_flux = table.qpoints, table.wbn, table.abs_flux
     if faces is not None:
         qpoints, wbn, abs_flux = qpoints[faces], wbn[faces], abs_flux[faces]
-    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(wbn.shape)
-    num = (np.abs(wbn) * vals).sum(axis=1)
+    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float)
+    return weighted_face_means(np.abs(wbn), vals, abs_flux)
+
+
+def weighted_face_means(abs_wbn, vals, abs_flux) -> np.ndarray:
+    """Per face, the |w beta.n|-weighted mean of the values at its quadrature
+    points; zero on zero-flux faces.
+
+    The products are added column by column, left to right: that is the
+    order numpy sums rows shorter than 8 in, so up to 7 points per face the
+    means have the bits of a row sum, at a fraction of its cost.
+    """
+    prod = abs_wbn * np.reshape(vals, abs_wbn.shape)
+    num = prod[:, 0].copy()
+    for j in range(1, prod.shape[1]):
+        num += prod[:, j]
     return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)
 
 
@@ -284,6 +298,111 @@ def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
+class JumpSeminorm:
+    """The constant face structure of the beta-seminorm, built once per scheme.
+
+    |v|_beta^2 is the sum of three parts: `plain`, the |beta.n|-weighted
+    squared jumps on the faces that are no leg of a stabilized cell;
+    `capacity`, those on the legs e_in and e_out weighted by alpha; and
+    `extended`, (1 - alpha) |flux(e_out)| times the squared extended jump,
+    the downwind-neighbor mean on e_out minus the inflow-neighbor mean on
+    e_in.  A smooth part of v is single-valued, so it cancels from every
+    interior jump and enters only through the side means on the jump faces
+    (the boundary faces with flux and the legs).
+
+    Every jump is x[left] - x[right] of the vector
+    x = [discrete part, 0, whole-element mean on each boundary jump face]:
+    an interior face pairs its two cells, a boundary jump face its slot
+    with the 0, and a zero-flux boundary face its cell with the 0.  The
+    extended jumps read the (jump faces, 2) side means at the flat indices
+    `ext_out` and `ext_in`.  The jump faces' |w beta.n| and fluxes give
+    the smooth means from values at their quadrature points.
+    """
+
+    n_cells: int
+    boundary: np.ndarray  # positions of the boundary faces among the jump faces
+    plain_left: np.ndarray
+    plain_right: np.ndarray
+    plain_weight: np.ndarray  # |flux| of each plain face
+    leg_left: np.ndarray  # e_in of every stabilized cell, then e_out
+    leg_right: np.ndarray
+    leg_weight: np.ndarray
+    alpha: np.ndarray
+    ext_out: np.ndarray
+    ext_in: np.ndarray
+    ext_weight: np.ndarray  # (1 - alpha) |flux(e_out)|
+    abs_wbn: np.ndarray  # (jump faces, points per face)
+    abs_flux: np.ndarray  # |flux| of each jump face
+
+    def parts(self, disc, jump_means: np.ndarray):
+        """(plain, capacity, extended) for the discrete part `disc` (None
+        for none) and the side means `jump_means` of the whole element on
+        the jump faces; one value per row for a block."""
+        lead = jump_means.shape[:-2]
+        disc = np.zeros(self.n_cells) if disc is None else disc
+        x = np.concatenate(
+            [disc, np.zeros(lead + (1,)), jump_means[..., self.boundary, 0]], axis=-1
+        )
+
+        def squared_jumps(left, right, weight):
+            # in place: fresh block-sized temporaries cost more than the arithmetic
+            jump = np.take(x, left, axis=-1)
+            jump -= np.take(x, right, axis=-1)
+            np.square(jump, out=jump)
+            jump *= weight
+            return jump
+
+        plain = squared_jumps(self.plain_left, self.plain_right, self.plain_weight).sum(axis=-1)
+        legs = squared_jumps(self.leg_left, self.leg_right, self.leg_weight)
+        k = len(self.alpha)
+        capacity = (self.alpha * (legs[..., :k] + legs[..., k:])).sum(axis=-1)
+        flat = jump_means.reshape(lead + (-1,))
+        ext = np.take(flat, self.ext_out, axis=-1) - np.take(flat, self.ext_in, axis=-1)
+        extended = (self.ext_weight * np.square(ext)).sum(axis=-1)
+        return plain, capacity, extended
+
+    def smooth_means(self, vals) -> np.ndarray:
+        """Jump-face means of a smooth function from its values at the jump
+        faces' quadrature points."""
+        return weighted_face_means(self.abs_wbn, vals, self.abs_flux)
+
+
+def build_jump_seminorm(
+    mesh: CutCellMesh, table: FaceIntegralTable, st: StabilizedCells, jump_faces: np.ndarray
+) -> JumpSeminorm:
+    n = mesh.n_cells
+    boundary = np.flatnonzero(mesh.f_right[jump_faces] < 0)
+    left = mesh.f_left.copy()
+    left[jump_faces[boundary]] = n + 1 + np.arange(len(boundary))
+    right = np.where(mesh.f_right >= 0, mesh.f_right, n)
+    legs = np.concatenate([st.e_in, st.e_out])
+    plain = np.ones(mesh.n_faces, dtype=bool)
+    plain[legs] = False
+    plain = np.flatnonzero(plain)
+    # the extended jump takes the trace from across e_out and from behind e_in
+    at = np.searchsorted(jump_faces, legs)
+    side = np.concatenate([table.flux_in[st.e_in] <= 0.0, table.flux_in[st.e_out] > 0.0])
+    flat = 2 * at + side
+    k = len(st)
+    return JumpSeminorm(
+        n_cells=n,
+        boundary=boundary,
+        plain_left=left[plain],
+        plain_right=right[plain],
+        plain_weight=table.abs_flux[plain],
+        leg_left=left[legs],
+        leg_right=right[legs],
+        leg_weight=table.abs_flux[legs],
+        alpha=st.alpha,
+        ext_out=flat[k:],
+        ext_in=flat[:k],
+        ext_weight=(1.0 - st.alpha) * table.abs_flux[st.e_out],
+        abs_wbn=np.abs(table.wbn[jump_faces]),
+        abs_flux=table.abs_flux[jump_faces],
+    )
+
+
+@dataclass(frozen=True)
 class InflowOperator:
     """Inflow-data contribution to the update, -|F|^-1 int min(beta.n, 0) g.
 
@@ -300,14 +419,14 @@ class InflowOperator:
     points: np.ndarray
     matrix: sp.csr_matrix
 
-    def values(self, g, t: float) -> np.ndarray:
-        """The contribution on `cells`, in their order."""
-        return self.matrix @ np.asarray(g(t, self.points), dtype=float)
+    def values(self, data) -> np.ndarray:
+        """The contribution on `cells`, in their order, of the data at `points`."""
+        return self.matrix @ np.asarray(data, dtype=float)
 
-    def rhs(self, g, t: float) -> PiecewiseConstantField:
+    def rhs(self, data) -> PiecewiseConstantField:
         """The contribution on every cell; zero off the inflow boundary."""
         out = np.zeros(self.n_cells)
-        out[self.cells] = self.values(g, t)
+        out[self.cells] = self.values(data)
         return out
 
 
@@ -361,11 +480,15 @@ class DoDScheme:
     """Assembled discretization for one problem/mesh pair.
 
     Bundles the mesh, face table, stabilized-cell table `records`, the
-    beta-seminorm's `jump_faces`, operator matrix, inflow operator and
-    quadrature caches; everything is built once
-    and treated as immutable, so a scheme can be shared by solves, norms, and
-    verification checks.  The one mutable part is the cache of
-    `step_matrix`, which only ever holds I - dt A for the last dt.
+    beta-seminorm's `jump_faces` and face structure `seminorm`, operator
+    matrix, inflow operator and quadrature caches, and the characteristic
+    coordinates of the inflow and jump-face quadrature points
+    (`inflow_chars`, `jump_chars`), on which the inflow data of every step
+    and the exact solution of every error seminorm are evaluated.
+    Everything is built once and treated as immutable, so a scheme can be
+    shared by solves, norms, and verification checks.  The one mutable
+    part is the cache of `step_matrix`, which only ever holds I - dt A for
+    the last dt.
     """
 
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
@@ -382,8 +505,11 @@ class DoDScheme:
         jump = (self.mesh.f_right < 0) & (self.table.abs_flux > 0.0)
         jump[self.records.e_in] = jump[self.records.e_out] = True
         self.jump_faces = np.flatnonzero(jump)
+        self.seminorm = build_jump_seminorm(self.mesh, self.table, self.records, self.jump_faces)
+        self.jump_chars = problem.characteristics(self.table.qpoints[self.jump_faces].reshape(-1, 2))
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
         self.inflow = build_inflow(self.mesh, self.table)
+        self.inflow_chars = problem.characteristics(self.inflow.points)
         self._step_dt: float | None = None
         self._step_S: sp.csr_matrix | None = None
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
@@ -415,7 +541,7 @@ class DoDScheme:
     def rhs(self, t: float) -> PiecewiseConstantField:
         if self.problem.zero_inflow:
             return np.zeros(self.mesh.n_cells)
-        return self.inflow.rhs(self.problem.g, t)
+        return self.inflow.rhs(self.problem.g_from(t, self.inflow_chars))
 
     def cfl_dt(self) -> float:
         return cfl_dt(self.mesh, self.velocity, self.config)
@@ -438,7 +564,8 @@ class DoDScheme:
         inflow data added on the inflow cells only."""
         out = self.step_matrix(dt) @ u
         if not self.problem.zero_inflow:
-            out[self.inflow.cells] += dt * self.inflow.values(self.problem.g, t)
+            data = self.problem.g_from(t, self.inflow_chars)
+            out[self.inflow.cells] += dt * self.inflow.values(data)
         return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:

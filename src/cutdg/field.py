@@ -65,6 +65,20 @@ def ramp_velocity(ramp: RampDomain) -> VelocityField:
 
 
 @dataclass(frozen=True)
+class Characteristics:
+    """What u(t, .) needs of a fixed set of points: each point's ramp-aligned
+    coordinate xi and the speed (2 - eta)/2 of the streamline through it.
+
+    A scheme builds these once for the point sets it evaluates on every
+    step or norm (the inflow and jump-face quadrature points); the exact
+    solution on them is then one affine combination and one sine.
+    """
+
+    xi: np.ndarray
+    speed: np.ndarray
+
+
+@dataclass(frozen=True)
 class RampTestProblem:
     """Ramp advection problem: geometry, velocity, data, and exact solution."""
 
@@ -92,14 +106,21 @@ class RampTestProblem:
     def u0_gradient(self, pts: np.ndarray) -> np.ndarray:
         return self.exact_gradient(0.0, pts)
 
+    def characteristics(self, pts: np.ndarray) -> Characteristics:
+        xi, eta = self.rotated(pts)
+        return Characteristics(xi, 0.5 * (2.0 - eta))
+
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """u(t, p) = u0 at the foot of the characteristic through p.
+        """u(t, p) = u0 at the foot of the characteristic through p."""
+        return self.exact_from(t, self.characteristics(pts))
+
+    def exact_from(self, t: float, chars: Characteristics) -> np.ndarray:
+        """u(t, .) on the points of `chars`.
 
         The speed along a streamline eta = const is (2 - eta)/2, so the
         solution is the initial wave evaluated at xi - (2 - eta)/2 * t.
         """
-        xi, eta = self.rotated(pts)
-        return self._wave(xi - 0.5 * (2.0 - eta) * t)
+        return self._wave(chars.xi - chars.speed * t)
 
     def exact_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
         g, x0 = self.ramp.gamma, self.ramp.x0
@@ -114,10 +135,13 @@ class RampTestProblem:
 
     def g(self, t: float, pts: np.ndarray) -> np.ndarray:
         """Inflow boundary data: trace of the exact solution (or zero)."""
-        p = np.asarray(pts, dtype=float)
+        return self.g_from(t, self.characteristics(pts))
+
+    def g_from(self, t: float, chars: Characteristics) -> np.ndarray:
+        """The inflow data `g` on the points of `chars`."""
         if self.zero_inflow:
-            return np.zeros(p.shape[:-1])
-        return self.exact(t, p)
+            return np.zeros(np.shape(chars.xi))
+        return self.exact_from(t, chars)
 
     def with_zero_inflow(self) -> "RampTestProblem":
         return replace(self, zero_inflow=True)

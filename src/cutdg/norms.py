@@ -6,13 +6,18 @@ alpha and an extended jump (downwind-neighbor mean minus inflow-neighbor
 mean) weighted by 1 - alpha.  Every norm takes a block of discrete fields
 as well as a single one and then returns one value per row.
 
-The smooth part of a V* element is single-valued, so it cancels from every
-interior jump: the seminorm takes those jumps from the discrete part alone
-and needs the smooth part only on boundary faces and on the legs of
-stabilized cells.  `beta_seminorm`, and so `error_breakdown`, evaluates it
-on the scheme's `jump_faces` only, a few percent of the faces; the starred
-norm needs its mean on every face anyway and gives those means to the same
-formula.
+The formula has one implementation, `scheme.seminorm` (a
+`discretization.JumpSeminorm`, built once with the scheme): a few gathers
+and sums over its fixed face index pairs and weights.  The smooth part of
+a V* element is single-valued, so it cancels from every interior jump: the
+seminorm takes those jumps from the discrete part alone and needs the
+smooth part only on the scheme's `jump_faces`, the boundary faces with flux
+and the legs of stabilized cells, a few percent of the faces.  `beta_seminorm`
+evaluates a smooth part there only; `error_seminorm`, and so
+`error_breakdown` and `converge --accumulate`, takes the exact solution
+there from the scheme's cached characteristic coordinates of those points
+(`jump_chars`); the starred norm needs a smooth part's mean on every face
+anyway and gives the jump faces' means to the same formula.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DoDScheme, face_side_means, per_field, smooth_face_means, split_parts
+from .discretization import DoDScheme, face_side_means, per_field, split_parts
 from .quadrature import CellQuadratureTable
 
 
@@ -60,37 +65,6 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
     return per_field(np.reshape(sq, disc.shape[:-1]))
 
 
-def _seminorm_parts(
-    scheme: DoDScheme, disc_means: np.ndarray, means: np.ndarray
-) -> tuple[float, float, float]:
-    """(plain, capacity-weighted, extended-jump) parts of the squared
-    seminorm; one value per row for the (fields, faces, 2) means of a block.
-
-    `disc_means` are the side means of the discrete part and `means` those
-    of the whole element (`face_side_means`).  A smooth part is
-    single-valued, so the interior jumps come from `disc_means`; `means` is
-    read only on boundary faces and on the legs of stabilized cells.
-    """
-    mesh, table, st = scheme.mesh, scheme.table, scheme.records
-    # |beta.n|-weighted squared jump per face; one-sided on the boundary
-    jump = np.where(mesh.f_right >= 0, disc_means[..., 0] - disc_means[..., 1], means[..., 0])
-    face_sq = table.abs_flux * np.square(jump)
-    stab_faces = np.zeros(mesh.n_faces, dtype=bool)
-    stab_faces[st.e_in] = True
-    stab_faces[st.e_out] = True
-    plain = np.compress(~stab_faces, face_sq, axis=-1).sum(axis=-1)
-    capacity = (st.alpha * (np.take(face_sq, st.e_in, axis=-1)
-                            + np.take(face_sq, st.e_out, axis=-1))).sum(axis=-1)
-    # extended jump: mean from the downwind neighbor on e_out minus the mean
-    # from the inflow neighbor on e_in (both are upwind/downwind traces of
-    # their faces)
-    m_out, m_in = np.take(means, st.e_out, axis=-2), np.take(means, st.e_in, axis=-2)
-    v_out = np.where(table.flux_in[st.e_out] > 0.0, m_out[..., 1], m_out[..., 0])
-    v_in = np.where(table.flux_in[st.e_in] > 0.0, m_in[..., 0], m_in[..., 1])
-    extended = ((1.0 - st.alpha) * table.abs_flux[st.e_out] * np.square(v_out - v_in)).sum(axis=-1)
-    return per_field(plain), per_field(capacity), per_field(extended)
-
-
 def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
     int_e |beta.n| (own-trace mean)^2 over its faces; one value per row for
@@ -106,37 +80,44 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
     """(plain, capacity-weighted, extended-jump) parts of the squared
     seminorm; a smooth part of v is evaluated on `scheme.jump_faces` only."""
-    smooth, disc = split_parts(v)
-    disc_means = face_side_means(scheme.mesh, scheme.table, (None, disc))
-    means = disc_means
-    if smooth is not None:
-        faces = scheme.jump_faces
-        means = disc_means.copy()
-        means[..., faces, :] += smooth_face_means(scheme.table, smooth, faces)[:, None]
-    return _seminorm_parts(scheme, disc_means, means)
+    means = face_side_means(scheme.mesh, scheme.table, v, scheme.jump_faces)
+    parts = scheme.seminorm.parts(split_parts(v)[1], means)
+    return tuple(per_field(p) for p in parts)
+
+
+def _squared(parts):
+    plain, capacity, extended = parts
+    return np.maximum(plain + capacity + extended, 0.0)
 
 
 def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
-    plain, capacity, extended = beta_seminorm_parts(scheme, v)
-    return per_field(np.sqrt(np.maximum(plain + capacity + extended, 0.0)))
+    return per_field(np.sqrt(_squared(beta_seminorm_parts(scheme, v))))
 
 
-def triple_star_norm(scheme: DoDScheme, v, means=None) -> float | np.ndarray:
+def error_seminorm(scheme: DoDScheme, t: float, u_h) -> float | np.ndarray:
+    """|u(t, .) - u_h|_beta against the problem's exact solution, which is
+    evaluated from the scheme's characteristic coordinates of the jump
+    faces' quadrature points; one value per row for a block of u_h."""
+    disc = -np.asarray(u_h, dtype=float)
+    s = scheme.seminorm.smooth_means(scheme.problem.exact_from(t, scheme.jump_chars))
+    means = face_side_means(scheme.mesh, scheme.table, disc, scheme.jump_faces)
+    means += np.stack([s, s], axis=-1)
+    return per_field(np.sqrt(_squared(scheme.seminorm.parts(disc, means))))
+
+
+def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np.ndarray:
     """(||v||^2 + |v|_beta^2 + capacity-weighted cell-boundary |beta.n|
     mass)^(1/2), from one pass over the cell points and one over the face
     points (each part of v is evaluated once per point set); one value per
     row for a block of discrete parts.  `means` is `face_side_means` of v
-    when the caller already has it."""
-    smooth, disc = split_parts(v)
-    l2_sq = l2_norm_squared(scheme, v)
+    and `l2_sq` is `l2_norm_squared` of v when the caller already has them."""
+    if l2_sq is None:
+        l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
     if means is None:
         means = face_side_means(scheme.mesh, scheme.table, v)
-    disc_means = (means if smooth is None
-                  else face_side_means(scheme.mesh, scheme.table, (None, disc)))
-    plain, capacity, extended = _seminorm_parts(scheme, disc_means, means)
-    semi_sq = np.maximum(plain + capacity + extended, 0.0)
-    return per_field(np.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means)))
+    parts = scheme.seminorm.parts(split_parts(v)[1], np.take(means, scheme.jump_faces, axis=-2))
+    return per_field(np.sqrt(l2_sq + _squared(parts) + _boundary_mass(scheme, means)))
 
 
 def h1_norm(scheme: DoDScheme, f, grad) -> float:
@@ -151,7 +132,7 @@ def h1_norm(scheme: DoDScheme, f, grad) -> float:
 
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:
     """L2 norm and beta-seminorm of u(t, .) - u_h against the problem's
-    exact solution, which is evaluated on the cell points and on the
-    scheme's `jump_faces`."""
+    exact solution, which is evaluated once on the cell points and once on
+    the jump faces' points (`error_seminorm`)."""
     diff = (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float))
-    return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), beta_seminorm(scheme, diff))
+    return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), error_seminorm(scheme, t, u_h))

@@ -320,15 +320,19 @@ def check_projection(
     for n in n_values:
         scheme = (schemes or {}).get(n) or DoDScheme(problem, config, n)
         exact = partial(scheme.problem.exact, 0.0)
-        diff = (exact, -l2_project(scheme.mesh, exact, scheme.cellquad))
+        # u(0, .) on the cell points, evaluated once for the projection and
+        # both norms: `on_cells` is called with those points only
+        u_cells = exact(scheme.cellquad.points)
+        on_cells = lambda p: u_cells
+        proj = l2_project(scheme.mesh, on_cells, scheme.cellquad)
         grad_norm = math.sqrt(
             scheme.cellquad.integrate_total(
                 lambda p: (np.asarray(problem.u0_gradient(p)) ** 2).sum(axis=-1)
             )
         )
-        l2 = math.sqrt(l2_norm_squared(scheme, diff))
-        l2_ratios.append(l2 / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
-        stars.append(triple_star_norm(scheme, diff))
+        l2_sq = l2_norm_squared(scheme, (on_cells, -proj))
+        l2_ratios.append(math.sqrt(l2_sq) / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
+        stars.append(triple_star_norm(scheme, (exact, -proj), l2_sq=l2_sq))
         hs.append(scheme.h)
         cb = min(cb, scheme.c_b)
     slope = float(np.polyfit(np.log(hs), np.log(stars), 1)[0])

@@ -13,8 +13,9 @@ class ConstantInflowProblem(RampTestProblem):
 
     c: float = 0.7
 
-    def g(self, t, pts):
-        return np.full(np.asarray(pts).shape[:-1], self.c)
+    def g_from(self, t, chars):
+        # the data path of `DoDScheme.step`; `g(t, pts)` goes through it too
+        return np.full(np.shape(chars.xi), self.c)
 
 
 @pytest.fixture(scope="session")

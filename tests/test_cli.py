@@ -118,6 +118,8 @@ class TestConfig:
         (["run", "--gamma", "abc"], "--gamma"),
         (["converge", "--n-list", ""], "--n-list"),
         (["verify", "--n-list", ""], "--n-list"),
+        (["run", "--n", "8", "--quad-face-order", "17"], "--quad-face-order"),
+        (["run", "--n", "8", "--quad-cell-degree", "400"], "--quad-cell-degree"),
     ])
     def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
         import cutdg.cli as cli

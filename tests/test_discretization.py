@@ -307,17 +307,16 @@ class TestBilinearForms:
 class TestRhsAndStep:
     def test_zero_data_gives_zero(self, base_scheme):
         g = lambda t, p: np.zeros(np.asarray(p).shape[:-1])
-        np.testing.assert_array_equal(
-            build_inflow(base_scheme.mesh, base_scheme.table).rhs(g, 0.0),
-            np.zeros(base_scheme.mesh.n_cells),
-        )
+        op = build_inflow(base_scheme.mesh, base_scheme.table)
+        np.testing.assert_array_equal(op.rhs(g(0.0, op.points)), np.zeros(base_scheme.mesh.n_cells))
 
     def test_unit_inflow_face_contribution(self):
         # beta.n = -1 on the left boundary, g = 1, |e| = h, |F| = h^2 -> 1/h
         mesh = cartesian_mesh(4)
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
-        r = build_inflow(mesh, table).rhs(g, 0.0)
+        op = build_inflow(mesh, table)
+        r = op.rhs(g(0.0, op.points))
         left_col = mesh.background[:, 0] == 0
         rest = ~left_col
         np.testing.assert_allclose(r[left_col], 1.0 / mesh.h, rtol=1e-14)
@@ -339,7 +338,7 @@ class TestRhsAndStep:
         op = build_inflow(mesh, table)
         expected = rhs_inflow_oracle(mesh, table, g, 0.3)
         np.testing.assert_array_equal(op.cells, np.nonzero(expected)[0])
-        got = op.rhs(g, 0.3)
+        got = op.rhs(g(0.3, op.points))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_constants_are_a_fixed_point(self, constant_inflow_scheme):

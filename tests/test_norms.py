@@ -216,14 +216,17 @@ class TestErrorBreakdown:
         u_h = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
         t = 0.3
         problem = base_scheme.problem
-        exact = type(problem).exact
+        exact_from = type(problem).exact_from
         calls = []
 
-        def counting_exact(self, t, p):
-            calls.append(len(p))
-            return exact(self, t, p)
+        # every evaluation of the exact solution ends in `exact_from`: on the
+        # cell points through `exact`, on the jump faces' points from the
+        # scheme's characteristic coordinates
+        def counting_exact_from(self, t, chars):
+            calls.append(np.size(chars.xi))
+            return exact_from(self, t, chars)
 
-        monkeypatch.setattr(type(problem), "exact", counting_exact)
+        monkeypatch.setattr(type(problem), "exact_from", counting_exact_from)
         eb = error_breakdown(base_scheme, t, u_h)
         # once on the cell quadrature points, once on the jump faces' points
         jump_points = base_scheme.table.wbn.shape[1] * len(base_scheme.jump_faces)

@@ -1,0 +1,87 @@
+"""The scheme's `JumpSeminorm` against the face-sum oracle, bit for bit."""
+from functools import partial
+
+import numpy as np
+import pytest
+
+import seminorm_oracle as oracle
+from cutdg.discretization import smooth_face_means, weighted_face_means
+from cutdg.norms import (
+    beta_seminorm,
+    beta_seminorm_parts,
+    error_breakdown,
+    error_seminorm,
+    triple_star_norm,
+)
+
+GEOMETRIES = [
+    pytest.param(25.0, 0.2001, 16, id="ramp25-n16"),
+    pytest.param(25.0, 0.2001, 64, id="ramp25-n64"),
+    pytest.param(5.0, 0.2001, 32, id="ramp5-n32"),
+    pytest.param(45.0, 0.2 + 1e-10, 40, id="sliver45-n40"),
+    # the ramp starts on a grid line; at 45 degrees it runs through grid
+    # vertices and no cell is stabilized
+    pytest.param(45.0, 0.25, 16, id="grid45-n16"),
+    pytest.param(25.0, 0.25, 16, id="grid25-n16"),
+    pytest.param(25.0, 0.25 + 1e-15, 16, id="grid25-offset-n16"),
+]
+T = 0.3
+
+
+def elements(scheme):
+    """Single fields and blocks, each with and without a smooth part, and
+    the smooth part alone."""
+    rng = np.random.default_rng(31)
+    n = scheme.mesh.n_cells
+    smooth = partial(scheme.problem.exact, T)
+    single, block = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (5, n))
+    return {"single": single, "smooth+single": (smooth, single), "block": block,
+            "smooth+block": (smooth, block), "smooth": smooth}
+
+
+@pytest.mark.parametrize("gamma,x0,n", GEOMETRIES)
+def test_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
+    scheme = scheme_cache(gamma, x0, n)
+    for name, v in elements(scheme).items():
+        for got, want in zip(beta_seminorm_parts(scheme, v), oracle.beta_seminorm_parts(scheme, v),
+                             strict=True):
+            assert np.array_equal(got, want), name
+        assert np.array_equal(beta_seminorm(scheme, v), oracle.beta_seminorm(scheme, v)), name
+        assert np.array_equal(triple_star_norm(scheme, v), oracle.triple_star_norm(scheme, v)), name
+
+
+@pytest.mark.parametrize("gamma,x0,n", GEOMETRIES)
+def test_error_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
+    scheme = scheme_cache(gamma, x0, n)
+    fields = elements(scheme)
+    u_h = scheme.project_initial() + 1e-3 * fields["single"]
+    eb = error_breakdown(scheme, T, u_h)
+    assert (eb.l2, eb.beta_semi) == oracle.error_breakdown(scheme, T, u_h)
+    exact_t = partial(scheme.problem.exact, T)
+    block = fields["block"]
+    assert np.array_equal(error_seminorm(scheme, T, block), oracle.beta_seminorm(scheme, (exact_t, -block)))
+
+
+def test_smooth_face_means_equal_row_sums(scheme_cache):
+    scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
+    u = partial(scheme.problem.exact, T)
+    assert np.array_equal(smooth_face_means(scheme.table, u), oracle.smooth_face_means(scheme.table, u))
+
+
+def test_weighted_face_means_add_columns_in_row_sum_order():
+    rng = np.random.default_rng(32)
+    eps = np.finfo(float).eps
+    for q in range(1, 17):
+        abs_wbn = rng.uniform(0.0, 1.0, (500, q))
+        vals = rng.uniform(-1.0, 1.0, (500, q))
+        abs_flux = abs_wbn.sum(axis=1)
+        abs_flux[:3] = 0.0  # zero-flux faces get mean 0
+        got = weighted_face_means(abs_wbn, vals, abs_flux)
+        row_sum = (abs_wbn * vals).sum(axis=1)
+        want = np.divide(row_sum, abs_flux, out=np.zeros(500), where=abs_flux > 0.0)
+        assert np.all(got[:3] == 0.0)
+        if q < 8:  # numpy adds rows shorter than 8 left to right
+            assert np.array_equal(got, want), q
+        else:  # its pairwise order: a few roundings apart
+            scale = (abs_wbn * np.abs(vals)).sum(axis=1)
+            assert np.all(np.abs(got - want) * abs_flux <= 2 * q * eps * scale), q
