@@ -93,21 +93,31 @@ class FaceIntegralTable:
 
 
 def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceIntegralTable:
-    a = mesh.f_endpoints[:, 0, :]
-    b = mesh.f_endpoints[:, 1, :]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    w = rule.weights[None, :] * mesh.f_length[:, None]
+    # (points, faces) arrays, one coordinate at a time: numpy is several
+    # times slower over an inner axis of 2 (coordinates) or 4 (points)
+    a, b = mesh.f_endpoints[:, 0, :], mesh.f_endpoints[:, 1, :]
+    t = rule.points[:, None]
+    pts = np.empty((mesh.n_faces, len(rule), 2))
+    for k in (0, 1):
+        pts[:, :, k] = (a[:, k] + t * (b[:, k] - a[:, k])).T
+    w = rule.weights[:, None] * mesh.f_length
     beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
-    bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal)
+    bn = np.multiply(beta[..., 0].T, mesh.f_normal[:, 0], order="C")
+    bn += np.multiply(beta[..., 1].T, mesh.f_normal[:, 1], order="C")
+    bn += 0.0  # -0.0 -> 0.0, as a sum of products from zero gives
 
     psi = velocity.stream(mesh.f_endpoints.reshape(-1, 2)).reshape(-1, 2)
     ramp = mesh.f_kind == F_RAMP
     if np.any(ramp):
         # the ramp is a streamline: an endpoint equal to an endpoint of a
-        # ramp face takes psi at the ramp start, in every face it ends
+        # ramp face takes psi at the ramp start, in every face it ends.
+        # Equal points have equal psi, so only the few endpoints with |psi|
+        # no larger than on the ramp faces are compared as (x, y) keys.
         ends = mesh.f_endpoints.view(np.complex128)[..., 0]  # (x, y) as one key
         keys = np.unique(ends[ramp])
-        on_line = keys[np.minimum(np.searchsorted(keys, ends), len(keys) - 1)] == ends
+        on_line = np.abs(psi) <= np.abs(psi[ramp]).max()
+        near = ends[on_line]
+        on_line[on_line] = keys[np.minimum(np.searchsorted(keys, near), len(keys) - 1)] == near
         psi0 = velocity.stream(np.array([mesh.domain.x0, 0.0]))
         worst = float(np.abs(psi[on_line] - psi0).max())
         if worst > 1e-10 * mesh.h * velocity.inf_norm:
@@ -119,15 +129,16 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
     flux = psi[:, 1] - psi[:, 0]
 
     # beta.n must not change sign along a face off the ramp
-    lo, hi = bn.min(axis=1), bn.max(axis=1)
+    lo, hi = bn.min(axis=0), bn.max(axis=0)
     tol = 1e-12 * np.maximum(hi, -lo)
     mixed = ~ramp & (lo < -tol) & (hi > tol)
     if np.any(mixed):
         raise ValueError(
             f"beta.n changes sign on {int(mixed.sum())} face(s); refine or split faces"
         )
-    quad = (w * bn).sum(axis=1)
-    bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)[:, None]
+    # a row sum, since numpy sums a row of 8 or more pairwise
+    quad = np.ascontiguousarray((w * bn).T).sum(axis=1)
+    bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)
 
     left, right = mesh.f_left, mesh.f_right
     upwind = np.full(mesh.n_faces, -2, dtype=np.int64)
@@ -135,7 +146,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
     neg = flux < 0.0
     upwind[pos] = left[pos]
     upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
-    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, w * bn)
+    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, np.ascontiguousarray((w * bn).T))
 
 
 def per_field(x):
@@ -317,6 +328,11 @@ class JumpSeminorm:
     extended jumps read the (jump faces, 2) side means at the flat indices
     `ext_out` and `ext_in`.  The jump faces' |w beta.n| and fluxes give
     the smooth means from values at their quadrature points.
+
+    `mass_left` and `mass_right` hold, for every face, the capacity weight
+    of its left and right cell (alpha on a stabilized cell, 1 elsewhere; 0
+    where there is no right cell), which the starred norm's cell-boundary
+    mass weights the squared side means by.
     """
 
     n_cells: int
@@ -333,6 +349,8 @@ class JumpSeminorm:
     ext_weight: np.ndarray  # (1 - alpha) |flux(e_out)|
     abs_wbn: np.ndarray  # (jump faces, points per face)
     abs_flux: np.ndarray  # |flux| of each jump face
+    mass_left: np.ndarray
+    mass_right: np.ndarray
 
     def parts(self, disc, jump_means: np.ndarray):
         """(plain, capacity, extended) for the discrete part `disc` (None
@@ -384,6 +402,8 @@ def build_jump_seminorm(
     side = np.concatenate([table.flux_in[st.e_in] <= 0.0, table.flux_in[st.e_out] > 0.0])
     flat = 2 * at + side
     k = len(st)
+    capacity = np.ones(n)
+    capacity[st.cells] = st.alpha
     return JumpSeminorm(
         n_cells=n,
         boundary=boundary,
@@ -399,6 +419,8 @@ def build_jump_seminorm(
         ext_weight=(1.0 - st.alpha) * table.abs_flux[st.e_out],
         abs_wbn=np.abs(table.wbn[jump_faces]),
         abs_flux=table.abs_flux[jump_faces],
+        mass_left=capacity[mesh.f_left],
+        mass_right=np.where(mesh.f_right >= 0, capacity[mesh.f_right], 0.0),
     )
 
 

@@ -47,12 +47,15 @@ def ramp_velocity(ramp: RampDomain) -> VelocityField:
     g = ramp.gamma
     x0 = ramp.x0
     c, s = math.cos(g), math.sin(g)
-    tangent = np.array([c, s])
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
         factor = 0.5 * (2.0 + s * (p[..., 0] - x0) - c * p[..., 1])
-        return factor[..., None] * tangent
+        # column by column: a broadcast over the inner axis of length 2 is slow
+        out = np.empty(factor.shape + (2,))
+        np.multiply(factor, c, out=out[..., 0])
+        np.multiply(factor, s, out=out[..., 1])
+        return out
 
     def stream(pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
@@ -93,11 +96,22 @@ class RampTestProblem:
         c, s = math.cos(g), math.sin(g)
         dx = p[..., 0] - x0
         y = p[..., 1]
-        return c * dx + s * y, c * y - s * dx
+        # c dx + s y and c y - s dx, in place so that fewer arrays of one
+        # value per point are alive at once: the error norms pass every cell
+        # quadrature point, and each live array is memory malloc may have to
+        # map and fault in afresh
+        xi = c * dx
+        xi += s * y
+        dx *= s
+        eta = c * y
+        eta -= dx
+        return xi, eta
 
     def _wave(self, z):
+        """sin(k z); scales z in place, so z is the caller's own array."""
         k = math.sqrt(2.0) * math.pi / (1.0 - self.ramp.x0)
-        return np.sin(k * np.asarray(z))
+        z *= k
+        return np.sin(z, out=z) if isinstance(z, np.ndarray) else np.sin(z)
 
     def u0(self, pts: np.ndarray) -> np.ndarray:
         xi, _ = self.rotated(pts)
@@ -108,7 +122,9 @@ class RampTestProblem:
 
     def characteristics(self, pts: np.ndarray) -> Characteristics:
         xi, eta = self.rotated(pts)
-        return Characteristics(xi, 0.5 * (2.0 - eta))
+        speed = 2.0 - eta
+        speed *= 0.5
+        return Characteristics(xi, speed)
 
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
         """u(t, p) = u0 at the foot of the characteristic through p."""
@@ -120,7 +136,9 @@ class RampTestProblem:
         The speed along a streamline eta = const is (2 - eta)/2, so the
         solution is the initial wave evaluated at xi - (2 - eta)/2 * t.
         """
-        return self._wave(chars.xi - chars.speed * t)
+        z = chars.speed * -t  # xi + (-speed t) has the bits of xi - speed t
+        z += chars.xi
+        return self._wave(z)
 
     def exact_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
         g, x0 = self.ramp.gamma, self.ramp.x0

@@ -181,31 +181,33 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     eps = 1e-12 * h
     xs = ys = np.arange(n + 1) / n
 
-    # corner distances to the ramp line, snapped to zero within eps
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    eta = ramp.signed_distance(np.stack([gx, gy], axis=-1))
+    # corner distances to the ramp line, snapped to zero within eps; eta[j, i]
+    # belongs to the grid node (xs[i], ys[j])
+    nodes = np.empty((n + 1, n + 1, 2))
+    nodes[..., 0], nodes[..., 1] = xs, ys[:, None]
+    eta = ramp.signed_distance(nodes)
     eta[np.abs(eta) <= eps] = 0.0
 
-    # background cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
-    bj, bi = np.divmod(np.arange(n * n), n)
-    corner_eta = eta[bi[:, None] + [0, 1, 1, 0], bj[:, None] + [0, 0, 1, 1]]
-    live = corner_eta.max(axis=1) > 0.0
-    bi, bj, corner_eta = bi[live], bj[live], corner_eta[live]
-    # up to five corners per cell: the square, or its clip for the O(n)
-    # cells that straddle the ramp line
-    poly = np.zeros((len(bi), 5, 2))
-    poly[:, :4, 0] = xs[bi[:, None] + [0, 1, 1, 0]]
-    poly[:, :4, 1] = ys[bj[:, None] + [0, 0, 1, 1]]
-    on_line = np.zeros((len(bi), 5), dtype=bool)
-    on_line[:, :4] = corner_eta == 0.0
-    nv = np.full(len(bi), 4)
+    # background cell (i, j), numbered j n + i, has corners (i, j), (i+1, j),
+    # (i+1, j+1), (i, j+1); one array per corner, one entry per cell
+    corner_eta = [e.ravel() for e in (eta[:-1, :-1], eta[:-1, 1:], eta[1:, 1:], eta[1:, :-1])]
+    live = np.flatnonzero(np.logical_or.reduce([e > 0.0 for e in corner_eta]))
+    corner_eta = [e[live] for e in corner_eta]
+    bj, bi = np.divmod(live, n)
+    nv = np.full(len(live), 4)
     areas = np.diff(xs)[bi] * np.diff(ys)[bj]
-    cut = np.flatnonzero(corner_eta.min(axis=1) < 0.0)
-    poly[cut], on_line[cut], nv[cut], areas[cut] = _clip_squares(poly[cut, :4], corner_eta[cut], ramp)
+    # the O(n) cells that straddle the ramp line are clipped in one array pass
+    cut = np.flatnonzero(np.logical_or.reduce([e < 0.0 for e in corner_eta]))
+    corners = np.stack([xs[bi[cut, None] + [0, 1, 1, 0]], ys[bj[cut, None] + [0, 0, 1, 1]]], axis=-1)
+    poly, cut_on_line, nv[cut], areas[cut] = _clip_squares(
+        corners, np.stack([e[cut] for e in corner_eta], axis=1), ramp)
     keep = nv > 0
     bi, bj, nv, areas = bi[keep], bj[keep], nv[keep], areas[keep]
-    slot = np.arange(5) < nv[:, None]
-    vertices, on_line = poly[keep][slot], on_line[keep][slot]
+    clipped = nv[cut] > 0
+    poly, cut_on_line = poly[clipped], cut_on_line[clipped]
+    cut = np.cumsum(keep)[cut[clipped]] - 1  # the clipped cells' new ids
+    square = np.ones(len(nv), dtype=bool)
+    square[cut] = False
     cell_ptr = np.concatenate([[0], np.cumsum(nv)])
     kind_codes = np.select(
         [nv == 3, nv == 5, np.abs(areas - h * h) <= 1e-12 * h * h],
@@ -213,69 +215,96 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
         K_CUT4,
     ).astype(np.int8)
 
-    # edge e runs from vertex e to the next vertex of its cell
+    # Vertices, one column per coordinate.  Edge e runs from vertex e to the
+    # next vertex of its cell and is keyed by its grid edge: vertical edge
+    # (p, j) on x = xs[p] gets p n + j, horizontal edge (q, i) on y = ys[q]
+    # gets n (n+1) + q n + i, and each ramp edge a key of its own.  A square
+    # has edges bottom, right, top, left, so its vertices and keys follow
+    # from (i, j); only the clipped cells' edges are compared with the grid
+    # lines (shared vertices are canonical, so exact comparison is safe).
+    n_edges = cell_ptr[-1]
+    vx, vy = np.empty(n_edges), np.empty(n_edges)
+    on_line = np.empty(n_edges, dtype=bool)
+    key = np.empty(n_edges, dtype=np.int64)
+    i, j = bi[square], bj[square]
+    at = cell_ptr[:-1][square]
+    square_keys = (n * (n + 1) + j * n + i, (i + 1) * n + j, n * (n + 1) + (j + 1) * n + i, i * n + j)
+    for k, (di, dj) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        vx[at + k] = xs[i + di]
+        vy[at + k] = ys[j + dj]
+        on_line[at + k] = corner_eta[k][keep][square] == 0.0
+        key[at + k] = square_keys[k]
+    slot = np.arange(5) < nv[cut, None]
+    clipped_edges = (cell_ptr[cut, None] + np.arange(5))[slot]
+    vx[clipped_edges], vy[clipped_edges] = poly[slot, 0], poly[slot, 1]
+    on_line[clipped_edges] = cut_on_line[slot]
+
     cell = np.repeat(np.arange(len(nv)), nv)
-    nxt = np.arange(1, len(cell) + 1)
+    nxt = np.arange(1, n_edges + 1)
     nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
-    a, b = vertices, vertices[nxt]
-    d = b - a
-    short = np.abs(d).max(axis=1) <= eps
+    wx, wy = vx[nxt], vy[nxt]
+    dx, dy = wx - vx, wy - vy
+    short = (np.abs(dx) <= eps) & (np.abs(dy) <= eps)
     if np.any(short):
         c = cell[np.argmax(short)]
         raise AssertionError(f"cell ({bi[c]},{bj[c]}) has an edge no longer than {eps:.3e}")
-    cross = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+    cross = dx * dy[nxt] - dy * dx[nxt]
     if np.any(cross < -eps * h):
         c = cell[np.argmax(cross < -eps * h)]
         raise AssertionError(f"cell ({bi[c]},{bj[c]}) polygon is not convex CCW")
     on_ramp = on_line & on_line[nxt]
 
-    # Face identity.  An edge on a grid line is keyed by that grid edge: shared
-    # vertices are canonical, so exact comparison with xs/ys is safe.  Vertical
-    # edge (p, j) on x = xs[p] gets p*n + j, horizontal edge (q, i) on y = ys[q]
-    # gets n*(n+1) + q*n + i, and each ramp edge a key of its own.
-    i, j = bi[cell], bj[cell]
-    key = np.full(len(cell), -1)
+    e = clipped_edges
+    i, j = bi[cell[e]], bj[cell[e]]
+    clipped_keys = np.full(len(e), -1)
     for k in (0, 1):
         x, y = xs[i + k], ys[j + k]
-        key = np.where((a[:, 0] == x) & (b[:, 0] == x), (i + k) * n + j, key)
-        key = np.where((a[:, 1] == y) & (b[:, 1] == y), n * (n + 1) + (j + k) * n + i, key)
-    loose = np.nonzero(key < 0)[0]
+        clipped_keys = np.where((vx[e] == x) & (wx[e] == x), (i + k) * n + j, clipped_keys)
+        clipped_keys = np.where((vy[e] == y) & (wy[e] == y), n * (n + 1) + (j + k) * n + i, clipped_keys)
+    key[e] = clipped_keys
+    loose = e[clipped_keys < 0]
     if not np.all(on_ramp[loose]):
         raise AssertionError("a cell edge lies neither on a grid line nor on the ramp")
-    key[loose] = 2 * n * (n + 1) + loose
+    key[loose] = 2 * n * (n + 1) + np.arange(len(loose))
 
     # faces are numbered by first appearance; that edge owns the face and its
-    # orientation sets the normal, so f_left is the lower cell id
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    edge_face = np.argsort(np.argsort(first))[group]
-    owner = np.sort(first)
-    edge_sign = np.where(owner[edge_face] == np.arange(len(cell)), 1, -1).astype(np.int8)
+    # orientation sets the normal, so f_left is the lower cell id.  The first
+    # edge of each key is a minimum, found without a sort.
+    edges = np.arange(n_edges)
+    first = np.full(2 * n * (n + 1) + len(loose), n_edges)
+    np.minimum.at(first, key, edges)
+    first = first[key]
+    owns = first == edges
+    edge_face = (np.cumsum(owns) - 1)[first]
+    owner = np.flatnonzero(owns)
+    edge_sign = np.where(owns, 1, -1).astype(np.int8)
     if np.bincount(edge_face).max() > 2:
         raise AssertionError("face shared by more than two cells")
     other = np.full(len(owner), -1)
-    other[edge_face[edge_sign < 0]] = np.nonzero(edge_sign < 0)[0]
+    other[edge_face[~owns]] = np.flatnonzero(~owns)
     shared = other >= 0
     o, p = owner[shared], other[shared]
     if np.any(on_ramp[o] | on_ramp[p]):
         raise AssertionError("interior face tagged as ramp")
-    if np.any(a[p] != b[o]) or np.any(b[p] != a[o]):
+    if (np.any(vx[p] != wx[o]) or np.any(vy[p] != wy[o])
+            or np.any(wx[p] != vx[o]) or np.any(wy[p] != vy[o])):
         raise AssertionError("the two cells of a face disagree on its endpoints")
 
-    f_d = d[owner]
-    f_length = np.hypot(f_d[:, 0], f_d[:, 1])
+    fdx, fdy = dx[owner], dy[owner]
+    f_length = np.hypot(fdx, fdy)
     mesh = CutCellMesh(
         domain=ramp,
         n=n,
-        vertices=vertices,
+        vertices=np.column_stack([vx, vy]),
         cell_ptr=cell_ptr,
         areas=areas,
         kind_codes=kind_codes,
-        background=np.stack([bi, bj], axis=1),
+        background=np.column_stack([bi, bj]),
         edge_face=edge_face,
         edge_sign=edge_sign,
-        f_endpoints=np.stack([a[owner], b[owner]], axis=1),
+        f_endpoints=np.column_stack([vx[owner], vy[owner], wx[owner], wy[owner]]).reshape(-1, 2, 2),
         f_length=f_length,
-        f_normal=np.stack([f_d[:, 1], -f_d[:, 0]], axis=1) / f_length[:, None],
+        f_normal=np.column_stack([fdy / f_length, -fdx / f_length]),
         f_left=cell[owner],
         f_right=np.where(shared, cell[other], -1),
         f_kind=np.select([shared, on_ramp[owner]], [F_INTERIOR, F_RAMP], F_SQUARE).astype(np.int8),

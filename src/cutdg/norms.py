@@ -61,7 +61,11 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
     if disc is None:
         return float(np.dot(cq.weights, np.square(vals)))
     rows = disc.reshape(-1, disc.shape[-1])
-    sq = [np.dot(cq.weights, np.square(vals + d[cq.cell_index])) for d in rows]
+    sq = []
+    for d in rows:
+        x = d[cq.cell_index]  # one fresh array per field, squared in place
+        x += vals
+        sq.append(np.dot(cq.weights, np.square(x, out=x)))
     return per_field(np.reshape(sq, disc.shape[:-1]))
 
 
@@ -69,11 +73,8 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
     int_e |beta.n| (own-trace mean)^2 over its faces; one value per row for
     the means of a block."""
-    mesh, st = scheme.mesh, scheme.records
-    weights = np.ones(mesh.n_cells)
-    weights[st.cells] = st.alpha
-    right = np.where(mesh.f_right >= 0, weights[mesh.f_right] * np.square(means[..., 1]), 0.0)
-    own = weights[mesh.f_left] * np.square(means[..., 0]) + right
+    own = scheme.seminorm.mass_left * np.square(means[..., 0])
+    own += scheme.seminorm.mass_right * np.square(means[..., 1])
     return per_field(np.vecdot(own, scheme.table.abs_flux))
 
 

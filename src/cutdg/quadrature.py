@@ -8,6 +8,7 @@ triangle.  Both are exact for polynomials up to a configurable total degree.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class SegmentRule:
 
     @classmethod
     def gauss(cls, order: int = 4) -> "SegmentRule":
+        """The rule with `order` points; one shared instance per order."""
         if order < 1:
             raise ValueError(f"segment rule needs >= 1 point, got {order}")
-        x, w = leggauss(order)
-        return cls(points=(x + 1.0) / 2.0, weights=w / 2.0)
+        return _gauss(order)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -61,22 +62,40 @@ class TriangleRule:
 
     @classmethod
     def of_degree(cls, degree: int) -> "TriangleRule":
+        """The rule exact for total degree `degree`; one shared instance per
+        degree."""
         if degree < 1:
             raise ValueError(f"triangle rule needs degree >= 1, got {degree}")
-        q = (degree + 2) // 2  # 2q-1 >= degree
-        xj, wj = roots_jacobi(q, 1.0, 0.0)  # weight (1-x) on [-1, 1]
-        u = (xj + 1.0) / 2.0
-        wu = wj / 4.0  # maps int_0^1 (1-u) f du
-        xv, wv = leggauss(q)
-        v = (xv + 1.0) / 2.0
-        wv = wv / 2.0
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
-        wts = np.outer(wu, wv).ravel()
-        return cls(degree=degree, points=pts, weights=wts)
+        return _conical_product(degree)
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _gauss(order: int) -> SegmentRule:
+    x, w = leggauss(order)
+    return SegmentRule(points=_frozen((x + 1.0) / 2.0), weights=_frozen(w / 2.0))
+
+
+@functools.cache
+def _conical_product(degree: int) -> TriangleRule:
+    q = (degree + 2) // 2  # 2q-1 >= degree
+    xj, wj = roots_jacobi(q, 1.0, 0.0)  # weight (1-x) on [-1, 1]
+    u = (xj + 1.0) / 2.0
+    wu = wj / 4.0  # maps int_0^1 (1-u) f du
+    xv, wv = leggauss(q)
+    v = (xv + 1.0) / 2.0
+    wv = wv / 2.0
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
+    wts = np.outer(wu, wv).ravel()
+    return TriangleRule(degree=degree, points=_frozen(pts), weights=_frozen(wts))
 
 
 class CellQuadratureTable:
@@ -96,49 +115,50 @@ class CellQuadratureTable:
     def __init__(self, mesh, rule: TriangleRule):
         self.n_cells = mesh.n_cells
         counts = np.diff(mesh.cell_ptr)
+        vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
         quads = np.flatnonzero(counts == 4)
-        corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]  # (nq, 4, 2)
-        parallel = np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)
+        at = mesh.cell_ptr[quads]
+        cx = [vx[at + k] for k in range(4)]
+        cy = [vy[at + k] for k in range(4)]
+        parallel = (cx[0] + cx[2] == cx[1] + cx[3]) & (cy[0] + cy[2] == cy[1] + cy[3])
+        squares = quads[parallel]
         fan = np.ones(self.n_cells, dtype=bool)
-        fan[quads[parallel]] = False
+        fan[squares] = False
 
-        # uncut squares: (nc, q*q, 2) points of the tensor rule
+        # uncut squares: the tensor rule mapped from the unit square
         line = SegmentRule.gauss((rule.degree + 2) // 2)
         u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
-        sq = corners[parallel]
-        p0 = sq[:, 0:1, :]
-        e1 = sq[:, 1:2, :] - p0
-        e3 = sq[:, 3:4, :] - p0
-        jac = e1[:, 0, 0] * e3[:, 0, 1] - e1[:, 0, 1] * e3[:, 0, 0]
-        pts = p0 + u[None, :, None] * e1 + v[None, :, None] * e3
-        wts = np.outer(line.weights, line.weights).ravel()[None, :] * jac[:, None]
-        pts_parts = [pts.reshape(-1, 2)]
-        wts_parts = [wts.reshape(-1)]
-        idx_parts = [np.repeat(quads[parallel], len(u))]
+        ox, oy = cx[0][parallel], cy[0][parallel]
+        e1 = (cx[1][parallel] - ox, cy[1][parallel] - oy)
+        e3 = (cx[3][parallel] - ox, cy[3][parallel] - oy)
+        jac = e1[0] * e3[1] - e1[1] * e3[0]
 
-        r = rule.points[:, 0]
-        s = rule.points[:, 1]
-        for nv in np.unique(counts[fan]).tolist():
-            ids = np.flatnonzero(fan & (counts == nv))
-            verts = mesh.vertices[mesh.cell_ptr[ids][:, None] + np.arange(nv)]  # (nc, nv, 2)
-            p0 = verts[:, 0:1, :]
-            e1 = verts[:, 1:-1, :] - p0  # (nc, nv-2, 2)
-            e2 = verts[:, 2:, :] - p0
-            tri_areas = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-            # (nc, ntri, m, 2)
-            pts = (
-                p0[:, :, None, :]
-                + r[None, None, :, None] * e1[:, :, None, :]
-                + s[None, None, :, None] * e2[:, :, None, :]
-            )
-            wts = rule.weights[None, None, :] * (2.0 * tri_areas)[:, :, None]
-            m = pts.shape[1] * pts.shape[2]
-            pts_parts.append(pts.reshape(-1, 2))
-            wts_parts.append(wts.reshape(-1))
-            idx_parts.append(np.repeat(ids, m))
-        self.points = np.concatenate(pts_parts, axis=0)
-        self.weights = np.concatenate(wts_parts)
-        self.cell_index = np.concatenate(idx_parts)
+        # every other cell: `rule` on each fan triangle (v0, vk+1, vk+2), one
+        # row per triangle, ordered by vertex count, then cell, then k
+        others = np.flatnonzero(fan)
+        others = others[np.argsort(counts[others], kind="stable")]
+        per_cell = counts[others] - 2
+        cells = np.repeat(others, per_cell)
+        k = np.arange(len(cells)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+        v0 = mesh.cell_ptr[cells]
+        tx, ty = vx[v0], vy[v0]
+        t1x, t1y = vx[v0 + k + 1] - tx, vy[v0 + k + 1] - ty
+        t2x, t2y = vx[v0 + k + 2] - tx, vy[v0 + k + 2] - ty
+        tri_areas = 0.5 * (t1x * t2y - t1y * t2x)
+
+        split = len(squares) * len(u)
+        size = split + len(cells) * len(rule)
+        self.points = np.empty((size, 2))
+        self.weights = np.empty(size)
+        self.cell_index = np.empty(size, dtype=np.int64)
+        _mapped_points(np.column_stack([u, v]), (ox, oy), e1, e3, self.points[:split])
+        np.multiply(np.outer(line.weights, line.weights).ravel(), jac[:, None],
+                    out=self.weights[:split].reshape(-1, len(u)))
+        self.cell_index[:split] = np.repeat(squares, len(u))
+        _mapped_points(rule.points, (tx, ty), (t1x, t1y), (t2x, t2y), self.points[split:])
+        np.multiply(rule.weights, (2.0 * tri_areas)[:, None],
+                    out=self.weights[split:].reshape(-1, len(rule)))
+        self.cell_index[split:] = np.repeat(cells, len(rule))
 
     def integrate(self, integrand) -> np.ndarray:
         """Per-cell integrals of a scalar function; returns (n_cells,)."""
@@ -148,3 +168,25 @@ class CellQuadratureTable:
     def integrate_total(self, integrand) -> float:
         vals = np.asarray(integrand(self.points), dtype=float)
         return float(np.dot(self.weights, vals))
+
+
+def _mapped_points(ref: np.ndarray, origin, e1, e2, out: np.ndarray) -> None:
+    """Write to `out` (len(origin[0]) * len(ref), 2) the points
+    origin + r e1 + s e2 for each element (origin, e1, e2, given as (x, y)
+    column pairs) and each reference point (r, s) of `ref`, element-major.
+
+    The points are computed as one (coordinates, points, elements) array,
+    whose inner axis is long: numpy runs an inner axis of length 2 several
+    times slower.  The sums are taken in the same order as in
+    origin + r * e1 + s * e2.  For the squares that array is about twice
+    the size of one value per cell point; once glibc's malloc has mapped
+    and freed a block that large, it serves the error norms' arrays of one
+    value per cell point from its heap instead of mapping fresh,
+    page-faulting memory on every call.
+    """
+    r, s = ref[:, 0:1], ref[:, 1:2]
+    c = np.array(origin)[:, None, :] + r * np.array(e1)[:, None, :]
+    c += s * np.array(e2)[:, None, :]
+    out = out.reshape(len(origin[0]), len(ref), 2)
+    for k in (0, 1):
+        out[:, :, k] = c[k].T

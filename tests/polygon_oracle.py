@@ -1,11 +1,17 @@
 """Per-polygon oracles: cell quadrature, the oracle the vectorized cell
 table is checked against (one convex polygon at a time, fan-triangulated from
 its vertex 0 with a `TriangleRule` on each triangle), and the clip of one
-square cell against the ramp with its per-cell reference."""
+square cell against the ramp with its per-cell reference.
+
+It also keeps the whole-mesh formulas the mesh and tables were first built
+with, which the package must match bit for bit: the face numbering by sort
+(`face_numbering_reference`) and the quadrature points of the cell and face
+tables as broadcasts over (..., 2) coordinate axes (`cell_table_reference`,
+`face_table_reference`)."""
 import numpy as np
 
 from cutdg.geometry import RampDomain, _clip_squares
-from cutdg.quadrature import TriangleRule
+from cutdg.quadrature import SegmentRule, TriangleRule
 
 
 def triangulate_fan(vertices: np.ndarray):
@@ -90,3 +96,78 @@ def clip_cell_reference(square_cell, ramp: RampDomain) -> np.ndarray:
     x, y = poly[:, 0] - poly[0, 0], poly[:, 1] - poly[0, 1]
     area = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
     return poly if area > 0.0 else np.zeros((0, 2))
+
+
+def face_numbering_reference(mesh):
+    """(edge_face, edge_sign, f_left, f_right, f_endpoints) of `mesh` as
+    numbered by sort: every edge is keyed by four np.where passes against the
+    grid lines (a ramp edge by its own index), and faces are numbered by the
+    first appearance of their key through np.unique and two argsorts."""
+    n = mesh.n
+    xs = ys = np.arange(n + 1) / n
+    cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    nxt = np.arange(1, len(cell) + 1)
+    nxt[mesh.cell_ptr[1:] - 1] = mesh.cell_ptr[:-1]
+    a, b = mesh.vertices, mesh.vertices[nxt]
+    i, j = mesh.background[cell, 0], mesh.background[cell, 1]
+    key = np.full(len(cell), -1)
+    for k in (0, 1):
+        x, y = xs[i + k], ys[j + k]
+        key = np.where((a[:, 0] == x) & (b[:, 0] == x), (i + k) * n + j, key)
+        key = np.where((a[:, 1] == y) & (b[:, 1] == y), n * (n + 1) + (j + k) * n + i, key)
+    loose = np.nonzero(key < 0)[0]
+    key[loose] = 2 * n * (n + 1) + loose
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    edge_face = np.argsort(np.argsort(first))[group]
+    owner = np.sort(first)
+    edge_sign = np.where(owner[edge_face] == np.arange(len(cell)), 1, -1).astype(np.int8)
+    other = np.full(len(owner), -1)
+    other[edge_face[edge_sign < 0]] = np.nonzero(edge_sign < 0)[0]
+    f_right = np.where(other >= 0, cell[other], -1)
+    return edge_face, edge_sign, cell[owner], f_right, np.stack([a[owner], b[owner]], axis=1)
+
+
+def cell_table_reference(mesh, rule: TriangleRule):
+    """(points, weights, cell_index) of `CellQuadratureTable(mesh, rule)`
+    from (cells, points, 2) broadcasts: uncut squares first, then the other
+    cells grouped by vertex count."""
+    counts = np.diff(mesh.cell_ptr)
+    quads = np.flatnonzero(counts == 4)
+    corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]
+    parallel = np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)
+    fan = np.ones(mesh.n_cells, dtype=bool)
+    fan[quads[parallel]] = False
+    line = SegmentRule.gauss((rule.degree + 2) // 2)
+    u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
+    sq = corners[parallel]
+    p0, e1, e3 = sq[:, 0:1, :], sq[:, 1:2, :] - sq[:, 0:1, :], sq[:, 3:4, :] - sq[:, 0:1, :]
+    jac = e1[:, 0, 0] * e3[:, 0, 1] - e1[:, 0, 1] * e3[:, 0, 0]
+    pts = [(p0 + u[None, :, None] * e1 + v[None, :, None] * e3).reshape(-1, 2)]
+    wts = [(np.outer(line.weights, line.weights).ravel()[None, :] * jac[:, None]).ravel()]
+    idx = [np.repeat(quads[parallel], len(u))]
+    r, s = rule.points[:, 0], rule.points[:, 1]
+    for nv in np.unique(counts[fan]).tolist():
+        ids = np.flatnonzero(fan & (counts == nv))
+        verts = mesh.vertices[mesh.cell_ptr[ids][:, None] + np.arange(nv)]
+        p0 = verts[:, 0:1, :]
+        e1, e2 = verts[:, 1:-1, :] - p0, verts[:, 2:, :] - p0
+        tri_areas = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+        p = (p0[:, :, None, :] + r[None, None, :, None] * e1[:, :, None, :]
+             + s[None, None, :, None] * e2[:, :, None, :])
+        pts.append(p.reshape(-1, 2))
+        wts.append((rule.weights[None, None, :] * (2.0 * tri_areas)[:, :, None]).ravel())
+        idx.append(np.repeat(ids, p.shape[1] * p.shape[2]))
+    return np.concatenate(pts), np.concatenate(wts), np.concatenate(idx)
+
+
+def face_table_reference(mesh, velocity, rule: SegmentRule, flux_in):
+    """(qpoints, wbn) of `build_face_table(mesh, velocity, rule)`, whose
+    fluxes are `flux_in`, from (faces, points, 2) broadcasts and an einsum."""
+    a, b = mesh.f_endpoints[:, 0, :], mesh.f_endpoints[:, 1, :]
+    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    w = rule.weights[None, :] * mesh.f_length[:, None]
+    beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
+    bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal)
+    quad = (w * bn).sum(axis=1)
+    bn *= np.divide(flux_in, quad, out=np.zeros_like(flux_in), where=flux_in != 0.0)[:, None]
+    return pts, w * bn

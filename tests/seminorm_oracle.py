@@ -4,15 +4,16 @@ This is the seminorm formula as `cutdg.norms` evaluated it before the
 scheme built its `JumpSeminorm` once: a squared jump per face from the
 (faces, 2) side means, a mask of the legs of stabilized cells, and the
 extended jumps picked from the side means by the sign of each leg's flux.
-The smooth face means are the row sums of |w beta.n| times the values.
-Tests compare the package against it bit for bit.
+The smooth face means are the row sums of |w beta.n| times the values, and
+the starred norm's cell-boundary mass gathers per-cell capacity weights on
+every call.  Tests compare the package against it bit for bit.
 """
 import math
 
 import numpy as np
 
 from cutdg.discretization import per_field, split_parts
-from cutdg.norms import _boundary_mass, l2_norm_squared
+from cutdg.norms import l2_norm_squared
 
 
 def smooth_face_means(table, smooth, faces=None):
@@ -58,6 +59,17 @@ def seminorm_parts(scheme, disc_means, means):
     return per_field(plain), per_field(capacity), per_field(extended)
 
 
+def boundary_mass(scheme, means):
+    """Capacity-weighted sum of |beta.n| (own-trace mean)^2 over the faces
+    of every cell."""
+    mesh, st = scheme.mesh, scheme.records
+    weights = np.ones(mesh.n_cells)
+    weights[st.cells] = st.alpha
+    right = np.where(mesh.f_right >= 0, weights[mesh.f_right] * np.square(means[..., 1]), 0.0)
+    own = weights[mesh.f_left] * np.square(means[..., 0]) + right
+    return per_field(np.vecdot(own, scheme.table.abs_flux))
+
+
 def beta_seminorm_parts(scheme, v):
     """A smooth part of v enters on the scheme's jump faces only."""
     smooth, disc = split_parts(v)
@@ -82,7 +94,7 @@ def triple_star_norm(scheme, v):
     disc_means = means if smooth is None else face_side_means(scheme.mesh, scheme.table, (None, disc))
     plain, capacity, extended = seminorm_parts(scheme, disc_means, means)
     semi_sq = np.maximum(plain + capacity + extended, 0.0)
-    return per_field(np.sqrt(l2_sq + semi_sq + _boundary_mass(scheme, means)))
+    return per_field(np.sqrt(l2_sq + semi_sq + boundary_mass(scheme, means)))
 
 
 def error_breakdown(scheme, t, u_h):

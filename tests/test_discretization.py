@@ -21,6 +21,7 @@ from cutdg.field import VelocityField, make_ramp_problem
 from cutdg.geometry import F_RAMP, RampDomain, build_mesh, identify_stabilized
 from cutdg.norms import beta_seminorm
 from cutdg.quadrature import SegmentRule
+from polygon_oracle import face_table_reference
 from velocity_fields import constant_velocity
 
 
@@ -124,6 +125,25 @@ class TestFaceTable:
         integral = (bn * rule.weights).sum(axis=1) * mesh.f_length
         nonramp = mesh.f_kind != F_RAMP
         np.testing.assert_allclose(scheme.table.flux_in[nonramp], integral[nonramp], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["25deg-n64", "sliver45-n40", "grid-offset-5deg-n32", "leftward-n5"])
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_points_and_weights_match_broadcast_reference(self, case, order):
+        # 9 points per face: numpy sums rows of 8 or more pairwise, not left
+        # to right; a leftward field has beta.n == -0.0 on horizontal faces
+        if case == "leftward-n5":
+            mesh, velocity = cartesian_mesh(5), constant_velocity([-1.0, 0.0])
+        else:
+            gamma, x0, n = {"25deg-n64": (25.0, 0.2001, 64), "sliver45-n40": (45.0, 0.2 + 1e-10, 40),
+                            "grid-offset-5deg-n32": (5.0, 0.25 + 1e-15, 32)}[case]
+            problem = make_ramp_problem(gamma, x0)
+            mesh, velocity = build_mesh(problem.ramp, n), problem.velocity
+        rule = SegmentRule.gauss(order)
+        table = build_face_table(mesh, velocity, rule)
+        want = face_table_reference(mesh, velocity, rule, table.flux_in)
+        for field, a, b in zip(("qpoints", "wbn"), (table.qpoints, table.wbn), want, strict=True):
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), field
+            assert a.tobytes() == b.tobytes(), field
 
     def test_rejects_non_tangent_field(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=0.3), 8)

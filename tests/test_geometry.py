@@ -20,7 +20,7 @@ from cutdg.geometry import (
 )
 from cutdg.quadrature import SegmentRule
 from cutdg.verify import check_energy_decay, check_incompressibility
-from polygon_oracle import clip_cell, clip_cell_reference
+from polygon_oracle import clip_cell, clip_cell_reference, face_numbering_reference
 
 
 def shoelace(poly):
@@ -224,6 +224,29 @@ class TestBuildMesh:
                     assert abs(mesh.total_area() - ramp.area()) <= 1e-12 * ramp.area()
                     clipped += np.count_nonzero(mesh.kind_codes != K_CARTESIAN)
         assert clipped > 0
+
+
+FACE_NUMBERING_MESHES = {
+    "25deg-n16": (RampDomain(gamma=math.radians(25.0), x0=0.2001), 16),
+    "25deg-n256": (RampDomain(gamma=math.radians(25.0), x0=0.2001), 256),
+    "sliver45-n20": (RampDomain(gamma=math.pi / 4, x0=0.2 + 1e-10), 20),
+    "sliver45-n80": (RampDomain(gamma=math.pi / 4, x0=0.2 + 1e-10), 80),
+    "5deg-grid-offset-n64": (RampDomain(gamma=math.radians(5.0), x0=0.25 + 1e-15), 64),
+    # through grid nodes: the ramp's vertices are shared grid corners
+    "45deg-slope1-node-n16": (diag45(0.25), 16),
+}
+
+
+@pytest.mark.parametrize("name", list(FACE_NUMBERING_MESHES))
+def test_face_numbering_matches_sorted_reference(name):
+    # faces numbered with a dense first-appearance array, without a sort,
+    # are those that np.unique and two argsorts number
+    mesh = build_mesh(*FACE_NUMBERING_MESHES[name])
+    got = (mesh.edge_face, mesh.edge_sign, mesh.f_left, mesh.f_right, mesh.f_endpoints)
+    for field, a, b in zip(("edge_face", "edge_sign", "f_left", "f_right", "f_endpoints"),
+                           got, face_numbering_reference(mesh), strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cutdg.field import make_ramp_problem
 from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
 from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
-from polygon_oracle import integrate_cell, polygon_quadrature, triangulate_fan
+from polygon_oracle import cell_table_reference, integrate_cell, polygon_quadrature, triangulate_fan
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -56,6 +56,24 @@ def test_triangle_weights_positive_and_sum_to_area():
     rule = TriangleRule.of_degree(6)
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 0.5) < 1e-14
+
+
+@pytest.mark.parametrize("make,size", [(SegmentRule.gauss, 4), (SegmentRule.gauss, 11),
+                                       (TriangleRule.of_degree, 6), (TriangleRule.of_degree, 13)])
+def test_rules_are_shared_and_read_only(make, size):
+    rule = make(size)
+    assert make(size) is rule
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert SegmentRule.gauss() is SegmentRule.gauss(4)
+
+
+@pytest.mark.parametrize("make", [SegmentRule.gauss, TriangleRule.of_degree])
+def test_invalid_rule_size_raises_every_time(make):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            make(0)
 
 
 def test_cell_constant_gives_area():
@@ -204,3 +222,24 @@ def test_cell_table_rules_per_cell(name):
         pts, wts = polygon_quadrature(mesh.cell_vertices(c), rule)
         np.testing.assert_array_equal(table.points[at], pts)
         np.testing.assert_array_equal(table.weights[at], wts)
+
+
+REFERENCE_MESHES = {
+    **TABLE_MESHES,
+    "grid-offset-5deg-n64": lambda: build_mesh(RampDomain(math.radians(5.0), 0.25 + 1e-15), 64),
+    "cartesian-n4": lambda: build_mesh(RampDomain(math.radians(30.0), 1.0), 4),  # no fan cells
+}
+
+
+@pytest.mark.parametrize("degree", [6, 13])
+@pytest.mark.parametrize("name", list(REFERENCE_MESHES))
+def test_cell_table_matches_broadcast_reference(name, degree):
+    # one coordinate column at a time gives the bits of (cells, points, 2) broadcasts
+    mesh = REFERENCE_MESHES[name]()
+    rule = TriangleRule.of_degree(degree)
+    table = CellQuadratureTable(mesh, rule)
+    for field, a, b in zip(("points", "weights", "cell_index"),
+                           (table.points, table.weights, table.cell_index),
+                           cell_table_reference(mesh, rule), strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
