@@ -40,7 +40,12 @@ def _boolean(raw: str) -> bool:
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(s) for s in raw.split(",") if s.strip()]
+    if not raw.strip():
+        return []  # the key's rules reject an empty list
+    items = raw.split(",")
+    if not all(s.strip() for s in items):
+        raise ValueError(f"empty item in {raw!r}")
+    return [int(s) for s in items]
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,7 @@ def cmd_run(cfg: RunConfig, diagnostics: bool = False) -> int:
     eb = error_breakdown(scheme, result.t_final, result.u)
     write_vtk(path, scheme.mesh, mesh_cell_data(scheme.mesh, scheme.records, u=result.u))
     print(f"wrote {path}")
-    print(f"n={cfg.n} steps={result.steps} dt={result.dt_nominal:.6e}")
+    print(f"n={cfg.n} steps={result.steps} dt={scheme.dt:.6e}")
     print(f"l2_error={eb.l2:.10e} beta_semi_error={eb.beta_semi:.10e}")
     if diagnostics:
         dpath = f"{cfg.out}_diagnostics.csv"
@@ -249,7 +254,6 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
     t0 = time.perf_counter()
     for n in cfg.n_list:
         scheme = DoDScheme(problem, sconf, n)
-        dt = scheme.cfl_dt()
         acc2 = 0.0
 
         def accumulate(k, t, u, dt_k):
@@ -263,7 +267,7 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
         row = {
             "n": n,
             "h": scheme.h,
-            "dt": dt,
+            "dt": scheme.dt,
             "l2_error": eb.l2,
             "beta_semi_error": eb.beta_semi,
             "accumulated_seminorm": acc,

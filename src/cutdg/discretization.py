@@ -436,7 +436,6 @@ class InflowOperator:
     `cells` with the entries -w beta.n / |F|.
     """
 
-    n_cells: int
     cells: np.ndarray
     points: np.ndarray
     matrix: sp.csr_matrix
@@ -444,12 +443,6 @@ class InflowOperator:
     def values(self, data) -> np.ndarray:
         """The contribution on `cells`, in their order, of the data at `points`."""
         return self.matrix @ np.asarray(data, dtype=float)
-
-    def rhs(self, data) -> PiecewiseConstantField:
-        """The contribution on every cell; zero off the inflow boundary."""
-        out = np.zeros(self.n_cells)
-        out[self.cells] = self.values(data)
-        return out
 
 
 def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
@@ -461,7 +454,7 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
         (weights.ravel(), (np.repeat(row, nq), np.arange(weights.size))),
         shape=(len(cells), weights.size),
     )
-    return InflowOperator(mesh.n_cells, cells, table.qpoints[faces].reshape(-1, 2), matrix)
+    return InflowOperator(cells, table.qpoints[faces].reshape(-1, 2), matrix)
 
 
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
@@ -494,7 +487,6 @@ def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
 class SolveResult:
     u: PiecewiseConstantField
     steps: int
-    dt_nominal: float
     t_final: float
 
 
@@ -507,10 +499,10 @@ class DoDScheme:
     coordinates of the inflow and jump-face quadrature points
     (`inflow_chars`, `jump_chars`), on which the inflow data of every step
     and the exact solution of every error seminorm are evaluated.
-    Everything is built once and treated as immutable, so a scheme can be
-    shared by solves, norms, and verification checks.  The one mutable
-    part is the cache of `step_matrix`, which only ever holds I - dt A for
-    the last dt.
+    The time step `dt` = kappa h is fixed by the configuration, and
+    `step_S` = I - dt A is built for it.  Everything is built once and
+    treated as immutable, so a scheme can be shared by solves, norms, and
+    verification checks.
     """
 
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
@@ -532,8 +524,8 @@ class DoDScheme:
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
         self.inflow = build_inflow(self.mesh, self.table)
         self.inflow_chars = problem.characteristics(self.inflow.points)
-        self._step_dt: float | None = None
-        self._step_S: sp.csr_matrix | None = None
+        self.dt = cfl_dt(self.mesh, problem.velocity, config)
+        self.step_S = self.step_matrix(self.dt)
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
         if self.c_b < 1e-8:
@@ -561,30 +553,20 @@ class DoDScheme:
         return np.ascontiguousarray((self.matrix @ np.asarray(v, dtype=float).T).T)
 
     def rhs(self, t: float) -> PiecewiseConstantField:
-        if self.problem.zero_inflow:
-            return np.zeros(self.mesh.n_cells)
-        return self.inflow.rhs(self.problem.g_from(t, self.inflow_chars))
-
-    def cfl_dt(self) -> float:
-        return cfl_dt(self.mesh, self.velocity, self.config)
+        """The inflow contribution on every cell; zero off the inflow boundary."""
+        out = np.zeros(self.mesh.n_cells)
+        out[self.inflow.cells] = self.inflow.values(self.problem.g_from(t, self.inflow_chars))
+        return out
 
     def step_matrix(self, dt: float) -> sp.csr_matrix:
-        """S = I - dt A, the explicit Euler update without inflow data.
-
-        One slot caches S for the last dt asked for, so a solve builds it
-        once for its nominal step and once for a shortened last step.  The
-        matrix is shared with the cache and must not be modified.
-        """
-        if self._step_dt != dt:
-            identity = sp.identity(self.mesh.n_cells, format="csr")
-            self._step_S = identity - dt * self.matrix
-            self._step_dt = dt
-        return self._step_S
+        """S = I - dt A, the explicit Euler update without inflow data."""
+        return sp.identity(self.mesh.n_cells, format="csr") - dt * self.matrix
 
     def step(self, u: PiecewiseConstantField, t: float, dt: float) -> PiecewiseConstantField:
         """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt times the
-        inflow data added on the inflow cells only."""
-        out = self.step_matrix(dt) @ u
+        inflow data added on the inflow cells only.  S is `step_S` for the
+        scheme's `dt`, and built afresh for any other step."""
+        out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
         if not self.problem.zero_inflow:
             data = self.problem.g_from(t, self.inflow_chars)
             out[self.inflow.cells] += dt * self.inflow.values(data)
@@ -599,34 +581,22 @@ class DoDScheme:
 
         return l2_project(self.mesh, self.problem.u0, self.cellquad)
 
-    def solve(
-        self,
-        dt: float | None = None,
-        t_final: float | None = None,
-        observer=None,
-    ) -> SolveResult:
+    def solve(self, t_final: float | None = None, observer=None) -> SolveResult:
         """March the fully discrete scheme from the projected initial data to T.
 
-        Only the final step is shortened to land on T exactly; `dt_nominal`
-        in the result is the unshortened step used by order studies.  The
-        observer, if given, is called as observer(k, t, u, dt) on every state
-        k = 0..steps, with dt the step that leaves it (0.0 at T, where t is
-        T exactly).
+        Every step is `dt` except the final one, which is shortened to land
+        on T exactly.  The observer, if given, is called as
+        observer(k, t, u, dt) on every state k = 0..steps, with dt the step
+        that leaves it (0.0 at T, where t is T exactly).
         """
         T = self.problem.t_final if t_final is None else t_final
-        dt_nom = self.cfl_dt() if dt is None else dt
-        if not 0.0 < dt_nom < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {dt_nom}")
         if not 0.0 <= T < math.inf:
             raise ValueError(f"t_final must be finite and nonnegative, got {T}")
-        if dt_nom > self.cfl_dt() * (1.0 + 1e-12):
-            warnings.warn(f"dt={dt_nom:.3e} exceeds the configured bound {self.cfl_dt():.3e}",
-                          stacklevel=2)
         u = self.project_initial()
-        n_steps = max(1, math.ceil(T / dt_nom - 1e-12)) if T > 0.0 else 0
+        n_steps = max(1, math.ceil(T / self.dt - 1e-12)) if T > 0.0 else 0
         t = 0.0
         for k in range(n_steps):
-            dt_k = dt_nom if k < n_steps - 1 else T - t
+            dt_k = self.dt if k < n_steps - 1 else T - t
             if observer is not None:
                 observer(k, t, u, dt_k)
             u = self.step(u, t, dt_k)
@@ -635,5 +605,4 @@ class DoDScheme:
             t = T
         if observer is not None:
             observer(n_steps, t, u, 0.0)
-        return SolveResult(u=u, steps=n_steps, dt_nominal=dt_nom, t_final=t)
-
+        return SolveResult(u=u, steps=n_steps, t_final=t)

@@ -90,6 +90,11 @@ class RampTestProblem:
     t_final: float = 0.5
     zero_inflow: bool = False
 
+    def __post_init__(self):
+        # the wave number sqrt(2) pi / (1 - x0) needs room right of the ramp
+        if not self.ramp.x0 < 1.0:
+            raise ValueError(f"x0 must be below 1 for the ramp test problem, got {self.ramp.x0}")
+
     def rotated(self, pts: np.ndarray):
         p = np.asarray(pts, dtype=float)
         g, x0 = self.ramp.gamma, self.ramp.x0
@@ -151,12 +156,9 @@ class RampTestProblem:
         zy = s + 0.5 * t * c
         return np.stack([fp * zx, fp * zy], axis=-1)
 
-    def g(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Inflow boundary data: trace of the exact solution (or zero)."""
-        return self.g_from(t, self.characteristics(pts))
-
     def g_from(self, t: float, chars: Characteristics) -> np.ndarray:
-        """The inflow data `g` on the points of `chars`."""
+        """Inflow boundary data on the points of `chars`: the trace of the
+        exact solution (or zero)."""
         if self.zero_inflow:
             return np.zeros(np.shape(chars.xi))
         return self.exact_from(t, chars)

@@ -156,10 +156,6 @@ class CutCellMesh:
     def total_area(self) -> float:
         return float(self.areas.sum())
 
-    def cell_vertices(self, c: int) -> np.ndarray:
-        """The (k, 2) counter-clockwise corners of cell c."""
-        return self.vertices[self.cell_ptr[c]:self.cell_ptr[c + 1]]
-
 
 def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     """Clip an n x n background grid against the ramp and assemble faces.

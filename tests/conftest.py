@@ -14,7 +14,7 @@ class ConstantInflowProblem(RampTestProblem):
     c: float = 0.7
 
     def g_from(self, t, chars):
-        # the data path of `DoDScheme.step`; `g(t, pts)` goes through it too
+        # the data path of `DoDScheme.step` and `DoDScheme.rhs`
         return np.full(np.shape(chars.xi), self.c)
 
 

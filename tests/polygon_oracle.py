@@ -7,7 +7,8 @@ It also keeps the whole-mesh formulas the mesh and tables were first built
 with, which the package must match bit for bit: the face numbering by sort
 (`face_numbering_reference`) and the quadrature points of the cell and face
 tables as broadcasts over (..., 2) coordinate axes (`cell_table_reference`,
-`face_table_reference`)."""
+`face_table_reference`), and reads the corners of one cell
+(`cell_vertices`)."""
 import numpy as np
 
 from cutdg.geometry import RampDomain, _clip_squares
@@ -41,9 +42,14 @@ def polygon_quadrature(vertices: np.ndarray, rule: TriangleRule):
     return pts.reshape(-1, 2), wts.ravel()
 
 
+def cell_vertices(mesh, c: int) -> np.ndarray:
+    """The (k, 2) counter-clockwise corners of cell c."""
+    return mesh.vertices[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]]
+
+
 def integrate_cell(vertices, integrand, rule: TriangleRule | None = None) -> float:
     """Integrate a scalar function over a convex CCW polygon, such as
-    `mesh.cell_vertices(c)`."""
+    `cell_vertices(mesh, c)`."""
     if rule is None:
         rule = TriangleRule.of_degree(6)
     pts, wts = polygon_quadrature(vertices, rule)

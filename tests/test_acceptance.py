@@ -164,7 +164,7 @@ def test_criterion_10_constants_and_duality(scheme_cache, constant_inflow_scheme
     # constant data g = c with u = c: the step the solver runs leaves u fixed
     const = constant_inflow_scheme
     u = np.full(mesh.n_cells, const.problem.c)
-    drift = float(np.abs(const.step(u, 0.0, const.cfl_dt()) - u).max())
+    drift = float(np.abs(const.step(u, 0.0, const.dt) - u).max())
 
     rng = np.random.default_rng(105)
     worst = 0.0

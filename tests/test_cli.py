@@ -120,6 +120,10 @@ class TestConfig:
         (["verify", "--n-list", ""], "--n-list"),
         (["run", "--n", "8", "--quad-face-order", "17"], "--quad-face-order"),
         (["run", "--n", "8", "--quad-cell-degree", "400"], "--quad-cell-degree"),
+        (["converge", "--n-list", "8,,16"], "--n-list"),
+        (["converge", "--n-list", "16,32,"], "--n-list"),
+        (["converge", "--n-list", ",16"], "--n-list"),
+        (["verify", "--n-list", "8, ,16"], "--n-list"),
     ])
     def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
         import cutdg.cli as cli
@@ -243,7 +247,7 @@ class TestConverge:
         # reference: a hand-written time loop, full error breakdown at the
         # left endpoint of every step
         scheme = DoDScheme(make_ramp_problem(25.0, 0.2001, t_final=0.05), SchemeConfig(), 8)
-        dt = scheme.cfl_dt()
+        dt = scheme.dt
         u, t, acc2 = scheme.project_initial(), 0.0, 0.0
         n_steps = max(1, math.ceil(0.05 / dt - 1e-12))
         for k in range(n_steps):

@@ -328,7 +328,9 @@ class TestRhsAndStep:
     def test_zero_data_gives_zero(self, base_scheme):
         g = lambda t, p: np.zeros(np.asarray(p).shape[:-1])
         op = build_inflow(base_scheme.mesh, base_scheme.table)
-        np.testing.assert_array_equal(op.rhs(g(0.0, op.points)), np.zeros(base_scheme.mesh.n_cells))
+        r = np.zeros(base_scheme.mesh.n_cells)
+        r[op.cells] = op.values(g(0.0, op.points))
+        np.testing.assert_array_equal(r, np.zeros(base_scheme.mesh.n_cells))
 
     def test_unit_inflow_face_contribution(self):
         # beta.n = -1 on the left boundary, g = 1, |e| = h, |F| = h^2 -> 1/h
@@ -336,7 +338,8 @@ class TestRhsAndStep:
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
         op = build_inflow(mesh, table)
-        r = op.rhs(g(0.0, op.points))
+        r = np.zeros(mesh.n_cells)
+        r[op.cells] = op.values(g(0.0, op.points))
         left_col = mesh.background[:, 0] == 0
         rest = ~left_col
         np.testing.assert_allclose(r[left_col], 1.0 / mesh.h, rtol=1e-14)
@@ -358,33 +361,49 @@ class TestRhsAndStep:
         op = build_inflow(mesh, table)
         expected = rhs_inflow_oracle(mesh, table, g, 0.3)
         np.testing.assert_array_equal(op.cells, np.nonzero(expected)[0])
-        got = op.rhs(g(0.3, op.points))
+        got = np.zeros(mesh.n_cells)
+        got[op.cells] = op.values(g(0.3, op.points))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_constants_are_a_fixed_point(self, constant_inflow_scheme):
         scheme = constant_inflow_scheme
         u = np.full(scheme.mesh.n_cells, scheme.problem.c)
-        u_next = scheme.step(u, 0.0, scheme.cfl_dt())
+        u_next = scheme.step(u, 0.0, scheme.dt)
         assert np.abs(u_next - u).max() < 1e-13
 
-    def test_step_matrix_cache_follows_dt(self, base_scheme):
+    def test_step_matches_unfused_update(self, base_scheme):
+        # the scheme's own dt multiplies by step_S; any other step, such as
+        # a shortened last one, builds I - dt A afresh
         scheme, n = base_scheme, base_scheme.mesh.n_cells
         rng = np.random.default_rng(16)
         u = rng.uniform(-1, 1, n)
-        dt1 = scheme.cfl_dt()
-        dt2 = 0.37 * dt1  # a shortened last step
-        for dt in (dt1, dt2, dt1):
+        for dt in (scheme.dt, 0.37 * scheme.dt):
             # the unfused update, kept as the reference
             expected = u - dt * (scheme.matrix @ u) + dt * scheme.rhs(0.2)
             got = scheme.step(u, 0.2, dt)
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
             S = scheme.step_matrix(dt)
             np.testing.assert_array_equal(S.toarray(), np.eye(n) - dt * scheme.matrix.toarray())
+        np.testing.assert_array_equal(scheme.step_S.toarray(),
+                                      scheme.step_matrix(scheme.dt).toarray())
+
+    def test_stepping_leaves_the_scheme_unchanged(self):
+        problem = make_ramp_problem(25.0, 0.2001, t_final=0.05)
+        scheme = DoDScheme(problem, SchemeConfig(), 8)
+        S = scheme.step_S
+        arrays = [a.copy() for a in (S.data, S.indices, S.indptr)]
+        first = scheme.solve()
+        assert (first.steps - 1) * scheme.dt < 0.05 < first.steps * scheme.dt  # a short last step
+        scheme.step(first.u, first.t_final, 0.37 * scheme.dt)
+        assert scheme.step_S is S
+        for a, b in zip((S.data, S.indices, S.indptr), arrays, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(scheme.solve().u, first.u)
 
     def test_l2_contraction_without_inflow(self, scheme_cache):
         problem = make_ramp_problem(25.0, 0.2001).with_zero_inflow()
         scheme = DoDScheme(problem, SchemeConfig(epsilon=1 / 14), 32)
-        dt = scheme.cfl_dt()
+        dt = scheme.dt
         u = scheme.project_initial()
         prev = scheme.l2_norm(u)
         t = 0.0
@@ -409,11 +428,11 @@ class TestRhsAndStep:
             for f in boundary
             if table.flux_in[f] > 0
         )
-        gv = base_scheme.problem.g
+        problem = base_scheme.problem
         flux_in = 0.0
         for f in boundary:
             if table.flux_in[f] < 0:
-                vals = gv(t, table.qpoints[f])
+                vals = problem.g_from(t, problem.characteristics(table.qpoints[f]))
                 flux_in += float((table.wbn[f] * vals).sum())
         assert dmass == pytest.approx(-flux_out - flux_in, rel=1e-12, abs=1e-13)
 
@@ -483,7 +502,7 @@ class TestSolve:
         scheme = DoDScheme(problem, SchemeConfig(), 8)
         result = scheme.solve()
         assert result.t_final == 0.25
-        assert result.steps == math.ceil(0.25 / result.dt_nominal - 1e-12)
+        assert result.steps == math.ceil(0.25 / scheme.dt - 1e-12)
 
     def test_observer_sees_every_state(self):
         t_final = 0.05
@@ -513,16 +532,9 @@ class TestSolve:
         np.testing.assert_array_equal(seen[0][2], result.u)
 
     @pytest.mark.parametrize("name,value", [
-        *[("dt", v) for v in (-0.01, 0.0, math.nan, math.inf)],
         *[("t_final", v) for v in (-0.01, math.nan, math.inf)],
     ])
     def test_rejects_bad_arguments(self, name, value):
         scheme = DoDScheme(make_ramp_problem(25.0, 0.2001, t_final=0.05), SchemeConfig(), 8)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             scheme.solve(**{name: value})
-
-    def test_dt_above_bound_warns(self):
-        problem = make_ramp_problem(25.0, 0.2001, t_final=0.05)
-        scheme = DoDScheme(problem, SchemeConfig(), 8)
-        with pytest.warns(UserWarning, match="exceeds the configured bound"):
-            scheme.solve(dt=2.0 * scheme.cfl_dt())

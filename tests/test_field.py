@@ -156,8 +156,15 @@ class TestExactSolution:
     def test_zero_inflow_variant(self, problem):
         z = problem.with_zero_inflow()
         pts = np.array([[0.0, 0.5], [0.1, 0.0]])
-        np.testing.assert_array_equal(z.g(0.3, pts), np.zeros(2))
-        assert problem.g(0.3, pts[0]) != 0.0
+        np.testing.assert_array_equal(z.g_from(0.3, z.characteristics(pts)), np.zeros(2))
+        assert problem.g_from(0.3, problem.characteristics(pts[0])) != 0.0
+
+    def test_problem_needs_x0_below_one(self):
+        # the mesh accepts x0 = 1 (an all-Cartesian square), but the wave
+        # number sqrt(2) pi / (1 - x0) of the initial data does not
+        RampDomain(gamma=math.radians(25.0), x0=1.0)
+        with pytest.raises(ValueError, match="x0 must be below 1"):
+            make_ramp_problem(25.0, 1.0)
 
 
 def test_ramp_domain_validation():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cutdg.field import make_ramp_problem
 from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
 from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
-from polygon_oracle import cell_table_reference, integrate_cell, polygon_quadrature, triangulate_fan
+from polygon_oracle import (
+    cell_table_reference, cell_vertices, integrate_cell, polygon_quadrature, triangulate_fan,
+)
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -124,8 +126,8 @@ def test_degree_escalation_stable_on_wave_integrand(scheme_cache):
     lo = TriangleRule.of_degree(6)
     hi = TriangleRule.of_degree(10)
     for c in cut_cells:
-        a = integrate_cell(mesh.cell_vertices(c), u0, lo)
-        b = integrate_cell(mesh.cell_vertices(c), u0, hi)
+        a = integrate_cell(cell_vertices(mesh, c), u0, lo)
+        b = integrate_cell(cell_vertices(mesh, c), u0, hi)
         assert abs(a - b) < 1e-10
 
 
@@ -136,7 +138,7 @@ def test_cell_table_matches_per_cell_quadrature(scheme_cache):
     per_cell = table.integrate(f)
     mesh = scheme.mesh
     for c in range(0, mesh.n_cells, max(1, mesh.n_cells // 17)):
-        expected = integrate_cell(mesh.cell_vertices(c), f)
+        expected = integrate_cell(cell_vertices(mesh, c), f)
         assert per_cell[c] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -154,7 +156,7 @@ def test_square_rule_monomial_exactness(degree):
     mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
     table = CellQuadratureTable(mesh, TriangleRule.of_degree(degree))
     c = int(np.flatnonzero((mesh.background == [1, 2]).all(axis=1))[0])
-    (x0, y0), (x1, y1) = mesh.cell_vertices(c)[0], mesh.cell_vertices(c)[2]
+    (x0, y0), (x1, y1) = cell_vertices(mesh, c)[0], cell_vertices(mesh, c)[2]
     at = table.cell_index == c
     pts, wts = table.points[at], table.weights[at]
     assert len(wts) == q * q
@@ -219,7 +221,7 @@ def test_cell_table_rules_per_cell(name):
     np.testing.assert_array_equal(np.bincount(table.cell_index, minlength=mesh.n_cells), expected)
     for c in np.flatnonzero(~square).tolist():
         at = table.cell_index == c
-        pts, wts = polygon_quadrature(mesh.cell_vertices(c), rule)
+        pts, wts = polygon_quadrature(cell_vertices(mesh, c), rule)
         np.testing.assert_array_equal(table.points[at], pts)
         np.testing.assert_array_equal(table.weights[at], wts)
 

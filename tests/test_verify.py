@@ -183,7 +183,7 @@ class TestEnergyDecay:
         config = SchemeConfig(epsilon=1 / 14)
         rep = vf.check_energy_decay(problem, config, n=8, steps=20)
         scheme = DoDScheme(problem.with_zero_inflow(), config, 8)
-        dt = scheme.cfl_dt()
+        dt = scheme.dt
         u, norms = scheme.project_initial(), []
         norms.append(scheme.l2_norm(u))
         for k in range(20):
