@@ -3,7 +3,6 @@
 from .discretization import (
     DoDScheme,
     FaceIntegralTable,
-    InflowOperator,
     SchemeConfig,
     assemble_dod_matrix,
     bilinear_a_dod,
@@ -34,6 +33,6 @@ from .norms import (
     l2_project,
     triple_star_norm,
 )
-from .quadrature import QuadratureConfig, SegmentRule, TriangleRule
+from .quadrature import SegmentRule, TriangleRule
 
 __all__ = [name for name in dir() if not name.startswith("_")]

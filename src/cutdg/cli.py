@@ -21,7 +21,6 @@ import numpy as np
 from .discretization import DoDScheme, InvalidConfig, SchemeConfig
 from .field import make_ramp_problem
 from .norms import error_breakdown, error_seminorm
-from .quadrature import QuadratureConfig
 from .verify import run_all
 from .vtk_io import mesh_cell_data, write_vtk
 
@@ -143,7 +142,8 @@ class RunConfig:
             tau=self.tau,
             epsilon=self.cfl_epsilon,
             cfl_kappa=self.cfl_kappa,
-            quad=QuadratureConfig(self.face_order, self.cell_degree),
+            face_order=self.face_order,
+            cell_degree=self.cell_degree,
         )
 
 
@@ -171,7 +171,7 @@ class ConvergenceReport:
 
 
 def parse_config_file(path: str) -> dict:
-    values = {}
+    values, first = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,7 +179,10 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first on line {first[key]})")
+        values[key], first[key] = val.strip(), lineno
     return values
 
 
@@ -352,7 +355,7 @@ def main(argv=None) -> int:
             "export": cmd_export,
         }[args.command]
         return command(cfg)
-    except (ConfigError, InvalidConfig, ValueError, OSError) as exc:
+    except (ConfigError, InvalidConfig, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

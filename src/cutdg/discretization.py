@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import F_RAMP, CutCellMesh, StabilizedCells, build_mesh, identify_stabilized
 from .field import RampTestProblem
-from .quadrature import CellQuadratureTable, QuadratureConfig, SegmentRule, TriangleRule
+from .quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 
 #: one scalar per cell, indexed by cell id
 PiecewiseConstantField = np.ndarray
@@ -39,16 +39,20 @@ class InvalidConfig(ValueError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme parameters: capacity factor tau, CFL selection, quadrature.
+    """Scheme parameters: capacity factor tau, CFL selection, quadrature sizes.
 
     `cfl_kappa`, when set, overrides the stability constant
-    kappa = (1 - 2 eps) / ((1 + eps) C_tr).
+    kappa = (1 - 2 eps) / ((1 + eps) C_tr).  `face_order` is the number of
+    Gauss points per face (exact up to degree 2 face_order - 1 along it);
+    `cell_degree` is the total polynomial degree each cell's rule
+    integrates exactly.
     """
 
     tau: float = 1.0
     epsilon: float = 0.25
     cfl_kappa: float | None = None
-    quad: QuadratureConfig = dc_field(default_factory=QuadratureConfig)
+    face_order: int = 4
+    cell_degree: int = 6
 
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
@@ -64,7 +68,7 @@ class SchemeConfig:
         return max(4.0 * velocity.inf_norm, 1.0 / self.tau)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FaceIntegralTable:
     """Per-face fluxes of beta plus cached face quadrature data.
 
@@ -424,9 +428,9 @@ def build_jump_seminorm(
     )
 
 
-@dataclass(frozen=True)
-class InflowOperator:
-    """Inflow-data contribution to the update, -|F|^-1 int min(beta.n, 0) g.
+def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable):
+    """(cells, points, matrix) of the inflow-data contribution to the
+    update, -|F|^-1 int min(beta.n, 0) g.
 
     Nonnegative for nonnegative g; the step adds dt times this, so constant
     data g = c exactly balances the boundary part of the operator.  Only the
@@ -435,17 +439,6 @@ class InflowOperator:
     points of the inflow faces, and `matrix` maps data at those points to
     `cells` with the entries -w beta.n / |F|.
     """
-
-    cells: np.ndarray
-    points: np.ndarray
-    matrix: sp.csr_matrix
-
-    def values(self, data) -> np.ndarray:
-        """The contribution on `cells`, in their order, of the data at `points`."""
-        return self.matrix @ np.asarray(data, dtype=float)
-
-
-def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
     faces = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
     cells, row = np.unique(mesh.f_left[faces], return_inverse=True)
     nq = table.wbn.shape[1]
@@ -454,7 +447,7 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable) -> InflowOperator:
         (weights.ravel(), (np.repeat(row, nq), np.arange(weights.size))),
         shape=(len(cells), weights.size),
     )
-    return InflowOperator(cells, table.qpoints[faces].reshape(-1, 2), matrix)
+    return cells, table.qpoints[faces].reshape(-1, 2), matrix
 
 
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
@@ -495,10 +488,12 @@ class DoDScheme:
 
     Bundles the mesh, face table, stabilized-cell table `records`, the
     beta-seminorm's `jump_faces` and face structure `seminorm`, operator
-    matrix, inflow operator and quadrature caches, and the characteristic
-    coordinates of the inflow and jump-face quadrature points
-    (`inflow_chars`, `jump_chars`), on which the inflow data of every step
-    and the exact solution of every error seminorm are evaluated.
+    matrix, quadrature caches, the inflow cells and the matrix that maps
+    inflow data to them (`inflow_cells`, `inflow_matrix`), and the
+    characteristic coordinates of the inflow and jump-face quadrature
+    points (`inflow_chars`, `jump_chars`), on which the inflow data of
+    every step and the exact solution of every error seminorm are
+    evaluated.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  Everything is built once and
     treated as immutable, so a scheme can be shared by solves, norms, and
@@ -508,10 +503,9 @@ class DoDScheme:
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
         self.problem = problem
         self.config = config
-        face_rule = SegmentRule.gauss(config.quad.face_order)
-        cell_rule = TriangleRule.of_degree(config.quad.cell_degree)
+        face_rule = SegmentRule.gauss(config.face_order)
+        cell_rule = TriangleRule.of_degree(config.cell_degree)
         self.mesh = build_mesh(problem.ramp, n)
-        self.n = n
         self.table = build_face_table(self.mesh, problem.velocity, face_rule)
         self.records = identify_stabilized(self.mesh, self.table, config.tau)
         # the faces on which a smooth part enters the beta-seminorm: it is
@@ -522,8 +516,8 @@ class DoDScheme:
         self.seminorm = build_jump_seminorm(self.mesh, self.table, self.records, self.jump_faces)
         self.jump_chars = problem.characteristics(self.table.qpoints[self.jump_faces].reshape(-1, 2))
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
-        self.inflow = build_inflow(self.mesh, self.table)
-        self.inflow_chars = problem.characteristics(self.inflow.points)
+        self.inflow_cells, points, self.inflow_matrix = build_inflow(self.mesh, self.table)
+        self.inflow_chars = problem.characteristics(points)
         self.dt = cfl_dt(self.mesh, problem.velocity, config)
         self.step_S = self.step_matrix(self.dt)
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
@@ -555,7 +549,7 @@ class DoDScheme:
     def rhs(self, t: float) -> PiecewiseConstantField:
         """The inflow contribution on every cell; zero off the inflow boundary."""
         out = np.zeros(self.mesh.n_cells)
-        out[self.inflow.cells] = self.inflow.values(self.problem.g_from(t, self.inflow_chars))
+        out[self.inflow_cells] = self.inflow_matrix @ self.problem.g_from(t, self.inflow_chars)
         return out
 
     def step_matrix(self, dt: float) -> sp.csr_matrix:
@@ -569,7 +563,7 @@ class DoDScheme:
         out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
         if not self.problem.zero_inflow:
             data = self.problem.g_from(t, self.inflow_chars)
-            out[self.inflow.cells] += dt * self.inflow.values(data)
+            out[self.inflow_cells] += dt * (self.inflow_matrix @ data)
         return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:

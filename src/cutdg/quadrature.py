@@ -17,19 +17,6 @@ from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Rule sizes used throughout the discretization.
-
-    face_order : number of Gauss points per face (order q is exact for
-        polynomials of degree <= 2q-1 along the face).
-    cell_degree : total polynomial degree integrated exactly per cell.
-    """
-
-    face_order: int = 4
-    cell_degree: int = 6
-
-
-@dataclass(frozen=True)
 class SegmentRule:
     """Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1."""
 

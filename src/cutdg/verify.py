@@ -112,20 +112,17 @@ def _worst_cell(scheme: DoDScheme, values) -> dict:
 
 
 def cell_flux_sums(scheme: DoDScheme):
-    """Per-cell (sum_in |flux|, sum_out |flux|, signed closure) over faces."""
-    mesh, table = scheme.mesh, scheme.table
-    nc = mesh.n_cells
-    sin = np.zeros(nc)
-    sout = np.zeros(nc)
-    closure = np.zeros(nc)
-    for side, cells, sign in ((0, mesh.f_left, 1.0), (1, mesh.f_right, -1.0)):
-        valid = cells >= 0
-        ids = cells[valid]
-        signed = sign * table.flux_in[valid]
-        np.add.at(closure, ids, signed)
-        np.add.at(sin, ids, np.where(signed < 0.0, -signed, 0.0))
-        np.add.at(sout, ids, np.where(signed > 0.0, signed, 0.0))
-    return sin, sout, closure
+    """Per-cell (sum_in |flux|, sum_out |flux|, signed closure) over faces.
+
+    Each cell adds its left-side faces in face order, then its right-side
+    faces: one bincount over f_left followed by the interior f_right.
+    """
+    mesh, flux = scheme.mesh, scheme.table.flux_in
+    has_r = mesh.f_right >= 0
+    ids = np.concatenate([mesh.f_left, mesh.f_right[has_r]])
+    signed = np.concatenate([flux, -flux[has_r]])
+    sums = (np.where(signed < 0.0, -signed, 0.0), np.where(signed > 0.0, signed, 0.0), signed)
+    return tuple(np.bincount(ids, weights=w, minlength=mesh.n_cells) for w in sums)
 
 
 def check_incompressibility(scheme: DoDScheme) -> LemmaReport:

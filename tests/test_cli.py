@@ -64,6 +64,7 @@ class TestConfig:
         ("quad.face_order = 2.5", "quad.face_order"),
         ("problem.gamma_deg = abc", "problem.gamma_deg"),
         ("scheme.cfl_kappa =", "scheme.cfl_kappa"),
+        ("run.n = 8\nrun.n = 16", "run.cfg:3: duplicate key 'run.n' (first on line 2)"),
     ])
     def test_bad_config_entry_exits_one(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -103,6 +104,22 @@ class TestConfig:
                      ["run", "--diag"]):
             assert run(argv) == 1
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_non_default_quadrature_reaches_the_scheme(self):
+        from cutdg import DoDScheme
+        from cutdg.cli import _resolve, build_parser
+        from cutdg.geometry import K_CARTESIAN
+
+        args = build_parser().parse_args(["run", "--quad-face-order", "7", "--quad-cell-degree", "9"])
+        cfg = _resolve(args, {})
+        sconf = cfg.scheme_config()
+        assert (sconf.face_order, sconf.cell_degree) == (7, 9)
+        scheme = DoDScheme(cfg.problem(), sconf, 8)
+        assert scheme.table.wbn.shape[1] == 7
+        points = np.bincount(scheme.cellquad.cell_index, minlength=scheme.mesh.n_cells)
+        uncut = scheme.mesh.kind_codes == K_CARTESIAN
+        assert uncut.any()
+        np.testing.assert_array_equal(points[uncut], ((9 + 2) // 2) ** 2)
 
     def test_decreasing_n_list_exits_one(self):
         assert run(["converge", "--n-list", "16,8"]) == 1
@@ -192,6 +209,12 @@ class TestRun:
         diag = (tmp_path / "r_diagnostics.csv").read_text().splitlines()
         assert diag[0] == "step,t,l2_norm,min,max"
         assert len(diag) == 1  # zero steps at T = 0
+
+    def test_oversized_mesh_exits_one(self, tmp_path, capsys):
+        # the mesh's first array asks for petabytes and fails at once
+        assert run(["run", "--n", str(10**15), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
 
     def test_diagnostics_rows_per_step(self, tmp_path, capsys):
         out = tmp_path / "r"

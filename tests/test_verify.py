@@ -40,7 +40,32 @@ def captured(monkeypatch):
     return seen
 
 
+def cell_flux_sums_add_at(scheme):
+    """The np.add.at scatter `cell_flux_sums` replaced, kept as the reference."""
+    mesh, table = scheme.mesh, scheme.table
+    nc = mesh.n_cells
+    sin = np.zeros(nc)
+    sout = np.zeros(nc)
+    closure = np.zeros(nc)
+    for cells, sign in ((mesh.f_left, 1.0), (mesh.f_right, -1.0)):
+        valid = cells >= 0
+        ids = cells[valid]
+        signed = sign * table.flux_in[valid]
+        np.add.at(closure, ids, signed)
+        np.add.at(sin, ids, np.where(signed < 0.0, -signed, 0.0))
+        np.add.at(sout, ids, np.where(signed > 0.0, signed, 0.0))
+    return sin, sout, closure
+
+
 class TestInverseTrace:
+    @pytest.mark.parametrize("gamma,x0,n", [(25.0, 0.2001, 16), (45.0, 0.2 + 1e-10, 20)])
+    def test_cell_flux_sums_match_add_at_scatter(self, scheme_cache, gamma, x0, n):
+        scheme = scheme_cache(gamma, x0, n)
+        got, expected = vf.cell_flux_sums(scheme), cell_flux_sums_add_at(scheme)
+        assert len(got) == 3
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
     def test_cartesian_cells_ratio_below_half(self):
         # per-cell inflow mass b*h against the bound 4 b h: ratio 1/4 <= 1/2
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
