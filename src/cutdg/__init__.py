@@ -13,6 +13,7 @@ from .discretization import (
 )
 from .field import (
     RampTestProblem,
+    Snapshot,
     VelocityField,
     make_ramp_problem,
     ramp_velocity,

@@ -52,7 +52,8 @@ class ConfigKey:
     """One configuration key: its file name `section.field` (`field` is the
     RunConfig field), its flag, the parser that flag, file and default text
     all go through, its default text (None: unset), the (check, rule) pairs
-    its parsed value must pass, and the subcommands that take the flag."""
+    its parsed value must pass, the subcommands that take the flag and a
+    note that ends the flag's help."""
 
     key: str
     flag: str
@@ -60,6 +61,7 @@ class ConfigKey:
     default: str | None
     rules: tuple = ()
     commands: tuple[str, ...] = COMMANDS
+    note: str = ""
 
     @property
     def field(self) -> str:
@@ -69,7 +71,7 @@ class ConfigKey:
         return ConfigError(f"{self.key} ({self.flag}): {message}")
 
 
-# tau, cfl_epsilon and cfl_kappa have no rules here: SchemeConfig checks them
+# the scheme.* and quad.* keys have no rules here: SchemeConfig checks them
 CONFIG_KEYS = (
     ConfigKey("problem.gamma_deg", "--gamma", float, "25.0",
               rules=((lambda v: 0.0 < v < 90.0, "must lie in (0, 90) degrees"),)),
@@ -80,14 +82,9 @@ CONFIG_KEYS = (
     ConfigKey("scheme.tau", "--tau", float, "1.0"),
     ConfigKey("scheme.cfl_epsilon", "--cfl-epsilon", float, "0.25"),
     ConfigKey("scheme.cfl_kappa", "--cfl-kappa", float, None),
-    # upper bounds: 16 points per face (4 by default); degree 20 puts
-    # 11 x 11 points on every triangle and uncut square (4 x 4 by default)
-    ConfigKey("quad.face_order", "--quad-face-order", int, "4",
-              rules=((lambda v: v >= 1, "need at least 1 point per face"),
-                     (lambda v: v <= 16, "need at most 16 points per face"))),
+    ConfigKey("quad.face_order", "--quad-face-order", int, "4"),
     ConfigKey("quad.cell_degree", "--quad-cell-degree", int, "6",
-              rules=((lambda v: v >= 1, "need degree >= 1"),
-                     (lambda v: v <= 20, "need degree <= 20"))),
+              note="; the rule on cut cells, as uncut squares are integrated exactly"),
     ConfigKey("run.n", "--n", int, "32", commands=("run", "export"),
               rules=((lambda v: v >= 4, "need at least 4 cells per side"),)),
     ConfigKey("run.n_list", "--n-list", _int_list, "16,32,64", commands=("converge", "verify"),
@@ -333,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             if name in row.commands:  # values stay raw text until _resolve parses them
                 store = {"action": "store_const", "const": "true"} if row.parse is _boolean else {}
                 default = "unset" if row.default is None else row.default
-                q.add_argument(row.flag, dest=row.field, help=f"{row.key}, default {default}", **store)
+                text = f"{row.key}, default {default}{row.note}"
+                q.add_argument(row.flag, dest=row.field, help=text, **store)
         if name == "run":
             q.add_argument("--diagnostics", action="store_true")
     return p

@@ -1,20 +1,22 @@
 """DoD-stabilized upwind operator for piecewise constants and time stepping.
 
 Discrete fields are plain numpy arrays with one value per cell (the space of
-piecewise constants).  Functions in the extended space (smooth + discrete)
-are passed as (smooth, discrete) parts; all face couplings reduce to the
-|beta.n|-weighted mean of the trace per face and side, so assembly is a
-handful of vectorized gathers over the face arrays.
+piecewise constants).  Functions in the extended space V* are passed as
+(snapshot u(t, .) of the exact solution, discrete) parts; all face couplings
+reduce to the |beta.n|-weighted mean of the trace per face and side, so
+assembly is a handful of vectorized gathers over the face arrays.
 
 A block of discrete fields is a (fields, cells) array.  The face means, the
 bilinear forms and the norms accept one in place of a single field and
 return one value per row, equal to the value for that row alone: gathers
 along the face axis use np.take, which keeps the rows contiguous, so every
-row is summed in the same order as a single field.
+row is summed in the same order as a single field, by numpy (no BLAS dot,
+whose order depends on the BLAS thread count).
 """
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import F_RAMP, CutCellMesh, StabilizedCells, build_mesh, identify_stabilized
-from .field import RampTestProblem
+from .field import RampTestProblem, Snapshot
 from .quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 
 #: one scalar per cell, indexed by cell id
@@ -33,7 +35,7 @@ class InvalidConfig(ValueError):
     """Scheme configuration violates its admissible ranges; `field` names the parameter."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field} {message}")
+        super().__init__(message)
         self.field = field
 
 
@@ -42,10 +44,11 @@ class SchemeConfig:
     """Scheme parameters: capacity factor tau, CFL selection, quadrature sizes.
 
     `cfl_kappa`, when set, overrides the stability constant
-    kappa = (1 - 2 eps) / ((1 + eps) C_tr).  `face_order` is the number of
-    Gauss points per face (exact up to degree 2 face_order - 1 along it);
-    `cell_degree` is the total polynomial degree each cell's rule
-    integrates exactly.
+    kappa = (1 - 2 eps) / ((1 + eps) C_tr).  `face_order` (1 to 16) is the
+    number of Gauss points per face; `cell_degree` (1 to 20) is the total
+    degree the rule on each fan triangle of a cut cell integrates exactly:
+    (d + 2) // 2 squared points, 4 x 4 at the default 6.  Uncut squares
+    take no rule: the exact solution is integrated over them in closed form.
     """
 
     tau: float = 1.0
@@ -55,13 +58,22 @@ class SchemeConfig:
     cell_degree: int = 6
 
     def __post_init__(self):
+        sizes = (("face_order", 16, "at least 1 point per face", "at most 16 points per face"),
+                 ("cell_degree", 20, "degree >= 1", "degree <= 20"))
+        for name, top, low, high in sizes:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidConfig(name, f"need an integer {name}, got {value!r}")
+            if not 1 <= value <= top:
+                raise InvalidConfig(name, f"need {low if value < 1 else high}, got {value}")
         if not 0.0 < self.tau < math.inf:
-            raise InvalidConfig("tau", f"must be finite and positive, got {self.tau}")
+            raise InvalidConfig("tau", f"tau must be finite and positive, got {self.tau}")
         if self.cfl_kappa is not None:
             if not 0.0 < self.cfl_kappa < math.inf:
-                raise InvalidConfig("cfl_kappa", f"must be finite and positive, got {self.cfl_kappa}")
+                raise InvalidConfig("cfl_kappa",
+                                    f"cfl_kappa must be finite and positive, got {self.cfl_kappa}")
         elif not 0.0 < self.epsilon < 0.5:
-            raise InvalidConfig("epsilon", f"must lie in (0, 1/2), got {self.epsilon}")
+            raise InvalidConfig("epsilon", f"epsilon must lie in (0, 1/2), got {self.epsilon}")
 
     def c_tr(self, velocity) -> float:
         """The trace constant C_tr = max(4 |beta|_inf, 1/tau)."""
@@ -160,20 +172,18 @@ def per_field(x):
 
 
 def split_parts(v):
-    """Normalize a V*-element into (smooth callable | None, cell array | None).
+    """Normalize a V*-element into (Snapshot | None, cell array | None).
 
-    Accepts a discrete array, a smooth callable, or a (smooth, discrete)
-    pair understood additively.
+    Accepts a discrete array, a snapshot u(t, .) of the exact solution, or
+    a (snapshot, discrete) pair understood additively.
     """
     if isinstance(v, tuple):
         smooth, disc = v
-    elif callable(v):
+    elif isinstance(v, Snapshot):
         smooth, disc = v, None
     else:
-        smooth, disc = None, np.asarray(v, dtype=float)
-    if disc is not None:
-        disc = np.asarray(disc, dtype=float)
-    return smooth, disc
+        smooth, disc = None, v
+    return smooth, None if disc is None else np.asarray(disc, dtype=float)
 
 
 def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v, faces=None) -> np.ndarray:
@@ -297,7 +307,7 @@ def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h, means=None) -> floa
     v_e = np.take(up, st.e_out, axis=-1)  # trace from the stabilized cell (upwind on e_out)
     v_in = np.take(up, st.e_in, axis=-1)  # trace from the inflow neighbor (upwind on e_in)
     up[..., st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
-    return per_field(np.vecdot(up * table.flux_in, _test_jump(mesh, w_h)))
+    return per_field((up * table.flux_in * _test_jump(mesh, w_h)).sum(axis=-1))
 
 
 def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
@@ -309,7 +319,7 @@ def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
     v_in, v_e = np.split(up, 2, axis=-1)
     wjump = _test_jump(mesh, w_h, st.e_out)
     eta = 1.0 - st.alpha
-    return per_field(np.vecdot(eta * (v_in - v_e), table.flux_in[st.e_out] * wjump))
+    return per_field((eta * (v_in - v_e) * (table.flux_in[st.e_out] * wjump)).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -568,7 +578,7 @@ class DoDScheme:
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:
         """||u||_L2, one value per row for a block of fields."""
-        return per_field(np.sqrt(np.vecdot(np.square(u), self.mesh.areas)))
+        return per_field(np.sqrt((np.square(u) * self.mesh.areas).sum(axis=-1)))
 
     def project_initial(self) -> PiecewiseConstantField:
         from .norms import l2_project

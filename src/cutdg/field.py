@@ -97,39 +97,21 @@ class RampTestProblem:
 
     def rotated(self, pts: np.ndarray):
         p = np.asarray(pts, dtype=float)
-        g, x0 = self.ramp.gamma, self.ramp.x0
-        c, s = math.cos(g), math.sin(g)
-        dx = p[..., 0] - x0
-        y = p[..., 1]
-        # c dx + s y and c y - s dx, in place so that fewer arrays of one
-        # value per point are alive at once: the error norms pass every cell
-        # quadrature point, and each live array is memory malloc may have to
-        # map and fault in afresh
-        xi = c * dx
-        xi += s * y
-        dx *= s
-        eta = c * y
-        eta -= dx
-        return xi, eta
+        c, s = math.cos(self.ramp.gamma), math.sin(self.ramp.gamma)
+        dx, y = p[..., 0] - self.ramp.x0, p[..., 1]
+        return c * dx + s * y, c * y - s * dx
 
-    def _wave(self, z):
-        """sin(k z); scales z in place, so z is the caller's own array."""
-        k = math.sqrt(2.0) * math.pi / (1.0 - self.ramp.x0)
-        z *= k
-        return np.sin(z, out=z) if isinstance(z, np.ndarray) else np.sin(z)
+    @property
+    def wave_number(self) -> float:  # k of u0 = sin(k xi)
+        return math.sqrt(2.0) * math.pi / (1.0 - self.ramp.x0)
 
-    def u0(self, pts: np.ndarray) -> np.ndarray:
-        xi, _ = self.rotated(pts)
-        return self._wave(xi)
-
-    def u0_gradient(self, pts: np.ndarray) -> np.ndarray:
-        return self.exact_gradient(0.0, pts)
+    @property
+    def u0(self) -> "Snapshot":
+        return Snapshot(self, 0.0)
 
     def characteristics(self, pts: np.ndarray) -> Characteristics:
         xi, eta = self.rotated(pts)
-        speed = 2.0 - eta
-        speed *= 0.5
-        return Characteristics(xi, speed)
+        return Characteristics(xi, 0.5 * (2.0 - eta))
 
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
         """u(t, p) = u0 at the foot of the characteristic through p."""
@@ -143,18 +125,42 @@ class RampTestProblem:
         """
         z = chars.speed * -t  # xi + (-speed t) has the bits of xi - speed t
         z += chars.xi
-        return self._wave(z)
+        z *= self.wave_number
+        return np.sin(z, out=z) if isinstance(z, np.ndarray) else np.sin(z)
+
+    def phase(self, t: float) -> tuple[float, float, float]:
+        """(a, b, d) with u(t, x, y) = sin(a x + b y + d): at a fixed time
+        the phase k (xi - (2 - eta) t / 2) is affine in (x, y)."""
+        c, s = math.cos(self.ramp.gamma), math.sin(self.ramp.gamma)
+        k = self.wave_number
+        a, b = k * (c - 0.5 * t * s), k * (s + 0.5 * t * c)
+        return a, b, -a * self.ramp.x0 - k * t
 
     def exact_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
-        g, x0 = self.ramp.gamma, self.ramp.x0
-        c, s = math.cos(g), math.sin(g)
+        a, b, _ = self.phase(t)
         xi, eta = self.rotated(pts)
-        z = xi - 0.5 * (2.0 - eta) * t
-        k = math.sqrt(2.0) * math.pi / (1.0 - x0)
-        fp = k * np.cos(k * z)
-        zx = c - 0.5 * t * s
-        zy = s + 0.5 * t * c
-        return np.stack([fp * zx, fp * zy], axis=-1)
+        k = self.wave_number
+        fp = np.cos(k * (xi - 0.5 * (2.0 - eta) * t))
+        return np.stack([a * fp, b * fp], axis=-1)
+
+    def square_integrals(self, t: float, n: int, i: np.ndarray, j: np.ndarray):
+        """(int u, int u^2, int |grad u|^2) of u(t, .) over the squares
+        (i, j) of the n x n grid, in closed form: with
+        u = sin(a x + b y + d), int u = Im(e^{id} X_i(a) Y_j(b)), int u^2 =
+        |E|/2 - Re(Z)/2 and int |grad u|^2 = (a^2 + b^2)(|E|/2 + Re(Z)/2) for
+        Z = e^{2id} X_i(2a) Y_j(2b), where X_i(a) = h e^{i a m} sinc(a h / 2)
+        integrates e^{iax} over column i, of width h = 1/n and midpoint m."""
+        a, b, d = self.phase(t)
+        h = 1.0 / n
+        mid = (np.arange(n) + 0.5) * h
+
+        def factor(w):  # X(w) of every column, np.sinc(x) = sin(pi x) / (pi x)
+            return h * np.exp(1j * w * mid) * np.sinc(w * h / (2.0 * np.pi))
+
+        z1 = (np.exp(1j * d) * factor(a))[i] * factor(b)[j]
+        z2 = (np.exp(2j * d) * factor(2.0 * a))[i] * factor(2.0 * b)[j]
+        half = 0.5 * h * h
+        return z1.imag, half - 0.5 * z2.real, (a * a + b * b) * (half + 0.5 * z2.real)
 
     def g_from(self, t: float, chars: Characteristics) -> np.ndarray:
         """Inflow boundary data on the points of `chars`: the trace of the
@@ -165,6 +171,21 @@ class RampTestProblem:
 
     def with_zero_inflow(self) -> "RampTestProblem":
         return replace(self, zero_inflow=True)
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """u(t, .) of `problem`: the smooth part of every element of V*, which
+    the forms and norms evaluate on points or integrate in closed form."""
+
+    problem: RampTestProblem
+    t: float
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.problem.exact(self.t, pts)
+
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        return self.problem.exact_gradient(self.t, pts)
 
 
 def make_ramp_problem(gamma_deg: float, x0: float, t_final: float = 0.5) -> RampTestProblem:

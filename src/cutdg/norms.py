@@ -1,4 +1,8 @@
-"""L2 projection, the beta-seminorm, and the starred norm.
+"""L2 projection, the L2 and H1 norms, the beta-seminorm, and the starred norm.
+
+The smooth part of a V* element is a snapshot u(t, .) of the exact solution,
+integrated in closed form over the uncut squares and by the scheme's cell
+quadrature, whose points lie on the cut cells only, over the other cells.
 
 The beta-seminorm collects |beta.n|-weighted squared jumps of face means,
 with the in/outflow faces of stabilized cells weighted by their capacity
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DoDScheme, face_side_means, per_field, split_parts
+from .field import Snapshot
 from .quadrature import CellQuadratureTable
 
 
@@ -36,37 +41,37 @@ class ErrorBreakdown:
     beta_semi: float
 
 
-def l2_project(mesh, f, cellquad: CellQuadratureTable) -> np.ndarray:
-    """Cell averages |E|^-1 int_E f, the L2 projection onto piecewise
-    constants, by the cell quadrature of `cellquad` (a scheme's is
-    `scheme.cellquad`)."""
-    return cellquad.integrate(f) / mesh.areas
+def _on_squares(mesh, cellquad: CellQuadratureTable, snap: Snapshot):
+    """(int u, int u^2, int |grad u|^2) of a snapshot on each uncut square."""
+    return snap.problem.square_integrals(snap.t, mesh.n, *cellquad.square_ij)
+
+
+def l2_project(mesh, snap: Snapshot, cellquad: CellQuadratureTable) -> np.ndarray:
+    """Cell averages |E|^-1 int_E u of a snapshot u, the L2 projection onto
+    piecewise constants, by `cellquad` (a scheme's is `scheme.cellquad`)."""
+    total = cellquad.integrate(snap)
+    total[cellquad.squares] = _on_squares(mesh, cellquad, snap)[0]
+    return total / mesh.areas
 
 
 def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
-    """||smooth + discrete||^2 over the mesh, by cell quadrature.
+    """||smooth + discrete||^2 over the mesh, in numpy's summation order.
 
-    The square of the sum is evaluated pointwise (not expanded), so exact
-    cancellations between the parts survive floating point.  A block of
-    discrete parts is summed one field at a time: its cell-point values
-    would take more memory than the loop takes time.
+    On the cut cells the square of the sum is evaluated pointwise (not
+    expanded); on an uncut square where the discrete part is c it is
+    int u^2 + c (2 int u + c |E|).
     """
     smooth, disc = split_parts(v)
     if smooth is None:
-        if disc is None:
-            return 0.0
-        return per_field(np.vecdot(np.square(disc), scheme.mesh.areas))
+        return 0.0 if disc is None else per_field((np.square(disc) * scheme.mesh.areas).sum(axis=-1))
     cq = scheme.cellquad
-    vals = np.asarray(smooth(cq.points), dtype=float)
-    if disc is None:
-        return float(np.dot(cq.weights, np.square(vals)))
-    rows = disc.reshape(-1, disc.shape[-1])
-    sq = []
-    for d in rows:
-        x = d[cq.cell_index]  # one fresh array per field, squared in place
-        x += vals
-        sq.append(np.dot(cq.weights, np.square(x, out=x)))
-    return per_field(np.reshape(sq, disc.shape[:-1]))
+    m1, m2, _ = _on_squares(scheme.mesh, cq, smooth)
+    disc = np.zeros(scheme.mesh.n_cells) if disc is None else disc
+    x = np.square(np.take(disc, cq.cell_index, axis=-1) + np.asarray(smooth(cq.points), dtype=float))
+    x *= cq.weights
+    c = np.take(disc, cq.squares, axis=-1)
+    y = m2 + c * (2.0 * m1 + c * scheme.mesh.areas[cq.squares])
+    return per_field(x.sum(axis=-1) + y.sum(axis=-1))
 
 
 def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
@@ -75,7 +80,7 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     the means of a block."""
     own = scheme.seminorm.mass_left * np.square(means[..., 0])
     own += scheme.seminorm.mass_right * np.square(means[..., 1])
-    return per_field(np.vecdot(own, scheme.table.abs_flux))
+    return per_field((own * scheme.table.abs_flux).sum(axis=-1))
 
 
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
@@ -121,19 +126,24 @@ def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np
     return per_field(np.sqrt(l2_sq + _squared(parts) + _boundary_mass(scheme, means)))
 
 
-def h1_norm(scheme: DoDScheme, f, grad) -> float:
-    """H1(Omega) norm of f, with gradient `grad`, by cell quadrature."""
+def smooth_norms_squared(scheme: DoDScheme, snap: Snapshot) -> tuple[float, float]:
+    """(||u||^2, ||grad u||^2) of a snapshot over the mesh."""
+    cq = scheme.cellquad
+    _, m2, g2 = _on_squares(scheme.mesh, cq, snap)
+    u2 = cq.integrate_total(lambda p: np.square(snap(p)))
+    grad2 = cq.integrate_total(lambda p: np.square(snap.gradient(p)).sum(axis=-1))
+    return u2 + float(m2.sum()), grad2 + float(g2.sum())
 
-    def integrand(pts):
-        g = np.asarray(grad(pts), dtype=float)
-        return np.square(np.asarray(f(pts), dtype=float)) + (g * g).sum(axis=-1)
 
-    return math.sqrt(scheme.cellquad.integrate_total(integrand))
+def h1_norm(scheme: DoDScheme, snap: Snapshot) -> float:
+    """H1(Omega) norm of a snapshot."""
+    return math.sqrt(sum(smooth_norms_squared(scheme, snap)))
 
 
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:
     """L2 norm and beta-seminorm of u(t, .) - u_h against the problem's
-    exact solution, which is evaluated once on the cell points and once on
-    the jump faces' points (`error_seminorm`)."""
-    diff = (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float))
+    exact solution, which is evaluated once on the cut cells' points, once
+    in closed form on the uncut squares and once on the jump faces' points
+    (`error_seminorm`)."""
+    diff = (Snapshot(scheme.problem, t), -np.asarray(u_h, dtype=float))
     return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), error_seminorm(scheme, t, u_h))

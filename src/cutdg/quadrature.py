@@ -1,10 +1,11 @@
 """Gauss quadrature on segments and convex polygons.
 
 Face integrals use Gauss-Legendre on the reference interval [0, 1].  Cell
-integrals use a tensor Gauss-Legendre rule on uncut grid squares and, on
-every other cell, fan-triangulate the (convex) polygon from vertex 0 and
+integrals fan-triangulate each cut cell (a convex polygon) from vertex 0 and
 apply a conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each
-triangle.  Both are exact for polynomials up to a configurable total degree.
+triangle.  Both are exact for polynomials up to a configurable total degree,
+so `quad.cell_degree` acts on cut cells only: uncut grid squares hold no
+points, and the exact solution is integrated over them in closed form.
 """
 from __future__ import annotations
 
@@ -86,17 +87,15 @@ def _conical_product(degree: int) -> TriangleRule:
 
 
 class CellQuadratureTable:
-    """Precomputed quadrature points for every cell of a mesh.
+    """Quadrature points of every cell that is not an uncut grid square.
 
-    A cell stored as a parallelogram, 4 corners with v0 + v2 == v1 + v3
-    (exact in floating point for every uncut grid square, and false for a
-    square clipped by however little), takes the tensor Gauss-Legendre rule
-    with q = (rule.degree + 2) // 2 points per direction, mapped affinely
-    from the unit square: q^2 points, exact for total degree 2q - 1, which
-    is at least rule.degree.  Every other cell is fan-triangulated from
-    vertex 0 and takes `rule` on each triangle.  Cells are grouped by rule
-    and vertex count so point generation is vectorized; `integrate` reduces
-    integrand values back onto cells with bincount.
+    `squares` lists the uncut squares, the cells stored as parallelograms
+    (v0 + v2 == v1 + v3 holds exactly for every uncut grid square and fails
+    for a square clipped by however little), and `square_ij` their grid
+    indices i and j as two rows.  They take no points, as the norms
+    integrate over them in closed form.  Every other cell takes `rule`
+    on each triangle of its fan from vertex 0; `integrate` reduces integrand
+    values onto cells with bincount, so it gives 0 on the squares.
     """
 
     def __init__(self, mesh, rule: TriangleRule):
@@ -107,21 +106,13 @@ class CellQuadratureTable:
         at = mesh.cell_ptr[quads]
         cx = [vx[at + k] for k in range(4)]
         cy = [vy[at + k] for k in range(4)]
-        parallel = (cx[0] + cx[2] == cx[1] + cx[3]) & (cy[0] + cy[2] == cy[1] + cy[3])
-        squares = quads[parallel]
+        self.squares = quads[(cx[0] + cx[2] == cx[1] + cx[3]) & (cy[0] + cy[2] == cy[1] + cy[3])]
+        self.square_ij = np.ascontiguousarray(mesh.background[self.squares].T)  # rows i, j
         fan = np.ones(self.n_cells, dtype=bool)
-        fan[squares] = False
+        fan[self.squares] = False
 
-        # uncut squares: the tensor rule mapped from the unit square
-        line = SegmentRule.gauss((rule.degree + 2) // 2)
-        u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
-        ox, oy = cx[0][parallel], cy[0][parallel]
-        e1 = (cx[1][parallel] - ox, cy[1][parallel] - oy)
-        e3 = (cx[3][parallel] - ox, cy[3][parallel] - oy)
-        jac = e1[0] * e3[1] - e1[1] * e3[0]
-
-        # every other cell: `rule` on each fan triangle (v0, vk+1, vk+2), one
-        # row per triangle, ordered by vertex count, then cell, then k
+        # `rule` on each fan triangle (v0, vk+1, vk+2), one row per
+        # triangle, ordered by vertex count, then cell, then k
         others = np.flatnonzero(fan)
         others = others[np.argsort(counts[others], kind="stable")]
         per_cell = counts[others] - 2
@@ -133,47 +124,25 @@ class CellQuadratureTable:
         t2x, t2y = vx[v0 + k + 2] - tx, vy[v0 + k + 2] - ty
         tri_areas = 0.5 * (t1x * t2y - t1y * t2x)
 
-        split = len(squares) * len(u)
-        size = split + len(cells) * len(rule)
-        self.points = np.empty((size, 2))
-        self.weights = np.empty(size)
-        self.cell_index = np.empty(size, dtype=np.int64)
-        _mapped_points(np.column_stack([u, v]), (ox, oy), e1, e3, self.points[:split])
-        np.multiply(np.outer(line.weights, line.weights).ravel(), jac[:, None],
-                    out=self.weights[:split].reshape(-1, len(u)))
-        self.cell_index[:split] = np.repeat(squares, len(u))
-        _mapped_points(rule.points, (tx, ty), (t1x, t1y), (t2x, t2y), self.points[split:])
-        np.multiply(rule.weights, (2.0 * tri_areas)[:, None],
-                    out=self.weights[split:].reshape(-1, len(rule)))
-        self.cell_index[split:] = np.repeat(cells, len(rule))
+        # origin + r e1 + s e2 as one (coordinates, points, triangles) array,
+        # whose inner axis is long: numpy runs an axis of length 2 slowly
+        r, s = rule.points[:, 0:1], rule.points[:, 1:2]
+        c = np.array((tx, ty))[:, None, :] + r * np.array((t1x, t1y))[:, None, :]
+        c += s * np.array((t2x, t2y))[:, None, :]
+        self.points = np.empty((len(cells), len(rule), 2))
+        for d in (0, 1):
+            self.points[:, :, d] = c[d].T
+        self.points = self.points.reshape(-1, 2)
+        self.weights = np.multiply(rule.weights, (2.0 * tri_areas)[:, None]).ravel()
+        self.cell_index = np.repeat(cells, len(rule))
 
     def integrate(self, integrand) -> np.ndarray:
-        """Per-cell integrals of a scalar function; returns (n_cells,)."""
-        vals = np.asarray(integrand(self.points), dtype=float)
-        return np.bincount(self.cell_index, weights=self.weights * vals, minlength=self.n_cells)
+        """Per-cell integrals of a scalar function; returns (n_cells,) floats
+        (bincount gives ints when there are no points)."""
+        vals = np.asarray(integrand(self.points), dtype=float) * self.weights
+        return np.bincount(self.cell_index, vals, self.n_cells).astype(float, copy=False)
 
     def integrate_total(self, integrand) -> float:
-        vals = np.asarray(integrand(self.points), dtype=float)
-        return float(np.dot(self.weights, vals))
-
-
-def _mapped_points(ref: np.ndarray, origin, e1, e2, out: np.ndarray) -> None:
-    """Write to `out` (len(origin[0]) * len(ref), 2) the points
-    origin + r e1 + s e2 for each element (origin, e1, e2, given as (x, y)
-    column pairs) and each reference point (r, s) of `ref`, element-major.
-
-    The points are computed as one (coordinates, points, elements) array,
-    whose inner axis is long: numpy runs an inner axis of length 2 several
-    times slower.  The sums are taken in the same order as in
-    origin + r * e1 + s * e2.  For the squares that array is about twice
-    the size of one value per cell point; once glibc's malloc has mapped
-    and freed a block that large, it serves the error norms' arrays of one
-    value per cell point from its heap instead of mapping fresh,
-    page-faulting memory on every call.
-    """
-    r, s = ref[:, 0:1], ref[:, 1:2]
-    c = np.array(origin)[:, None, :] + r * np.array(e1)[:, None, :]
-    c += s * np.array(e2)[:, None, :]
-    out = out.reshape(len(origin[0]), len(ref), 2)
-    for k in (0, 1):
-        out[:, :, k] = c[k].T
+        """The sum of `integrate`, in numpy's own summation order."""
+        vals = np.asarray(integrand(self.points), dtype=float) * self.weights
+        return float(vals.sum())

@@ -9,7 +9,8 @@ The sampled checks draw their random fields in blocks of BLOCK rows or all
 at once (the same stream as drawing them one by one) and evaluate them
 BLOCK rows at a time with the forms and norms.  The checks with
 exact-solution snapshots go snapshot by snapshot: each snapshot is
-evaluated once on the cell points and once on the face points (of the
+evaluated once on the cut cells' quadrature points (it is integrated over
+the uncut squares in closed form) and once on the face points (of the
 stabilized legs only in `check_consistency`), in `check_boundedness` while
 samples <= 8 BLOCK, since one sample in eight takes each of its four
 snapshots.  Their reports name the worst instance in `details`:
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .discretization import (
     bilinear_J,
     face_side_means,
 )
-from .field import RampTestProblem
-from .norms import beta_seminorm, h1_norm, l2_norm_squared, l2_project, triple_star_norm
+from .field import RampTestProblem, Snapshot
+from .norms import beta_seminorm, h1_norm, l2_norm_squared, smooth_norms_squared, triple_star_norm
 
 INEQ_TOL = 1e-10  # slack on ratio <= 1
 IDENT_TOL = 1e-12  # relative deviation for identities
@@ -248,7 +248,7 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
     # snapshot by snapshot, so that each one is evaluated once per point set
     # for up to BLOCK of its samples
     for i in range(-1, len(times)):
-        smooth = None if i < 0 else partial(scheme.problem.exact, float(times[i]))
+        smooth = None if i < 0 else Snapshot(scheme.problem, float(times[i]))
         ids = np.flatnonzero(snap == i)
         for start in range(0, len(ids), BLOCK):
             g = ids[start:start + BLOCK]
@@ -282,12 +282,11 @@ def check_consistency(
     """|J(u(t), w)| <= sqrt(tau h) |beta|_W1inf ||u(t)||_H1 |w|_beta."""
     mesh, table, st = scheme.mesh, scheme.table, scheme.records
     rng = np.random.default_rng(seed)
-    tau = scheme.config.tau
-    factor = math.sqrt(tau * scheme.h) * scheme.velocity.w1inf_norm
+    factor = math.sqrt(scheme.config.tau * scheme.h) * scheme.velocity.w1inf_norm
     ratios = np.empty(len(times) * samples)  # time-major, as drawn
     for ti, t in enumerate(times):
-        u_t = partial(scheme.problem.exact, t)
-        bound_t = factor * h1_norm(scheme, u_t, grad=partial(scheme.problem.exact_gradient, t))
+        u_t = Snapshot(scheme.problem, t)
+        bound_t = factor * h1_norm(scheme, u_t)
         w = rng.uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
         j = bilinear_J(mesh, table, st, u_t, w)
         ratios_t = ratios[ti * samples:(ti + 1) * samples]
@@ -310,26 +309,15 @@ def check_projection(
     schemes: dict | None = None,
 ) -> LemmaReport:
     """||u - Pi u|| <= (sqrt2/pi) h ||grad u|| plus the sqrt(h) starred slope."""
-    l2_ratios = []
-    stars = []
-    hs = []
+    l2_ratios, stars, hs = [], [], []
     cb = math.inf
     for n in n_values:
         scheme = (schemes or {}).get(n) or DoDScheme(problem, config, n)
-        exact = partial(scheme.problem.exact, 0.0)
-        # u(0, .) on the cell points, evaluated once for the projection and
-        # both norms: `on_cells` is called with those points only
-        u_cells = exact(scheme.cellquad.points)
-        on_cells = lambda p: u_cells
-        proj = l2_project(scheme.mesh, on_cells, scheme.cellquad)
-        grad_norm = math.sqrt(
-            scheme.cellquad.integrate_total(
-                lambda p: (np.asarray(problem.u0_gradient(p)) ** 2).sum(axis=-1)
-            )
-        )
-        l2_sq = l2_norm_squared(scheme, (on_cells, -proj))
+        u0, proj = scheme.problem.u0, scheme.project_initial()
+        grad_norm = math.sqrt(smooth_norms_squared(scheme, u0)[1])
+        l2_sq = l2_norm_squared(scheme, (u0, -proj))
         l2_ratios.append(math.sqrt(l2_sq) / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
-        stars.append(triple_star_norm(scheme, (exact, -proj), l2_sq=l2_sq))
+        stars.append(triple_star_norm(scheme, (u0, -proj), l2_sq=l2_sq))
         hs.append(scheme.h)
         cb = min(cb, scheme.c_b)
     slope = float(np.polyfit(np.log(hs), np.log(stars), 1)[0])

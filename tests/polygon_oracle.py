@@ -1,7 +1,8 @@
 """Per-polygon oracles: cell quadrature, the oracle the vectorized cell
 table is checked against (one convex polygon at a time, fan-triangulated from
-its vertex 0 with a `TriangleRule` on each triangle), and the clip of one
-square cell against the ramp with its per-cell reference.
+its vertex 0 with a `TriangleRule` on each triangle), exact monomial moments
+of a polygon, and the clip of one square cell against the ramp with its
+per-cell reference.
 
 It also keeps the whole-mesh formulas the mesh and tables were first built
 with, which the package must match bit for bit: the face numbering by sort
@@ -135,22 +136,15 @@ def face_numbering_reference(mesh):
 
 def cell_table_reference(mesh, rule: TriangleRule):
     """(points, weights, cell_index) of `CellQuadratureTable(mesh, rule)`
-    from (cells, points, 2) broadcasts: uncut squares first, then the other
-    cells grouped by vertex count."""
+    from (cells, points, 2) broadcasts: the cells that are not uncut squares
+    (parallelograms), grouped by vertex count; uncut squares take none."""
     counts = np.diff(mesh.cell_ptr)
     quads = np.flatnonzero(counts == 4)
     corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]
     parallel = np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)
     fan = np.ones(mesh.n_cells, dtype=bool)
     fan[quads[parallel]] = False
-    line = SegmentRule.gauss((rule.degree + 2) // 2)
-    u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
-    sq = corners[parallel]
-    p0, e1, e3 = sq[:, 0:1, :], sq[:, 1:2, :] - sq[:, 0:1, :], sq[:, 3:4, :] - sq[:, 0:1, :]
-    jac = e1[:, 0, 0] * e3[:, 0, 1] - e1[:, 0, 1] * e3[:, 0, 0]
-    pts = [(p0 + u[None, :, None] * e1 + v[None, :, None] * e3).reshape(-1, 2)]
-    wts = [(np.outer(line.weights, line.weights).ravel()[None, :] * jac[:, None]).ravel()]
-    idx = [np.repeat(quads[parallel], len(u))]
+    pts, wts, idx = [np.empty((0, 2))], [np.empty(0)], [np.empty(0, dtype=np.int64)]
     r, s = rule.points[:, 0], rule.points[:, 1]
     for nv in np.unique(counts[fan]).tolist():
         ids = np.flatnonzero(fan & (counts == nv))
@@ -164,6 +158,32 @@ def cell_table_reference(mesh, rule: TriangleRule):
         wts.append((rule.weights[None, None, :] * (2.0 * tri_areas)[:, :, None]).ravel())
         idx.append(np.repeat(ids, p.shape[1] * p.shape[2]))
     return np.concatenate(pts), np.concatenate(wts), np.concatenate(idx)
+
+
+def polygon_moment(vertices, a: int, b: int) -> float:
+    """int x^a y^b over a CCW polygon, exactly up to rounding: by Green's
+    theorem the contour integral of x^(a+1) y^b / (a+1) dy, whose integrand
+    is a polynomial of degree a + b + 1 along each edge, taken by a Gauss
+    rule that is exact for it."""
+    v = np.asarray(vertices, dtype=float)
+    w = np.roll(v, -1, axis=0)
+    line = SegmentRule.gauss(a + b + 2)
+    s = line.points[:, None]
+    x, y = v[:, 0] + s * (w[:, 0] - v[:, 0]), v[:, 1] + s * (w[:, 1] - v[:, 1])
+    return float((line.weights[:, None] * x ** (a + 1) * y ** b * (w[:, 1] - v[:, 1])).sum() / (a + 1))
+
+
+def grid_square_rule(n: int, ij, q: int = 12):
+    """(points, weights) of the q x q Gauss-Legendre tensor rule on the
+    squares (i, j), rows of `ij`, of the n x n grid on the grid lines k / n:
+    arrays of shape (squares, q * q, 2) and (squares, q * q)."""
+    line = SegmentRule.gauss(q)
+    grid = np.arange(n + 1) / n
+    i, j = np.asarray(ij).T
+    width, height = grid[i + 1] - grid[i], grid[j + 1] - grid[j]
+    u, v = (g.ravel() for g in np.meshgrid(line.points, line.points, indexing="ij"))
+    pts = np.stack([grid[i, None] + u * width[:, None], grid[j, None] + v * height[:, None]], axis=-1)
+    return pts, np.outer(line.weights, line.weights).ravel() * (width * height)[:, None]
 
 
 def face_table_reference(mesh, velocity, rule: SegmentRule, flux_in):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from cutdg.discretization import per_field, split_parts
+from cutdg.field import Snapshot
 from cutdg.norms import l2_norm_squared
 
 
@@ -67,7 +68,7 @@ def boundary_mass(scheme, means):
     weights[st.cells] = st.alpha
     right = np.where(mesh.f_right >= 0, weights[mesh.f_right] * np.square(means[..., 1]), 0.0)
     own = weights[mesh.f_left] * np.square(means[..., 0]) + right
-    return per_field(np.vecdot(own, scheme.table.abs_flux))
+    return per_field((own * scheme.table.abs_flux).sum(axis=-1))
 
 
 def beta_seminorm_parts(scheme, v):
@@ -99,5 +100,5 @@ def triple_star_norm(scheme, v):
 
 def error_breakdown(scheme, t, u_h):
     """(l2, beta_semi) of u(t, .) - u_h, with u(t, .) from `problem.exact`."""
-    diff = (lambda p: scheme.problem.exact(t, p), -np.asarray(u_h, dtype=float))
+    diff = (Snapshot(scheme.problem, t), -np.asarray(u_h, dtype=float))
     return math.sqrt(l2_norm_squared(scheme, diff)), beta_seminorm(scheme, diff)

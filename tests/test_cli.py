@@ -1,12 +1,20 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cutdg.cli import ConfigError, converge, main, parse_config_file
 from cutdg.discretization import SchemeConfig
+from cutdg.field import Snapshot
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -116,10 +124,14 @@ class TestConfig:
         assert (sconf.face_order, sconf.cell_degree) == (7, 9)
         scheme = DoDScheme(cfg.problem(), sconf, 8)
         assert scheme.table.wbn.shape[1] == 7
+        # degree 9 takes q = (9 + 2) // 2 = 5, q^2 points on each fan triangle
+        # of a cut cell; an uncut square takes none (it is integrated exactly)
         points = np.bincount(scheme.cellquad.cell_index, minlength=scheme.mesh.n_cells)
         uncut = scheme.mesh.kind_codes == K_CARTESIAN
-        assert uncut.any()
-        np.testing.assert_array_equal(points[uncut], ((9 + 2) // 2) ** 2)
+        assert uncut.any() and not uncut.all()
+        np.testing.assert_array_equal(points[uncut], 0)
+        triangles = np.diff(scheme.mesh.cell_ptr) - 2
+        np.testing.assert_array_equal(points[~uncut], ((9 + 2) // 2) ** 2 * triangles[~uncut])
 
     def test_decreasing_n_list_exits_one(self):
         assert run(["converge", "--n-list", "16,8"]) == 1
@@ -169,6 +181,12 @@ class TestSurface:
         flags = re.findall(r"\[(--[a-z0-9-]+)", usage)
         assert len(flags) == len(set(flags))
         assert set(flags) == COMMON_FLAGS | extra
+
+    def test_cell_degree_help_names_cut_cells(self, capsys):
+        assert run(["run", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "quad.cell_degree, default 6; the rule on cut cells, as uncut squares are " \
+               "integrated exactly" in text
 
     def test_every_field_has_one_row(self):
         from cutdg.cli import CONFIG_KEYS, RunConfig
@@ -249,6 +267,22 @@ class TestConverge:
             outs.append((tmp_path / f"{name}_convergence.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # a BLAS dot splits long sums over its threads, so a norm that took
+        # one would change its last bits with OPENBLAS_NUM_THREADS
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cutdg.cli", "converge", "--n-list", "16,32", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            outs.append((tmp_path / f"threads{threads}_convergence.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_plot_files(self, tmp_path):
         out = tmp_path / "p"
         assert run(["converge", "--n-list", "8,16", "--t-final", "0.05", "--out", str(out)]) == 0
@@ -298,7 +332,7 @@ class TestConverge:
 
             def accumulate(k, t, u, dt_k):
                 nonlocal acc2
-                acc2 += dt_k * all_faces_seminorm(scheme, (lambda p: problem.exact(t, p), -u)) ** 2
+                acc2 += dt_k * all_faces_seminorm(scheme, (Snapshot(problem, t), -u)) ** 2
 
             scheme.solve(observer=accumulate)
             assert len(scheme.records) > 0

@@ -16,6 +16,7 @@ from cutdg.discretization import (
     cfl_dt,
     estimate_cb,
     face_side_means,
+    smooth_face_means,
     _test_jump,
 )
 from cutdg.field import VelocityField, make_ramp_problem
@@ -169,12 +170,13 @@ class TestFaceTable:
 
 
 class TestBetaWeightedMean:
-    """The |beta.n|-weighted face means of `face_side_means`."""
+    """The |beta.n|-weighted face means of `face_side_means` and, for any
+    smooth function, `smooth_face_means`."""
 
     def test_constant_function(self, base_scheme):
-        mesh, table = base_scheme.mesh, base_scheme.table
+        table = base_scheme.table
         flux = table.abs_flux > 0
-        m = face_side_means(mesh, table, lambda p: np.full(len(p), 3.25))
+        m = smooth_face_means(table, lambda p: np.full(len(p), 3.25))
         np.testing.assert_allclose(m[flux], 3.25, rtol=1e-14)
 
     def test_discrete_trace_is_cell_value(self, base_scheme):
@@ -192,16 +194,19 @@ class TestBetaWeightedMean:
         vertical = np.nonzero(
             (np.abs(mesh.f_normal[:, 1]) < 1e-14) & (table.abs_flux > 0)
         )[0]
-        m = face_side_means(mesh, table, lambda p: p[:, 0])
+        m = smooth_face_means(table, lambda p: p[:, 0])
         a = mesh.f_endpoints[vertical, 0, 0]
-        np.testing.assert_allclose(m[vertical, 0], a, rtol=1e-13)
-        np.testing.assert_allclose(m[vertical, 1], a, rtol=1e-13)
+        np.testing.assert_allclose(m[vertical], a, rtol=1e-13)
+        # a snapshot's trace is single-valued: both sides carry its mean
+        both = face_side_means(mesh, table, base_scheme.problem.u0)
+        np.testing.assert_array_equal(both[:, 0], both[:, 1])
+        np.testing.assert_array_equal(both[:, 0], smooth_face_means(table, base_scheme.problem.u0))
 
     def test_zero_flux_face_gets_mean_zero(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
         zero = table.abs_flux == 0.0
         assert np.any(mesh.f_kind[zero] == F_RAMP)
-        m = face_side_means(mesh, table, lambda p: p[:, 0] + 1.0)
+        m = smooth_face_means(table, lambda p: p[:, 0] + 1.0)
         np.testing.assert_array_equal(m[zero], 0.0)
 
 
@@ -307,7 +312,7 @@ class TestBilinearForms:
             wjump = np.take(np.take(w, mesh.f_left, axis=-1) - right, stab.e_out, axis=-1)
             eta = 1.0 - stab.alpha
             jump = np.take(up, stab.e_in, axis=-1) - np.take(up, stab.e_out, axis=-1)
-            return np.vecdot(eta * jump, table.flux_in[stab.e_out] * wjump)
+            return (eta * jump * (table.flux_in[stab.e_out] * wjump)).sum(axis=-1)
 
         assert len(stab) > 0
         rng = np.random.default_rng(15)
@@ -471,6 +476,25 @@ class TestCfl:
         # cfl_kappa defaults to None, so epsilon is checked
         with pytest.raises(InvalidConfig, match=name):
             SchemeConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("face_order", 2.5, "need an integer face_order, got 2.5"),
+        ("cell_degree", 0, "need degree >= 1, got 0"),
+        ("face_order", 17, "need at most 16 points per face, got 17"),
+        ("face_order", 0, "need at least 1 point per face, got 0"),
+        ("cell_degree", 21, "need degree <= 20, got 21"),
+        ("cell_degree", "6", "need an integer cell_degree, got '6'"),
+    ])
+    def test_invalid_quadrature_size_raises(self, name, value, message):
+        # the CLI prints the message after the key and flag the field maps to
+        with pytest.raises(InvalidConfig) as info:
+            SchemeConfig(**{name: value})
+        assert (info.value.field, str(info.value)) == (name, message)
+
+    def test_quadrature_size_bounds_are_accepted(self):
+        for face_order, cell_degree in ((1, 1), (16, 20), (np.int64(7), np.int32(9))):
+            config = SchemeConfig(face_order=face_order, cell_degree=cell_degree)
+            assert (config.face_order, config.cell_degree) == (face_order, cell_degree)
 
 
 def dense_cb(mesh, st, velocity, samples=1000):

@@ -5,6 +5,7 @@ import pytest
 
 from cutdg.field import VelocityField, make_ramp_problem
 from cutdg.geometry import RampDomain
+from polygon_oracle import grid_square_rule
 from velocity_fields import constant_velocity
 
 SQUARE = ((0.0, 0.0), (1.0, 1.0))
@@ -110,7 +111,11 @@ class TestExactSolution:
     def test_initial_condition(self, problem):
         rng = np.random.default_rng(2)
         pts = rng.uniform(0.0, 1.0, size=(100, 2))
-        np.testing.assert_array_equal(problem.exact(0.0, pts), problem.u0(pts))
+        g, x0 = problem.ramp.gamma, problem.ramp.x0
+        xi = math.cos(g) * (pts[:, 0] - x0) + math.sin(g) * pts[:, 1]
+        u0 = np.sin(math.sqrt(2.0) * math.pi / (1.0 - x0) * xi)
+        np.testing.assert_allclose(problem.exact(0.0, pts), u0, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(problem.u0(pts), problem.exact(0.0, pts))
 
     def test_on_ramp_unit_speed(self, problem):
         # on the ramp the streamline speed is exactly 1
@@ -165,6 +170,48 @@ class TestExactSolution:
         RampDomain(gamma=math.radians(25.0), x0=1.0)
         with pytest.raises(ValueError, match="x0 must be below 1"):
             make_ramp_problem(25.0, 1.0)
+
+
+class TestSquareIntegrals:
+    """The closed-form integrals of a snapshot over grid squares against a
+    12 x 12 Gauss-Legendre tensor rule on each square."""
+
+    @staticmethod
+    def flat_time(problem):
+        """The time at which a = k (cos g - t sin g / 2) vanishes."""
+        return 2.0 * math.cos(problem.ramp.gamma) / math.sin(problem.ramp.gamma)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("gamma", RAMP_ANGLES)
+    def test_match_tensor_gauss(self, gamma, n):
+        problem = make_ramp_problem(gamma, 0.2001)
+        ij = np.stack(np.divmod(np.arange(n * n), n), axis=-1)  # every square of the grid
+        pts, wts = grid_square_rule(n, ij)
+        times = [0.0, 0.5, 1.0, self.flat_time(problem)]
+        assert problem.phase(times[-1])[0] == 0.0  # sinc is evaluated at 0
+        for t in times:
+            if t > 1.0 and gamma == 5.0 and n == 8:
+                continue  # b h = 8: 12 points a side do not resolve sin(2 b y)
+            u = problem.exact(t, pts.reshape(-1, 2)).reshape(wts.shape)
+            grad = problem.exact_gradient(t, pts.reshape(-1, 2)).reshape(pts.shape)
+            want = ((wts * u).sum(axis=1), (wts * u * u).sum(axis=1),
+                    (wts * np.square(grad).sum(axis=-1)).sum(axis=1))
+            for name, got, ref in zip(("u", "u^2", "|grad u|^2"),
+                                      problem.square_integrals(t, n, *ij.T), want, strict=True):
+                # |grad u|^2 = (a^2 + b^2) cos^2, so its integral scales with a^2 + b^2
+                scale = 1.0 if name != "|grad u|^2" else sum(np.square(problem.phase(t)[:2]))
+                assert np.abs(got - ref).max() <= 1e-13 * scale / n**2, (name, t)
+
+    def test_squares_of_a_mesh(self, scheme_cache):
+        # the mesh's uncut squares are the grid squares at their background (i, j)
+        scheme = scheme_cache(25.0, 0.2001, 16)
+        squares = scheme.cellquad.squares
+        np.testing.assert_array_equal(scheme.cellquad.square_ij.T, scheme.mesh.background[squares])
+        _, m2, _ = scheme.problem.square_integrals(0.3, 16, *scheme.cellquad.square_ij)
+        pts, wts = grid_square_rule(16, scheme.mesh.background[squares])
+        u = scheme.problem.exact(0.3, pts.reshape(-1, 2)).reshape(wts.shape)
+        np.testing.assert_allclose(m2, (wts * u * u).sum(axis=1), rtol=0.0, atol=1e-13 / 16**2)
+        np.testing.assert_allclose(wts.sum(axis=1), scheme.mesh.areas[squares], rtol=1e-14)
 
 
 def test_ramp_domain_validation():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cutdg.discretization import face_side_means
-from cutdg.geometry import RampDomain, build_mesh
+from cutdg.field import Snapshot, make_ramp_problem
+from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
 from cutdg.norms import (
     beta_seminorm,
     beta_seminorm_parts,
@@ -13,23 +14,50 @@ from cutdg.norms import (
     h1_norm,
     l2_norm_squared,
     l2_project,
+    smooth_norms_squared,
     triple_star_norm,
 )
 from cutdg.quadrature import CellQuadratureTable, TriangleRule
-from polygon_oracle import cell_vertices, integrate_cell
+from polygon_oracle import cell_vertices, grid_square_rule, integrate_cell
+
+
+def tensor_oracle(scheme, f):
+    """Per-cell integrals of f(points, cell of each point): a 12 x 12
+    Gauss-Legendre tensor rule on the uncut squares, the scheme's cell
+    quadrature on the other cells."""
+    cq = scheme.cellquad
+    out = np.bincount(cq.cell_index, cq.weights * f(cq.points, cq.cell_index),
+                      minlength=scheme.mesh.n_cells)
+    pts, wts = grid_square_rule(scheme.mesh.n, scheme.mesh.background[cq.squares])
+    cells = np.repeat(cq.squares, wts.shape[1])
+    out[cq.squares] = (wts * f(pts.reshape(-1, 2), cells).reshape(wts.shape)).sum(axis=1)
+    return out
 
 
 class TestL2Project:
     def test_constant(self, base_scheme):
-        proj = l2_project(base_scheme.mesh, lambda p: np.full(len(p), 2.5), base_scheme.cellquad)
-        np.testing.assert_allclose(proj, 2.5, rtol=1e-13)
+        # the projection's quadrature half: the fan rule of every cut cell
+        # integrates a constant exactly, and the uncut squares, which the
+        # closed form fills in, take no points
+        mesh, cq = base_scheme.mesh, base_scheme.cellquad
+        cut = np.ones(mesh.n_cells, dtype=bool)
+        cut[cq.squares] = False
+        assert np.all(mesh.kind_codes[cq.squares] == K_CARTESIAN) and cut.any()
+        per_cell = cq.integrate(lambda p: np.full(len(p), 2.5))
+        np.testing.assert_allclose(per_cell[cut] / mesh.areas[cut], 2.5, rtol=1e-13)
+        np.testing.assert_array_equal(per_cell[cq.squares], 0.0)
 
     def test_coordinate_on_unit_cell(self):
+        # a mesh of uncut squares only, whose projection is all closed form:
+        # each cell's average against a tensor rule at its grid coordinates
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
         cellquad = CellQuadratureTable(mesh, TriangleRule.of_degree(6))
-        proj = l2_project(mesh, lambda p: p[:, 0], cellquad)
-        for c, (i, _) in enumerate(mesh.background.tolist()):
-            assert proj[c] == pytest.approx((i + 0.5) * mesh.h, rel=1e-13)
+        assert len(cellquad.points) == 0 and len(cellquad.squares) == mesh.n_cells
+        pts, wts = grid_square_rule(4, mesh.background)
+        for t in (0.0, 0.3):
+            u = Snapshot(make_ramp_problem(25.0, 0.2001), t)
+            oracle = (wts * u(pts.reshape(-1, 2)).reshape(wts.shape)).sum(axis=1) / mesh.areas
+            np.testing.assert_allclose(l2_project(mesh, u, cellquad), oracle, rtol=0.0, atol=1e-14)
 
     def test_wave_against_high_degree_oracle(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 32)
@@ -99,8 +127,7 @@ class TestJumpFaces:
     @pytest.mark.parametrize("gamma,x0,n", SEMINORM_GEOMETRIES)
     def test_matches_all_faces_reference(self, scheme_cache, all_faces_seminorm, gamma, x0, n):
         scheme = scheme_cache(gamma, x0, n)
-        t = 0.3
-        exact_t = lambda p: scheme.problem.exact(t, p)
+        exact_t = Snapshot(scheme.problem, 0.3)
         proj = l2_project(scheme.mesh, exact_t, scheme.cellquad)
         noise = np.random.default_rng(27).uniform(-1, 1, scheme.mesh.n_cells)
         # the small-error regime of a converged solution and a rough field
@@ -118,16 +145,18 @@ class TestJumpFaces:
         np.testing.assert_array_equal(scheme.jump_faces, expected)
         assert len(st) > 0 and len(scheme.jump_faces) < mesh.n_faces // 10
 
-    def test_smooth_part_called_once_on_jump_faces(self, scheme_cache):
+    def test_smooth_part_called_once_on_jump_faces(self, scheme_cache, monkeypatch):
         scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
         u_h = np.random.default_rng(28).uniform(-1, 1, scheme.mesh.n_cells)
         calls = []
+        call = Snapshot.__call__
 
-        def smooth(p):
+        def counting_call(self, p):
             calls.append(len(p))
-            return scheme.problem.exact(0.2, p)
+            return call(self, p)
 
-        beta_seminorm(scheme, (smooth, -u_h))
+        monkeypatch.setattr(Snapshot, "__call__", counting_call)
+        beta_seminorm(scheme, (Snapshot(scheme.problem, 0.2), -u_h))
         assert calls == [scheme.table.wbn.shape[1] * len(scheme.jump_faces)]
 
 
@@ -160,16 +189,30 @@ class TestTripleNorms:
         triple2 = l2_norm_squared(base_scheme, v) + beta_seminorm(base_scheme, v) ** 2
         assert star2 - triple2 == pytest.approx(oracle, rel=1e-12)
 
-    def test_constant_difference_vanishes(self, base_scheme):
-        c = 3.0
-        diff = (lambda p: np.full(len(p), c), -np.full(base_scheme.mesh.n_cells, c))
-        assert triple_star_norm(base_scheme, diff) < 1e-12
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_l2_matches_tensor_oracle(self, scheme_cache, t):
+        # on an uncut square the closed form expands int (u + c)^2, on the
+        # cut cells the square of the sum is taken pointwise; both agree
+        # with a tensor rule on the squares at the cancellation of a
+        # converged error and for rough fields
+        scheme = scheme_cache(25.0, 0.2001, 32)
+        u = Snapshot(scheme.problem, t)
+        proj = l2_project(scheme.mesh, u, scheme.cellquad)
+        noise = np.random.default_rng(29).uniform(-1, 1, scheme.mesh.n_cells)
+        for d in (-proj, 1e-3 * noise - proj, noise):
+            oracle = tensor_oracle(scheme, lambda p, c: np.square(u(p) + d[c]))
+            assert l2_norm_squared(scheme, (u, d)) == pytest.approx(oracle.sum(), rel=1e-12, abs=0.0)
+        block = np.stack([-proj, noise])
+        np.testing.assert_array_equal(l2_norm_squared(scheme, (u, block)),
+                                      [l2_norm_squared(scheme, (u, d)) for d in block])
+        assert l2_norm_squared(scheme, u) == pytest.approx(
+            tensor_oracle(scheme, lambda p, c: np.square(u(p))).sum(), rel=1e-13, abs=0.0)
 
 
 def projection_error(scheme):
     """u(0, .) - Pi_h u(0, .) as a (smooth, discrete) pair."""
-    exact = lambda p: scheme.problem.exact(0.0, p)
-    return exact, -l2_project(scheme.mesh, exact, scheme.cellquad)
+    u0 = scheme.problem.u0
+    return u0, -l2_project(scheme.mesh, u0, scheme.cellquad)
 
 
 class TestProjectionError:
@@ -178,27 +221,30 @@ class TestProjectionError:
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
         g = math.radians(30.0)
         f = lambda p: math.cos(g) * p[:, 0] + math.sin(g) * p[:, 1]
-        proj = l2_project(mesh, f, CellQuadratureTable(mesh, TriangleRule.of_degree(6)))
-        err2 = integrate_cell(cell_vertices(mesh, 5), lambda p: (f(p) - proj[5]) ** 2)
+        # f is no snapshot: its cell average is taken by a test-side rule
+        mean = integrate_cell(cell_vertices(mesh, 5), f) / mesh.areas[5]
+        err2 = integrate_cell(cell_vertices(mesh, 5), lambda p: (f(p) - mean) ** 2)
         assert err2 == pytest.approx(mesh.h**4 / 12.0, rel=1e-12)
         bound2 = (math.sqrt(2.0) / math.pi * mesh.h) ** 2 * mesh.areas[5]  # |grad f| = 1
         assert err2 < bound2
 
     def test_constant_projects_exactly(self, base_scheme):
-        proj = l2_project(base_scheme.mesh, lambda p: np.full(len(p), 1.3), base_scheme.cellquad)
-        assert np.abs(proj - 1.3).max() < 1e-13
-        # the wave is not piecewise constant
-        assert l2_norm_squared(base_scheme, projection_error(base_scheme)) > 0.0
+        # Pi_h is the L2-orthogonal projection onto piecewise constants,
+        # which it leaves unchanged, so ||u - Pi u - d||^2 = ||u - Pi u||^2
+        # + ||d||^2 for every discrete d: the projection and the norm
+        # integrate u alike on every cell
+        u0, minus_proj = projection_error(base_scheme)
+        err2 = l2_norm_squared(base_scheme, (u0, minus_proj))
+        assert err2 > 0.0  # the wave is not piecewise constant
+        d = np.random.default_rng(30).uniform(-1e-2, 1e-2, base_scheme.mesh.n_cells)
+        assert l2_norm_squared(base_scheme, (u0, minus_proj - d)) == pytest.approx(
+            err2 + l2_norm_squared(base_scheme, d), rel=1e-14, abs=0.0)
 
     def test_l2_bound_on_wave(self, scheme_cache):
         for n in (16, 32):
             scheme = scheme_cache(25.0, 0.2001, n)
             l2 = math.sqrt(l2_norm_squared(scheme, projection_error(scheme)))
-            grad_norm = math.sqrt(
-                scheme.cellquad.integrate_total(
-                    lambda p: (scheme.problem.u0_gradient(p) ** 2).sum(axis=-1)
-                )
-            )
+            grad_norm = math.sqrt(smooth_norms_squared(scheme, scheme.problem.u0)[1])
             assert l2 <= (math.sqrt(2.0) / math.pi) * scheme.h * grad_norm
 
 
@@ -208,7 +254,7 @@ class TestErrorBreakdown:
         eb = error_breakdown(base_scheme, 0.0, u_h)
         assert [f.name for f in dataclasses.fields(eb)] == ["l2", "beta_semi"]
         assert eb.l2 > 0.0 and eb.beta_semi > 0.0
-        star = triple_star_norm(base_scheme, (lambda p: base_scheme.problem.exact(0.0, p), -u_h))
+        star = triple_star_norm(base_scheme, (base_scheme.problem.u0, -u_h))
         assert star >= math.sqrt(eb.l2**2 + eb.beta_semi**2)
 
     def test_one_exact_evaluation_per_point_set(self, base_scheme, monkeypatch):
@@ -220,18 +266,18 @@ class TestErrorBreakdown:
         calls = []
 
         # every evaluation of the exact solution ends in `exact_from`: on the
-        # cell points through `exact`, on the jump faces' points from the
-        # scheme's characteristic coordinates
+        # cut cells' points through `exact`, on the jump faces' points from
+        # the scheme's characteristic coordinates
         def counting_exact_from(self, t, chars):
             calls.append(np.size(chars.xi))
             return exact_from(self, t, chars)
 
         monkeypatch.setattr(type(problem), "exact_from", counting_exact_from)
         eb = error_breakdown(base_scheme, t, u_h)
-        # once on the cell quadrature points, once on the jump faces' points
+        # once on the cut cells' quadrature points, once on the jump faces' points
         jump_points = base_scheme.table.wbn.shape[1] * len(base_scheme.jump_faces)
         assert calls == [len(base_scheme.cellquad.points), jump_points]
-        diff = (lambda p: problem.exact(t, p), -u_h)
+        diff = (Snapshot(problem, t), -u_h)
         assert eb.l2 == math.sqrt(l2_norm_squared(base_scheme, diff))
         assert eb.beta_semi == beta_seminorm(base_scheme, diff)
 
@@ -250,15 +296,15 @@ class TestErrorBreakdown:
 
 
 def test_h1_norm_fd_fallback_matches_analytic(base_scheme):
-    u = lambda p: base_scheme.problem.exact(0.25, p)
-    grad = lambda p: base_scheme.problem.exact_gradient(0.25, p)
+    # the closed form and the cut cells' rule against central differences
+    # of u, integrated by the tensor oracle
+    u = Snapshot(base_scheme.problem, 0.25)
     step = 1e-6 * base_scheme.h
 
-    def fd_grad(p):
+    def integrand(p, cells):
         gx = (u(p + [step, 0.0]) - u(p - [step, 0.0])) / (2 * step)
         gy = (u(p + [0.0, step]) - u(p - [0.0, step])) / (2 * step)
-        return np.stack([gx, gy], axis=-1)
+        return np.square(u(p)) + gx * gx + gy * gy
 
-    exact = h1_norm(base_scheme, u, grad=grad)
-    fd = h1_norm(base_scheme, u, grad=fd_grad)
-    assert fd == pytest.approx(exact, rel=1e-7)
+    fd = math.sqrt(tensor_oracle(base_scheme, integrand).sum())
+    assert h1_norm(base_scheme, u) == pytest.approx(fd, rel=1e-7)

@@ -10,7 +10,8 @@ from cutdg.field import make_ramp_problem
 from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
 from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 from polygon_oracle import (
-    cell_table_reference, cell_vertices, integrate_cell, polygon_quadrature, triangulate_fan,
+    cell_table_reference, cell_vertices, integrate_cell, polygon_moment, polygon_quadrature,
+    triangulate_fan,
 )
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -137,7 +138,9 @@ def test_cell_table_matches_per_cell_quadrature(scheme_cache):
     f = lambda p: np.sin(p[:, 0]) * np.cos(2.0 * p[:, 1])
     per_cell = table.integrate(f)
     mesh = scheme.mesh
-    for c in range(0, mesh.n_cells, max(1, mesh.n_cells // 17)):
+    # uncut squares hold no points, so integrate gives 0 there
+    np.testing.assert_array_equal(per_cell[table.squares], 0.0)
+    for c in np.setdiff1d(np.arange(mesh.n_cells), table.squares).tolist():
         expected = integrate_cell(cell_vertices(mesh, c), f)
         assert per_cell[c] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -145,41 +148,49 @@ def test_cell_table_matches_per_cell_quadrature(scheme_cache):
 def one_cell_mesh(corners):
     """The fields of a mesh that `CellQuadratureTable` reads, for one cell."""
     corners = np.asarray(corners, dtype=float)
-    return SimpleNamespace(vertices=corners, cell_ptr=np.array([0, len(corners)]), n_cells=1)
+    return SimpleNamespace(vertices=corners, cell_ptr=np.array([0, len(corners)]), n_cells=1,
+                           background=np.zeros((1, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize("degree", [2, 6, 10])
 def test_square_rule_monomial_exactness(degree):
-    # the tensor rule with q points per direction integrates x^a y^b for
-    # a, b <= 2q - 1 on an axis-aligned square
-    q = (degree + 2) // 2
-    mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
-    table = CellQuadratureTable(mesh, TriangleRule.of_degree(degree))
-    c = int(np.flatnonzero((mesh.background == [1, 2]).all(axis=1))[0])
-    (x0, y0), (x1, y1) = cell_vertices(mesh, c)[0], cell_vertices(mesh, c)[2]
-    at = table.cell_index == c
-    pts, wts = table.points[at], table.weights[at]
-    assert len(wts) == q * q
-    for a in range(2 * q):
-        for b in range(2 * q):
-            val = float(np.dot(wts, pts[:, 0] ** a * pts[:, 1] ** b))
-            exact = ((x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1)
-                     * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1))
-            assert val == pytest.approx(exact, rel=1e-14, abs=0.0), (a, b)
+    # uncut squares take no rule: the norms integrate over them in closed
+    # form.  A clipped square, like every cut cell, takes the rule on each
+    # of its fan triangles, so it integrates x^a y^b for a + b <= degree:
+    # checked on the first cell of each vertex count that is no sliver,
+    # whose moments by Green's theorem would be all rounding
+    for name, counts in (("25deg-n16", (3, 4, 5)), ("trapezoids-n8", (4,))):
+        mesh = TABLE_MESHES[name]()
+        table = CellQuadratureTable(mesh, TriangleRule.of_degree(degree))
+        assert len(table.squares) and not np.isin(table.cell_index, table.squares).any()
+        fan = np.setdiff1d(np.arange(mesh.n_cells), table.squares)
+        fan = fan[mesh.areas[fan] > 1e-3 * mesh.h**2]
+        for nv in counts:
+            c = fan[np.diff(mesh.cell_ptr)[fan] == nv][0]
+            at = table.cell_index == c
+            pts, wts = table.points[at], table.weights[at]
+            for a in range(degree + 1):
+                for b in range(degree + 1 - a):
+                    val = float((wts * pts[:, 0] ** a * pts[:, 1] ** b).sum())
+                    exact = polygon_moment(cell_vertices(mesh, c), a, b)
+                    assert val == pytest.approx(exact, rel=1e-14, abs=0.0), (name, c, a, b)
 
 
 @pytest.mark.parametrize("degree", [2, 6, 10])
 def test_parallelogram_rule_total_degree_exactness(degree):
-    # an affine map keeps only the total degree: a + b <= 2q - 1
-    q = (degree + 2) // 2
-    corners = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.5, 0.75]]  # v0 + v2 == v1 + v3
-    table = CellQuadratureTable(one_cell_mesh(corners), TriangleRule.of_degree(degree))
-    assert len(table.weights) == q * q
-    oracle = TriangleRule.of_degree(2 * q - 1)
-    for a in range(2 * q):
-        for b in range(2 * q - a):
+    # a parallelogram is taken for an uncut square and holds no points; with
+    # one corner moved it is a fan cell of two triangles, exact for a + b <= degree
+    parallelogram = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.5, 0.75]]  # v0 + v2 == v1 + v3
+    table = CellQuadratureTable(one_cell_mesh(parallelogram), TriangleRule.of_degree(degree))
+    assert table.squares.tolist() == [0] and len(table.weights) == 0
+    corners = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.4375, 0.75]]
+    rule = TriangleRule.of_degree(degree)
+    table = CellQuadratureTable(one_cell_mesh(corners), rule)
+    assert len(table.squares) == 0 and len(table.weights) == 2 * len(rule)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
             f = lambda p: p[:, 0] ** a * p[:, 1] ** b
-            exact = integrate_cell(np.asarray(corners), f, oracle)
+            exact = polygon_moment(corners, a, b)
             assert table.integrate_total(f) == pytest.approx(exact, rel=1e-14, abs=0.0), (a, b)
 
 
@@ -209,15 +220,14 @@ def test_cell_table_rules_per_cell(name):
     rule = TriangleRule.of_degree(6)
     table = CellQuadratureTable(mesh, rule)
     square = squares(mesh)
+    np.testing.assert_array_equal(table.squares, np.flatnonzero(square))
     if name.startswith("trapezoids"):
         clipped = (np.diff(mesh.cell_ptr) == 4) & ~square
         assert np.any(clipped & (mesh.kind_codes == K_CARTESIAN))
-    np.testing.assert_allclose(
-        np.bincount(table.cell_index, table.weights, minlength=mesh.n_cells),
-        mesh.areas, rtol=1e-13, atol=0.0,
-    )
-    q = (rule.degree + 2) // 2
-    expected = np.where(square, q * q, (np.diff(mesh.cell_ptr) - 2) * len(rule))
+    # the fan cells' weights sum to their areas; uncut squares hold no points
+    fan_areas = np.bincount(table.cell_index, table.weights, minlength=mesh.n_cells)
+    np.testing.assert_allclose(fan_areas[~square], mesh.areas[~square], rtol=1e-13, atol=0.0)
+    expected = np.where(square, 0, (np.diff(mesh.cell_ptr) - 2) * len(rule))
     np.testing.assert_array_equal(np.bincount(table.cell_index, minlength=mesh.n_cells), expected)
     for c in np.flatnonzero(~square).tolist():
         at = table.cell_index == c

@@ -1,11 +1,11 @@
 """The scheme's `JumpSeminorm` against the face-sum oracle, bit for bit."""
-from functools import partial
 
 import numpy as np
 import pytest
 
 import seminorm_oracle as oracle
 from cutdg.discretization import smooth_face_means, weighted_face_means
+from cutdg.field import Snapshot
 from cutdg.norms import (
     beta_seminorm,
     beta_seminorm_parts,
@@ -33,7 +33,7 @@ def elements(scheme):
     the smooth part alone."""
     rng = np.random.default_rng(31)
     n = scheme.mesh.n_cells
-    smooth = partial(scheme.problem.exact, T)
+    smooth = Snapshot(scheme.problem, T)
     single, block = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (5, n))
     return {"single": single, "smooth+single": (smooth, single), "block": block,
             "smooth+block": (smooth, block), "smooth": smooth}
@@ -57,14 +57,14 @@ def test_error_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
     u_h = scheme.project_initial() + 1e-3 * fields["single"]
     eb = error_breakdown(scheme, T, u_h)
     assert (eb.l2, eb.beta_semi) == oracle.error_breakdown(scheme, T, u_h)
-    exact_t = partial(scheme.problem.exact, T)
+    exact_t = Snapshot(scheme.problem, T)
     block = fields["block"]
     assert np.array_equal(error_seminorm(scheme, T, block), oracle.beta_seminorm(scheme, (exact_t, -block)))
 
 
 def test_smooth_face_means_equal_row_sums(scheme_cache):
     scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
-    u = partial(scheme.problem.exact, T)
+    u = Snapshot(scheme.problem, T)
     assert np.array_equal(smooth_face_means(scheme.table, u), oracle.smooth_face_means(scheme.table, u))
 
 

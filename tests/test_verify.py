@@ -12,7 +12,7 @@ from cutdg.discretization import (
     build_face_table,
     face_side_means,
 )
-from cutdg.field import make_ramp_problem
+from cutdg.field import Snapshot, make_ramp_problem
 from cutdg.geometry import RampDomain, build_mesh
 from cutdg.norms import beta_seminorm, h1_norm, triple_star_norm
 from cutdg.quadrature import SegmentRule
@@ -166,8 +166,11 @@ class TestConsistency:
 
         scheme = scheme_cache(25.0, 0.2001, 16)
         w = np.random.default_rng(10).uniform(-1, 1, scheme.mesh.n_cells)
-        j = bilinear_J(scheme.mesh, scheme.table, scheme.records, lambda p: np.full(len(p), 2.0), w)
-        assert abs(j) < 1e-14
+        # J is linear in v: a constant added to a snapshot leaves it unchanged
+        u, c = Snapshot(scheme.problem, 0.25), np.full(scheme.mesh.n_cells, 2.0)
+        j_u = bilinear_J(scheme.mesh, scheme.table, scheme.records, u, w)
+        j = bilinear_J(scheme.mesh, scheme.table, scheme.records, (u, c), w)
+        assert j_u != 0.0 and abs(j - j_u) < 1e-14
 
     def test_exact_solution_ratio(self, scheme_cache):
         rep = vf.check_consistency(scheme_cache(25.0, 0.2001, 32), samples=40, seed=11)
@@ -291,7 +294,7 @@ class TestBatchedChecks:
         star = []
         for i, (disc, w) in enumerate(zip(self.fields(scheme, k, seed)[1], w_fields)):
             t = float(times[(i // 2) % 4])
-            v = (lambda p, t=t: scheme.problem.exact(t, p), disc) if i % 2 == 0 else disc
+            v = (Snapshot(scheme.problem, t), disc) if i % 2 == 0 else disc
             a = bilinear_a_dod(mesh, table, stab, v, w)
             star.append(abs(a) / (triple_star_norm(scheme, v) * beta_seminorm(scheme, w)))
         out["boundedness-star"] = star
@@ -303,8 +306,8 @@ class TestBatchedChecks:
         factor = math.sqrt(scheme.config.tau * scheme.h) * scheme.velocity.w1inf_norm
         cons = []
         for t in (0.0, 0.25, 0.5):
-            u_t = lambda p, t=t: scheme.problem.exact(t, p)
-            bound = factor * h1_norm(scheme, u_t, lambda p, t=t: scheme.problem.exact_gradient(t, p))
+            u_t = Snapshot(scheme.problem, t)
+            bound = factor * h1_norm(scheme, u_t)
             for _ in range(k):
                 w = rng.uniform(-1.0, 1.0, mesh.n_cells)
                 cons.append(abs(bilinear_J(mesh, table, stab, u_t, w)) / (bound * beta_seminorm(scheme, w)))
