@@ -15,6 +15,7 @@ whose order depends on the BLAS thread count).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import F_RAMP, CutCellMesh, StabilizedCells, build_mesh, identify_stabilized
-from .field import RampTestProblem, Snapshot
+from .field import RampTestProblem, Snapshot, VelocityField
 from .quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 
 #: one scalar per cell, indexed by cell id
@@ -82,7 +83,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class FaceIntegralTable:
-    """Per-face fluxes of beta plus cached face quadrature data.
+    """Per-face fluxes of beta, and face quadrature on request.
 
     flux_in  : int_e beta.n ds with n the stored face normal, exactly
                psi(b) - psi(a) for the face from a to b and the field's
@@ -92,9 +93,11 @@ class FaceIntegralTable:
     upwind   : cell id the upwind trace is taken from; -1 on inflow boundary
                faces (the upwind trace extension is zero there), -2 on
                no-flow faces (flux_in == 0)
-    qpoints/wbn : quadrature nodes and their physical ds-weights times the
-               beta.n values (w.r.t. the stored normal), used for all face
-               means; the wbn of each face sum to flux_in up to rounding
+    mesh, velocity, rule : what the quadrature points are built from
+
+    The quadrature points are not stored: `quadrature(faces)` builds them
+    for the faces a caller reads (a scheme reads its jump faces only), and
+    `all_faces` holds them for every face, built on first request.
 
     Every face endpoint on the ramp takes psi at the ramp start, so ramp
     faces carry exactly zero flux and the fluxes of each cell sum to zero
@@ -104,24 +107,45 @@ class FaceIntegralTable:
     flux_in: np.ndarray
     abs_flux: np.ndarray
     upwind: np.ndarray
-    qpoints: np.ndarray
-    wbn: np.ndarray
+    mesh: CutCellMesh
+    velocity: VelocityField
+    rule: SegmentRule
+
+    def quadrature(self, faces) -> tuple[np.ndarray, np.ndarray]:
+        """(qpoints, wbn) of the faces with the given ids (an index array or
+        a slice): the (faces, points, 2) quadrature nodes, and their
+        physical ds-weights times the beta.n values (w.r.t. the stored
+        normal), rescaled so that the row of each face sums to its flux_in
+        up to rounding.  A face's rows do not depend on which other faces
+        are asked for."""
+        mesh, rule = self.mesh, self.rule
+        # (points, faces) arrays, one coordinate at a time: numpy is several
+        # times slower over an inner axis of 2 (coordinates) or 4 (points)
+        ends = mesh.f_endpoints[faces]
+        a, b = ends[:, 0, :], ends[:, 1, :]
+        t = rule.points[:, None]
+        pts = np.empty((len(ends), len(rule), 2))
+        for k in (0, 1):
+            pts[:, :, k] = (a[:, k] + t * (b[:, k] - a[:, k])).T
+        w = rule.weights[:, None] * mesh.f_length[faces]
+        beta = self.velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
+        normal = mesh.f_normal[faces]
+        bn = np.multiply(beta[..., 0].T, normal[:, 0], order="C")
+        bn += np.multiply(beta[..., 1].T, normal[:, 1], order="C")
+        bn += 0.0  # -0.0 -> 0.0, as a sum of products from zero gives
+        # a row sum, since numpy sums a row of 8 or more pairwise
+        quad = np.ascontiguousarray((w * bn).T).sum(axis=1)
+        flux = self.flux_in[faces]
+        bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)
+        return pts, np.ascontiguousarray((w * bn).T)
+
+    @functools.cached_property
+    def all_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """`quadrature` of every face, built on first request."""
+        return self.quadrature(slice(None))
 
 
 def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceIntegralTable:
-    # (points, faces) arrays, one coordinate at a time: numpy is several
-    # times slower over an inner axis of 2 (coordinates) or 4 (points)
-    a, b = mesh.f_endpoints[:, 0, :], mesh.f_endpoints[:, 1, :]
-    t = rule.points[:, None]
-    pts = np.empty((mesh.n_faces, len(rule), 2))
-    for k in (0, 1):
-        pts[:, :, k] = (a[:, k] + t * (b[:, k] - a[:, k])).T
-    w = rule.weights[:, None] * mesh.f_length
-    beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
-    bn = np.multiply(beta[..., 0].T, mesh.f_normal[:, 0], order="C")
-    bn += np.multiply(beta[..., 1].T, mesh.f_normal[:, 1], order="C")
-    bn += 0.0  # -0.0 -> 0.0, as a sum of products from zero gives
-
     psi = velocity.stream(mesh.f_endpoints.reshape(-1, 2)).reshape(-1, 2)
     ramp = mesh.f_kind == F_RAMP
     if np.any(ramp):
@@ -144,17 +168,25 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
         psi[on_line] = psi0
     flux = psi[:, 1] - psi[:, 0]
 
-    # beta.n must not change sign along a face off the ramp
-    lo, hi = bn.min(axis=0), bn.max(axis=0)
+    # beta.n must not change sign along a face off the ramp: one quadrature
+    # point of every face at a time, as (faces,) arrays
+    a, b = mesh.f_endpoints[:, 0, :], mesh.f_endpoints[:, 1, :]
+    lo, hi = np.full(mesh.n_faces, np.inf), np.full(mesh.n_faces, -np.inf)
+    for t in rule.points:
+        pts = np.empty((mesh.n_faces, 2))
+        for k in (0, 1):
+            pts[:, k] = a[:, k] + t * (b[:, k] - a[:, k])
+        beta = velocity.evaluate(pts)
+        bn = beta[:, 0] * mesh.f_normal[:, 0]
+        bn += beta[:, 1] * mesh.f_normal[:, 1]
+        np.minimum(lo, bn, out=lo)
+        np.maximum(hi, bn, out=hi)
     tol = 1e-12 * np.maximum(hi, -lo)
     mixed = ~ramp & (lo < -tol) & (hi > tol)
     if np.any(mixed):
         raise ValueError(
             f"beta.n changes sign on {int(mixed.sum())} face(s); refine or split faces"
         )
-    # a row sum, since numpy sums a row of 8 or more pairwise
-    quad = np.ascontiguousarray((w * bn).T).sum(axis=1)
-    bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)
 
     left, right = mesh.f_left, mesh.f_right
     upwind = np.full(mesh.n_faces, -2, dtype=np.int64)
@@ -162,7 +194,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
     neg = flux < 0.0
     upwind[pos] = left[pos]
     upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
-    return FaceIntegralTable(flux, np.abs(flux), upwind, pts, np.ascontiguousarray((w * bn).T))
+    return FaceIntegralTable(flux, np.abs(flux), upwind, mesh, velocity, rule)
 
 
 def per_field(x):
@@ -218,9 +250,10 @@ def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarra
     faces with the given ids, from one call of `smooth` on their quadrature
     points.  Zero-flux faces get mean 0.  A face's mean does not depend on
     which other faces are asked for."""
-    qpoints, wbn, abs_flux = table.qpoints, table.wbn, table.abs_flux
-    if faces is not None:
-        qpoints, wbn, abs_flux = qpoints[faces], wbn[faces], abs_flux[faces]
+    if faces is None:
+        (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
+    else:
+        (qpoints, wbn), abs_flux = table.quadrature(faces), table.abs_flux[faces]
     vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float)
     return weighted_face_means(np.abs(wbn), vals, abs_flux)
 
@@ -290,9 +323,12 @@ def assemble_dod_matrix(
     scatter(st.e_out, st.E_in, (1.0 - st.alpha) * table.flux_in[st.e_out])
 
     n = mesh.n_cells
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    # joined one list at a time, so that each list's pieces go as it is joined
+    vals = np.concatenate(vals)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    del vals, rows, cols  # the matrix holds its own int32 copies of the indices
     return mat.tocsr()
 
 
@@ -342,11 +378,6 @@ class JumpSeminorm:
     extended jumps read the (jump faces, 2) side means at the flat indices
     `ext_out` and `ext_in`.  The jump faces' |w beta.n| and fluxes give
     the smooth means from values at their quadrature points.
-
-    `mass_left` and `mass_right` hold, for every face, the capacity weight
-    of its left and right cell (alpha on a stabilized cell, 1 elsewhere; 0
-    where there is no right cell), which the starred norm's cell-boundary
-    mass weights the squared side means by.
     """
 
     n_cells: int
@@ -363,8 +394,6 @@ class JumpSeminorm:
     ext_weight: np.ndarray  # (1 - alpha) |flux(e_out)|
     abs_wbn: np.ndarray  # (jump faces, points per face)
     abs_flux: np.ndarray  # |flux| of each jump face
-    mass_left: np.ndarray
-    mass_right: np.ndarray
 
     def parts(self, disc, jump_means: np.ndarray):
         """(plain, capacity, extended) for the discrete part `disc` (None
@@ -400,8 +429,14 @@ class JumpSeminorm:
 
 
 def build_jump_seminorm(
-    mesh: CutCellMesh, table: FaceIntegralTable, st: StabilizedCells, jump_faces: np.ndarray
+    mesh: CutCellMesh,
+    table: FaceIntegralTable,
+    st: StabilizedCells,
+    jump_faces: np.ndarray,
+    wbn: np.ndarray,
 ) -> JumpSeminorm:
+    """The seminorm's face structure; `wbn` is the second part of
+    `table.quadrature(jump_faces)`."""
     n = mesh.n_cells
     boundary = np.flatnonzero(mesh.f_right[jump_faces] < 0)
     left = mesh.f_left.copy()
@@ -416,8 +451,6 @@ def build_jump_seminorm(
     side = np.concatenate([table.flux_in[st.e_in] <= 0.0, table.flux_in[st.e_out] > 0.0])
     flat = 2 * at + side
     k = len(st)
-    capacity = np.ones(n)
-    capacity[st.cells] = st.alpha
     return JumpSeminorm(
         n_cells=n,
         boundary=boundary,
@@ -431,14 +464,12 @@ def build_jump_seminorm(
         ext_out=flat[k:],
         ext_in=flat[:k],
         ext_weight=(1.0 - st.alpha) * table.abs_flux[st.e_out],
-        abs_wbn=np.abs(table.wbn[jump_faces]),
+        abs_wbn=np.abs(wbn),
         abs_flux=table.abs_flux[jump_faces],
-        mass_left=capacity[mesh.f_left],
-        mass_right=np.where(mesh.f_right >= 0, capacity[mesh.f_right], 0.0),
     )
 
 
-def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable):
+def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable, faces, qpoints, wbn):
     """(cells, points, matrix) of the inflow-data contribution to the
     update, -|F|^-1 int min(beta.n, 0) g.
 
@@ -448,16 +479,20 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable):
     (a corner cell has two inflow faces), `points` holds the quadrature
     points of the inflow faces, and `matrix` maps data at those points to
     `cells` with the entries -w beta.n / |F|.
+
+    `qpoints, wbn` is `table.quadrature(faces)` for ascending face ids
+    `faces` that include every inflow face (a scheme's jump faces do).
     """
-    faces = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
-    cells, row = np.unique(mesh.f_left[faces], return_inverse=True)
-    nq = table.wbn.shape[1]
-    weights = -table.wbn[faces] / mesh.areas[mesh.f_left[faces], None]
+    rows = np.flatnonzero((mesh.f_right[faces] < 0) & (table.flux_in[faces] < 0.0))
+    left = mesh.f_left[faces[rows]]
+    cells, row = np.unique(left, return_inverse=True)
+    nq = wbn.shape[1]
+    weights = -wbn[rows] / mesh.areas[left, None]
     matrix = sp.csr_matrix(
         (weights.ravel(), (np.repeat(row, nq), np.arange(weights.size))),
         shape=(len(cells), weights.size),
     )
-    return cells, table.qpoints[faces].reshape(-1, 2), matrix
+    return cells, qpoints[rows].reshape(-1, 2), matrix
 
 
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
@@ -498,12 +533,13 @@ class DoDScheme:
 
     Bundles the mesh, face table, stabilized-cell table `records`, the
     beta-seminorm's `jump_faces` and face structure `seminorm`, operator
-    matrix, quadrature caches, the inflow cells and the matrix that maps
-    inflow data to them (`inflow_cells`, `inflow_matrix`), and the
+    matrix, cell quadrature table, the inflow cells and the matrix that
+    maps inflow data to them (`inflow_cells`, `inflow_matrix`), and the
     characteristic coordinates of the inflow and jump-face quadrature
     points (`inflow_chars`, `jump_chars`), on which the inflow data of
     every step and the exact solution of every error seminorm are
-    evaluated.
+    evaluated.  The face quadrature points themselves are built once, on
+    the jump faces only, and not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  Everything is built once and
     treated as immutable, so a scheme can be shared by solves, norms, and
@@ -523,10 +559,15 @@ class DoDScheme:
         jump = (self.mesh.f_right < 0) & (self.table.abs_flux > 0.0)
         jump[self.records.e_in] = jump[self.records.e_out] = True
         self.jump_faces = np.flatnonzero(jump)
-        self.seminorm = build_jump_seminorm(self.mesh, self.table, self.records, self.jump_faces)
-        self.jump_chars = problem.characteristics(self.table.qpoints[self.jump_faces].reshape(-1, 2))
+        # the only face quadrature points a scheme reads: the inflow faces
+        # are jump faces too
+        qpoints, wbn = self.table.quadrature(self.jump_faces)
+        self.seminorm = build_jump_seminorm(
+            self.mesh, self.table, self.records, self.jump_faces, wbn)
+        self.jump_chars = problem.characteristics(qpoints.reshape(-1, 2))
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
-        self.inflow_cells, points, self.inflow_matrix = build_inflow(self.mesh, self.table)
+        self.inflow_cells, points, self.inflow_matrix = build_inflow(
+            self.mesh, self.table, self.jump_faces, qpoints, wbn)
         self.inflow_chars = problem.characteristics(points)
         self.dt = cfl_dt(self.mesh, problem.velocity, config)
         self.step_S = self.step_matrix(self.dt)
@@ -563,8 +604,29 @@ class DoDScheme:
         return out
 
     def step_matrix(self, dt: float) -> sp.csr_matrix:
-        """S = I - dt A, the explicit Euler update without inflow data."""
-        return sp.identity(self.mesh.n_cells, format="csr") - dt * self.matrix
+        """S = I - dt A, the explicit Euler update without inflow data.
+
+        Built on A's pattern, with the entries scipy's `identity - dt * A`
+        gives: -dt a_ij off the diagonal, 1 - dt a_ii on it, and the exact
+        zeros dropped.  `matrix` is canonical (sorted, no duplicates), so
+        each row keeps its order and `S @ u` its bits.  S shares A's index
+        arrays unless a zero is dropped or a diagonal slot added.
+        """
+        a = self.matrix
+        n = a.shape[0]
+        rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+        diag = a.indices == rows
+        data = -dt * a.data
+        data[diag] += 1.0
+        s = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+        if np.count_nonzero(diag) < n:
+            # a row without a diagonal slot takes 1 there; the sum drops zeros
+            missing = np.setdiff1d(np.arange(n), rows[diag])
+            s = s + sp.csr_matrix((np.ones(len(missing)), (missing, missing)), shape=a.shape)
+        elif not data.all():
+            s = s.copy()  # A's index arrays stay as they are
+            s.eliminate_zeros()
+        return s
 
     def step(self, u: PiecewiseConstantField, t: float, dt: float) -> PiecewiseConstantField:
         """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt times the

@@ -183,10 +183,12 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     nodes[..., 0], nodes[..., 1] = xs, ys[:, None]
     eta = ramp.signed_distance(nodes)
     eta[np.abs(eta) <= eps] = 0.0
+    del nodes
 
     # background cell (i, j), numbered j n + i, has corners (i, j), (i+1, j),
     # (i+1, j+1), (i, j+1); one array per corner, one entry per cell
     corner_eta = [e.ravel() for e in (eta[:-1, :-1], eta[:-1, 1:], eta[1:, 1:], eta[1:, :-1])]
+    del eta
     live = np.flatnonzero(np.logical_or.reduce([e > 0.0 for e in corner_eta]))
     corner_eta = [e[live] for e in corner_eta]
     bj, bi = np.divmod(live, n)
@@ -218,6 +220,8 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     # has edges bottom, right, top, left, so its vertices and keys follow
     # from (i, j); only the clipped cells' edges are compared with the grid
     # lines (shared vertices are canonical, so exact comparison is safe).
+    # Each per-edge array is dropped after its last read: at n = 256 every
+    # one is about 1.8 MB, and together they set the build's peak memory.
     n_edges = cell_ptr[-1]
     vx, vy = np.empty(n_edges), np.empty(n_edges)
     on_line = np.empty(n_edges, dtype=bool)
@@ -230,10 +234,12 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
         vy[at + k] = ys[j + dj]
         on_line[at + k] = corner_eta[k][keep][square] == 0.0
         key[at + k] = square_keys[k]
+    del i, j, at, square_keys, corner_eta, square
     slot = np.arange(5) < nv[cut, None]
     clipped_edges = (cell_ptr[cut, None] + np.arange(5))[slot]
     vx[clipped_edges], vy[clipped_edges] = poly[slot, 0], poly[slot, 1]
     on_line[clipped_edges] = cut_on_line[slot]
+    del poly, cut_on_line
 
     cell = np.repeat(np.arange(len(nv)), nv)
     nxt = np.arange(1, n_edges + 1)
@@ -244,11 +250,14 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     if np.any(short):
         c = cell[np.argmax(short)]
         raise AssertionError(f"cell ({bi[c]},{bj[c]}) has an edge no longer than {eps:.3e}")
+    del short
     cross = dx * dy[nxt] - dy * dx[nxt]
     if np.any(cross < -eps * h):
         c = cell[np.argmax(cross < -eps * h)]
         raise AssertionError(f"cell ({bi[c]},{bj[c]}) polygon is not convex CCW")
+    del cross
     on_ramp = on_line & on_line[nxt]
+    del on_line, nxt
 
     e = clipped_edges
     i, j = bi[cell[e]], bj[cell[e]]
@@ -270,14 +279,18 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     first = np.full(2 * n * (n + 1) + len(loose), n_edges)
     np.minimum.at(first, key, edges)
     first = first[key]
+    del key
     owns = first == edges
+    del edges
     edge_face = (np.cumsum(owns) - 1)[first]
+    del first
     owner = np.flatnonzero(owns)
-    edge_sign = np.where(owns, 1, -1).astype(np.int8)
+    edge_sign = np.where(owns, np.int8(1), np.int8(-1))
     if np.bincount(edge_face).max() > 2:
         raise AssertionError("face shared by more than two cells")
     other = np.full(len(owner), -1)
     other[edge_face[~owns]] = np.flatnonzero(~owns)
+    del owns
     shared = other >= 0
     o, p = owner[shared], other[shared]
     if np.any(on_ramp[o] | on_ramp[p]):
@@ -285,8 +298,15 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     if (np.any(vx[p] != wx[o]) or np.any(vy[p] != wy[o])
             or np.any(wx[p] != vx[o]) or np.any(wy[p] != vy[o])):
         raise AssertionError("the two cells of a face disagree on its endpoints")
+    del o, p
+    f_left, f_right = cell[owner], np.where(shared, cell[other], -1)
+    f_kind = np.select([shared, on_ramp[owner]], [F_INTERIOR, F_RAMP], F_SQUARE).astype(np.int8)
+    del cell, on_ramp, other, shared
 
     fdx, fdy = dx[owner], dy[owner]
+    del dx, dy
+    f_endpoints = np.column_stack([vx[owner], vy[owner], wx[owner], wy[owner]]).reshape(-1, 2, 2)
+    del wx, wy
     f_length = np.hypot(fdx, fdy)
     mesh = CutCellMesh(
         domain=ramp,
@@ -298,12 +318,12 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
         background=np.column_stack([bi, bj]),
         edge_face=edge_face,
         edge_sign=edge_sign,
-        f_endpoints=np.column_stack([vx[owner], vy[owner], wx[owner], wy[owner]]).reshape(-1, 2, 2),
+        f_endpoints=f_endpoints,
         f_length=f_length,
         f_normal=np.column_stack([fdy / f_length, -fdx / f_length]),
-        f_left=cell[owner],
-        f_right=np.where(shared, cell[other], -1),
-        f_kind=np.select([shared, on_ramp[owner]], [F_INTERIOR, F_RAMP], F_SQUARE).astype(np.int8),
+        f_left=f_left,
+        f_right=f_right,
+        f_kind=f_kind,
     )
     rel_gap = abs(mesh.total_area() - ramp.area()) / ramp.area()
     if rel_gap > 1e-12:

@@ -20,8 +20,11 @@ and the legs of stabilized cells, a few percent of the faces.  `beta_seminorm`
 evaluates a smooth part there only; `error_seminorm`, and so
 `error_breakdown` and `converge --accumulate`, takes the exact solution
 there from the scheme's cached characteristic coordinates of those points
-(`jump_chars`); the starred norm needs a smooth part's mean on every face
-anyway and gives the jump faces' means to the same formula.
+(`jump_chars`).  The starred norm needs a smooth part's mean on every face
+anyway, from the face table's `all_faces` quadrature, built on its first
+use (only the `verify` checks ask for it), and gives the jump faces' means
+to the same formula; its cell-boundary mass takes the capacity weights
+from `scheme.records` on each call.
 """
 from __future__ import annotations
 
@@ -78,8 +81,11 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
     int_e |beta.n| (own-trace mean)^2 over its faces; one value per row for
     the means of a block."""
-    own = scheme.seminorm.mass_left * np.square(means[..., 0])
-    own += scheme.seminorm.mass_right * np.square(means[..., 1])
+    mesh, st = scheme.mesh, scheme.records
+    capacity = np.ones(mesh.n_cells)
+    capacity[st.cells] = st.alpha
+    own = capacity[mesh.f_left] * np.square(means[..., 0])
+    own += np.where(mesh.f_right >= 0, capacity[mesh.f_right], 0.0) * np.square(means[..., 1])
     return per_field((own * scheme.table.abs_flux).sum(axis=-1))
 
 

@@ -1,6 +1,9 @@
 """Gauss quadrature on segments and convex polygons.
 
-Face integrals use Gauss-Legendre on the reference interval [0, 1].  Cell
+Face integrals use Gauss-Legendre on the reference interval [0, 1]; the
+face points are not tabulated for the whole mesh:
+`discretization.FaceIntegralTable.quadrature` builds them for the faces a
+caller reads (a scheme's jump faces, the inflow faces among them).  Cell
 integrals fan-triangulate each cut cell (a convex polygon) from vertex 0 and
 apply a conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each
 triangle.  Both are exact for polynomials up to a configurable total degree,

@@ -1,4 +1,8 @@
-"""Legacy ASCII VTK export of cut-cell meshes with cell data."""
+"""Legacy ASCII VTK export of cut-cell meshes with cell data.
+
+Each section is formatted and written in blocks of `_CHUNK` rows, so the
+text held in memory at once does not grow with the mesh.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,6 +10,7 @@ import numpy as np
 from .geometry import CutCellMesh, StabilizedCells
 
 _VTK_POLYGON = 7
+_CHUNK = 1 << 13  # rows (points, cells or values) formatted per write
 
 
 def _check_cell_data(cell_data: dict, n_cells: int) -> None:
@@ -24,12 +29,16 @@ def _shared_points(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of every vertex row.  Shared corners are bit-identical, so equal rows
     are runs after one stable sort by (x, y)."""
     order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-    ranked = vertices[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for k in (0, 1):  # one coordinate at a time, to hold one sorted column
+        ranked = vertices[order, k]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    del ranked
     # the sort is stable, so each run starts at its first appearance
     first = np.empty_like(order)
     first[order] = order[new][np.cumsum(new) - 1]
+    del order, new
     is_first = first == np.arange(len(first))
     return vertices[is_first], (np.cumsum(is_first) - 1)[first]
 
@@ -55,8 +64,14 @@ def _rows(*columns) -> str:
     return "".join(table.ravel().tolist())
 
 
+def _blocks(n: int):
+    """Slices of at most `_CHUNK` rows that cover range(n) in order."""
+    return (slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK))
+
+
 def _cell_lines(cell_ptr: np.ndarray, conn: np.ndarray) -> str:
-    """One `k p_1 ... p_k` line per cell; one format per vertex count k."""
+    """One `k p_1 ... p_k` line per cell of `cell_ptr` (offsets into
+    `conn`, which need not start at 0); one format per vertex count k."""
     counts = np.diff(cell_ptr)
     lines = np.empty(len(counts), dtype=object)
     for k in np.unique(counts).tolist():
@@ -80,26 +95,34 @@ def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
     if cell_data:
         _check_cell_data(cell_data, n_cells)
     points, conn = _shared_points(mesh.vertices)
-    xy = _format_values(points, "%.16e")
 
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n"
                 "cut-cell mesh\n"
                 "ASCII\n"
                 "DATASET UNSTRUCTURED_GRID\n"
-                f"POINTS {len(points)} double\n" + _rows(xy[:, 0], " ", xy[:, 1], " 0.0\n"))
-        f.write(f"CELLS {n_cells} {len(conn) + n_cells}\n" + _cell_lines(mesh.cell_ptr, conn))
-        f.write(f"CELL_TYPES {n_cells}\n" + f"{_VTK_POLYGON}\n" * n_cells)
+                f"POINTS {len(points)} double\n")
+        for rows in _blocks(len(points)):
+            xy = _format_values(points[rows], "%.16e")
+            f.write(_rows(xy[:, 0], " ", xy[:, 1], " 0.0\n"))
+        f.write(f"CELLS {n_cells} {len(conn) + n_cells}\n")
+        for rows in _blocks(n_cells):
+            f.write(_cell_lines(mesh.cell_ptr[rows.start:rows.stop + 1], conn))
+        f.write(f"CELL_TYPES {n_cells}\n")
+        for rows in _blocks(n_cells):
+            f.write(f"{_VTK_POLYGON}\n" * (rows.stop - rows.start))
         if cell_data:
             f.write(f"CELL_DATA {n_cells}\n")
             for name, values in cell_data.items():
                 arr = np.asarray(values)
                 if arr.dtype.kind in "iu":
-                    kind, text = "int", _format_values(arr, "%d")
+                    kind, fmt = "int", "%d"
                 else:
                     arr = np.ascontiguousarray(arr, dtype=np.float64)
-                    kind, text = "double", _format_values(arr, "%.16e")
-                f.write(f"SCALARS {name} {kind} 1\nLOOKUP_TABLE default\n" + _rows(text, "\n"))
+                    kind, fmt = "double", "%.16e"
+                f.write(f"SCALARS {name} {kind} 1\nLOOKUP_TABLE default\n")
+                for rows in _blocks(n_cells):
+                    f.write(_rows(_format_values(arr[rows], fmt), "\n"))
 
 
 def mesh_cell_data(mesh: CutCellMesh, stab: StabilizedCells | None = None, u=None) -> dict:

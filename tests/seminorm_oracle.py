@@ -18,7 +18,7 @@ from cutdg.norms import l2_norm_squared
 
 
 def smooth_face_means(table, smooth, faces=None):
-    qpoints, wbn, abs_flux = table.qpoints, table.wbn, table.abs_flux
+    (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
     if faces is not None:
         qpoints, wbn, abs_flux = qpoints[faces], wbn[faces], abs_flux[faces]
     vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(wbn.shape)

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutdg.discretization import (
     DoDScheme,
@@ -66,11 +69,17 @@ def rhs_inflow_oracle(mesh, table, g, t):
     """
     out = np.zeros(mesh.n_cells)
     inflow = np.nonzero((mesh.f_right < 0) & (table.flux_in < 0.0))[0]
-    pts = table.qpoints[inflow]
+    pts, wbn = table.quadrature(inflow)
     gv = np.asarray(g(t, pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    contrib = -(table.wbn[inflow] * gv).sum(axis=1)
+    contrib = -(wbn * gv).sum(axis=1)
     np.add.at(out, mesh.f_left[inflow], contrib)
     return out / mesh.areas
+
+
+def inflow_on_boundary(mesh, table):
+    """`build_inflow` from the quadrature of every boundary face."""
+    faces = np.flatnonzero(mesh.f_right < 0)
+    return build_inflow(mesh, table, faces, *table.quadrature(faces))
 
 
 def bilinear_upwind(mesh, table, v, w_h) -> float:
@@ -147,9 +156,22 @@ class TestFaceTable:
         rule = SegmentRule.gauss(order)
         table = build_face_table(mesh, velocity, rule)
         want = face_table_reference(mesh, velocity, rule, table.flux_in)
-        for field, a, b in zip(("qpoints", "wbn"), (table.qpoints, table.wbn), want, strict=True):
+        for field, a, b in zip(("qpoints", "wbn"), table.all_faces, want, strict=True):
             assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), field
             assert a.tobytes() == b.tobytes(), field
+        # any subset of the faces, in any order, takes the matching rows
+        rng = np.random.default_rng(order)
+        for size in (1, 7, mesh.n_faces // 3):
+            faces = rng.choice(mesh.n_faces, size, replace=False)
+            for field, a, b in zip(("qpoints", "wbn"), table.quadrature(faces), want, strict=True):
+                assert a.flags.c_contiguous, field
+                assert a.tobytes() == np.ascontiguousarray(b[faces]).tobytes(), field
+
+    def test_all_face_quadrature_is_built_on_request_once(self):
+        # a scheme reads face points on its jump faces only
+        scheme = DoDScheme(make_ramp_problem(25.0, 0.2001), SchemeConfig(), 16)
+        assert "all_faces" not in vars(scheme.table)
+        assert scheme.table.all_faces is scheme.table.all_faces
 
     def test_rejects_non_tangent_field(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=0.3), 8)
@@ -337,7 +359,7 @@ class TestBilinearForms:
 class TestRhsAndStep:
     def test_zero_data_gives_zero(self, base_scheme):
         g = lambda t, p: np.zeros(np.asarray(p).shape[:-1])
-        cells, points, matrix = build_inflow(base_scheme.mesh, base_scheme.table)
+        cells, points, matrix = inflow_on_boundary(base_scheme.mesh, base_scheme.table)
         r = np.zeros(base_scheme.mesh.n_cells)
         r[cells] = matrix @ g(0.0, points)
         np.testing.assert_array_equal(r, np.zeros(base_scheme.mesh.n_cells))
@@ -347,7 +369,7 @@ class TestRhsAndStep:
         mesh = cartesian_mesh(4)
         table = build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
         g = lambda t, p: np.ones(np.asarray(p).shape[:-1])
-        cells, points, matrix = build_inflow(mesh, table)
+        cells, points, matrix = inflow_on_boundary(mesh, table)
         r = np.zeros(mesh.n_cells)
         r[cells] = matrix @ g(0.0, points)
         left_col = mesh.background[:, 0] == 0
@@ -368,7 +390,7 @@ class TestRhsAndStep:
         # a corner cell has two inflow faces; a repeated-index += would drop one
         assert np.bincount(mesh.f_left[inflow_faces]).max() == 2
         g = lambda t, p: 2.0 + np.cos(5.0 * p[:, 0] - 3.0 * p[:, 1] + t)
-        cells, points, matrix = build_inflow(mesh, table)
+        cells, points, matrix = inflow_on_boundary(mesh, table)
         expected = rhs_inflow_oracle(mesh, table, g, 0.3)
         np.testing.assert_array_equal(cells, np.nonzero(expected)[0])
         got = np.zeros(mesh.n_cells)
@@ -396,6 +418,40 @@ class TestRhsAndStep:
             np.testing.assert_array_equal(S.toarray(), np.eye(n) - dt * scheme.matrix.toarray())
         np.testing.assert_array_equal(scheme.step_S.toarray(),
                                       scheme.step_matrix(scheme.dt).toarray())
+
+    @pytest.mark.parametrize("case", [(25.0, 0.2001, 32), (45.0, 0.2 + 1e-10, 40),
+                                      (5.0, 0.25 + 1e-15, 32)])
+    def test_step_matrix_is_scipys_subtraction(self, case, scheme_cache):
+        # built on A's pattern: the same CSR arrays as I - dt A, so S @ u
+        # keeps its bits, and A's own arrays are left as they were
+        scheme = scheme_cache(*case)
+        A, n = scheme.matrix, scheme.mesh.n_cells
+        before = [x.copy() for x in (A.data, A.indices, A.indptr)]
+        u = np.random.default_rng(17).uniform(-1, 1, n)
+        for dt in (scheme.dt, 0.37 * scheme.dt):
+            want = sp.identity(n, format="csr") - dt * A
+            got = scheme.step_matrix(dt)
+            for x, y in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)):
+                np.testing.assert_array_equal(x, y)
+            assert (got @ u).tobytes() == (want @ u).tobytes()
+        for x, y in zip((A.data, A.indices, A.indptr), before, strict=True):
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("missing_diagonal", [False, True])
+    def test_step_matrix_drops_exact_zeros_and_fills_missing_diagonals(self, missing_diagonal, base_scheme):
+        # row 0: a stored 0 and a diagonal 1 - 0.5 * 2 == 0, both dropped;
+        # row 1 has no diagonal slot when `missing_diagonal`
+        cols, vals = ([0], [3.0]) if missing_diagonal else ([0, 1], [3.0, 4.0])
+        indices = np.array([0, 1, 2, *cols, 1, 2])
+        A = sp.csr_matrix((np.array([2.0, 0.0, 1.0, *vals, 5.0, 1.0]), indices,
+                           np.array([0, 3, 3 + len(cols), len(indices)])), shape=(3, 3))
+        scheme = copy.copy(base_scheme)
+        scheme.matrix = A
+        want = sp.identity(3, format="csr") - 0.5 * A
+        got = scheme.step_matrix(0.5)
+        for x, y in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)):
+            np.testing.assert_array_equal(x, y)
+        assert got.nnz == A.nnz - 2 + missing_diagonal
 
     def test_stepping_leaves_the_scheme_unchanged(self):
         problem = make_ramp_problem(25.0, 0.2001, t_final=0.05)
@@ -439,11 +495,12 @@ class TestRhsAndStep:
             if table.flux_in[f] > 0
         )
         problem = base_scheme.problem
+        qpoints, wbn = table.quadrature(boundary)
         flux_in = 0.0
-        for f in boundary:
+        for k, f in enumerate(boundary):
             if table.flux_in[f] < 0:
-                vals = problem.g_from(t, problem.characteristics(table.qpoints[f]))
-                flux_in += float((table.wbn[f] * vals).sum())
+                vals = problem.g_from(t, problem.characteristics(qpoints[k]))
+                flux_in += float((wbn[k] * vals).sum())
         assert dmass == pytest.approx(-flux_out - flux_in, rel=1e-12, abs=1e-13)
 
 
@@ -567,3 +624,22 @@ class TestSolve:
         scheme = DoDScheme(make_ramp_problem(25.0, 0.2001, t_final=0.05), SchemeConfig(), 8)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             scheme.solve(**{name: value})
+
+
+def test_scheme_memory_stays_bounded():
+    # numpy memory of one scheme at 25 degrees, n = 128, measured at 6.6 MiB
+    # kept and 8.0 MiB at the peak (10.0 and 12.8 with all-face quadrature
+    # points and the mesh build's per-edge arrays held to the end); the
+    # bounds are those plus 20%
+    problem = make_ramp_problem(25.0, 0.2001)
+    DoDScheme(problem, SchemeConfig(), 8)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scheme = DoDScheme(problem, SchemeConfig(), 128)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.mesh.n_cells > 10_000
+    assert (current - before) / 2**20 < 7.9
+    assert (peak - before) / 2**20 < 9.6

@@ -157,7 +157,7 @@ class TestJumpFaces:
 
         monkeypatch.setattr(Snapshot, "__call__", counting_call)
         beta_seminorm(scheme, (Snapshot(scheme.problem, 0.2), -u_h))
-        assert calls == [scheme.table.wbn.shape[1] * len(scheme.jump_faces)]
+        assert calls == [scheme.config.face_order * len(scheme.jump_faces)]
 
 
 class TestTripleNorms:
@@ -275,7 +275,7 @@ class TestErrorBreakdown:
         monkeypatch.setattr(type(problem), "exact_from", counting_exact_from)
         eb = error_breakdown(base_scheme, t, u_h)
         # once on the cut cells' quadrature points, once on the jump faces' points
-        jump_points = base_scheme.table.wbn.shape[1] * len(base_scheme.jump_faces)
+        jump_points = base_scheme.config.face_order * len(base_scheme.jump_faces)
         assert calls == [len(base_scheme.cellquad.points), jump_points]
         diff = (Snapshot(problem, t), -u_h)
         assert eb.l2 == math.sqrt(l2_norm_squared(base_scheme, diff))

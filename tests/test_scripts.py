@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("reproduce_convergence.py", ["--quick"],
      [f"convergence_gamma{g}_{cfl}.csv" for g in (5, 15, 25, 35, 45) for cfl in ("cfl5", "cfl2")]),
     ("run_lemma_checks.py", [], ["verify.csv"]),
+    ("scheme_memory.py", ["--gamma", "25", "--n", "16"], ["scheme_memory.json"]),
 ])
 def test_script_runs(script, args, expected, tmp_path):
     env = dict(os.environ)

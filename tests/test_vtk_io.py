@@ -7,6 +7,7 @@ import pytest
 from cutdg.discretization import build_face_table
 from cutdg.geometry import RampDomain, build_mesh, identify_stabilized
 from cutdg.quadrature import SegmentRule
+from cutdg import vtk_io
 from cutdg.vtk_io import mesh_cell_data, write_vtk
 from polygon_oracle import cell_vertices
 from velocity_fields import constant_velocity
@@ -116,6 +117,18 @@ def test_bytes_match_per_line_writer(geometry, data, meshes, tmp_path):
     write_vtk(tmp_path / "new.vtk", mesh, cell_data)
     write_vtk_oracle(tmp_path / "old.vtk", mesh, cell_data)
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+
+
+def test_block_size_leaves_the_bytes(meshes, tmp_path, monkeypatch):
+    # blocks of 3 rows split every section, and mix 3-, 4- and 5-vertex cells
+    mesh, st = meshes["ramp25"]
+    assert set(np.diff(mesh.cell_ptr).tolist()) == {3, 4, 5}
+    assert mesh.n_cells < vtk_io._CHUNK  # one block at the default size
+    cell_data = _cell_data("special_u", mesh, st)
+    write_vtk(tmp_path / "default.vtk", mesh, cell_data)
+    monkeypatch.setattr(vtk_io, "_CHUNK", 3)
+    write_vtk(tmp_path / "small.vtk", mesh, cell_data)
+    assert (tmp_path / "small.vtk").read_bytes() == (tmp_path / "default.vtk").read_bytes()
 
 
 @pytest.mark.parametrize("geometry", ["ramp25", "sliver45", "cartesian"])
