@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .discretization import DoDScheme, InvalidConfig, SchemeConfig
-from .field import make_ramp_problem
-from .norms import error_breakdown, error_seminorm
+from .field import Snapshot, make_ramp_problem
+from .norms import beta_seminorm, error_breakdown
 from .verify import run_all
 from .vtk_io import mesh_cell_data, write_vtk
 
@@ -259,7 +259,7 @@ def converge(cfg: RunConfig) -> ConvergenceReport:
         def accumulate(k, t, u, dt_k):
             # left-endpoint rule for int_0^T |u(t) - u_h(t)|_beta^2 dt
             nonlocal acc2
-            acc2 += dt_k * error_seminorm(scheme, t, u) ** 2
+            acc2 += dt_k * beta_seminorm(scheme, (Snapshot(problem, t), -u)) ** 2
 
         result = scheme.solve(observer=accumulate if cfg.accumulate else None)
         acc = math.sqrt(acc2) if cfg.accumulate else None

@@ -81,6 +81,30 @@ class SchemeConfig:
         return max(4.0 * velocity.inf_norm, 1.0 / self.tau)
 
 
+#: faces per block of `build_face_table`'s sign check, to bound its temporaries
+_SIGN_BLOCK = 4096
+
+
+def _face_points(mesh: CutCellMesh, velocity, rule: SegmentRule, faces):
+    """(pts, bn) of the faces with the given ids (an index array or a
+    slice): the (faces, points, 2) quadrature nodes of `rule`, and the
+    (points, faces) values of beta.n there, w.r.t. the stored normal."""
+    # (points, faces) arrays, one coordinate at a time: numpy is several
+    # times slower over an inner axis of 2 (coordinates) or 4 (points)
+    ends = mesh.f_endpoints[faces]
+    a, b = ends[:, 0, :], ends[:, 1, :]
+    t = rule.points[:, None]
+    pts = np.empty((len(ends), len(rule), 2))
+    for k in (0, 1):
+        pts[:, :, k] = (a[:, k] + t * (b[:, k] - a[:, k])).T
+    beta = velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
+    normal = mesh.f_normal[faces]
+    bn = np.multiply(beta[..., 0].T, normal[:, 0], order="C")
+    bn += np.multiply(beta[..., 1].T, normal[:, 1], order="C")
+    bn += 0.0  # -0.0 -> 0.0, as a sum of products from zero gives
+    return pts, bn
+
+
 @dataclass(frozen=True, eq=False)
 class FaceIntegralTable:
     """Per-face fluxes of beta, and face quadrature on request.
@@ -118,21 +142,8 @@ class FaceIntegralTable:
         normal), rescaled so that the row of each face sums to its flux_in
         up to rounding.  A face's rows do not depend on which other faces
         are asked for."""
-        mesh, rule = self.mesh, self.rule
-        # (points, faces) arrays, one coordinate at a time: numpy is several
-        # times slower over an inner axis of 2 (coordinates) or 4 (points)
-        ends = mesh.f_endpoints[faces]
-        a, b = ends[:, 0, :], ends[:, 1, :]
-        t = rule.points[:, None]
-        pts = np.empty((len(ends), len(rule), 2))
-        for k in (0, 1):
-            pts[:, :, k] = (a[:, k] + t * (b[:, k] - a[:, k])).T
-        w = rule.weights[:, None] * mesh.f_length[faces]
-        beta = self.velocity.evaluate(pts.reshape(-1, 2)).reshape(pts.shape)
-        normal = mesh.f_normal[faces]
-        bn = np.multiply(beta[..., 0].T, normal[:, 0], order="C")
-        bn += np.multiply(beta[..., 1].T, normal[:, 1], order="C")
-        bn += 0.0  # -0.0 -> 0.0, as a sum of products from zero gives
+        pts, bn = _face_points(self.mesh, self.velocity, self.rule, faces)
+        w = self.rule.weights[:, None] * self.mesh.f_length[faces]
         # a row sum, since numpy sums a row of 8 or more pairwise
         quad = np.ascontiguousarray((w * bn).T).sum(axis=1)
         flux = self.flux_in[faces]
@@ -168,19 +179,13 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
         psi[on_line] = psi0
     flux = psi[:, 1] - psi[:, 0]
 
-    # beta.n must not change sign along a face off the ramp: one quadrature
-    # point of every face at a time, as (faces,) arrays
-    a, b = mesh.f_endpoints[:, 0, :], mesh.f_endpoints[:, 1, :]
-    lo, hi = np.full(mesh.n_faces, np.inf), np.full(mesh.n_faces, -np.inf)
-    for t in rule.points:
-        pts = np.empty((mesh.n_faces, 2))
-        for k in (0, 1):
-            pts[:, k] = a[:, k] + t * (b[:, k] - a[:, k])
-        beta = velocity.evaluate(pts)
-        bn = beta[:, 0] * mesh.f_normal[:, 0]
-        bn += beta[:, 1] * mesh.f_normal[:, 1]
-        np.minimum(lo, bn, out=lo)
-        np.maximum(hi, bn, out=hi)
+    # beta.n must not change sign along a face off the ramp: at every
+    # quadrature point, a block of faces at a time
+    lo, hi = np.empty(mesh.n_faces), np.empty(mesh.n_faces)
+    for start in range(0, mesh.n_faces, _SIGN_BLOCK):
+        block = slice(start, start + _SIGN_BLOCK)
+        bn = _face_points(mesh, velocity, rule, block)[1]
+        lo[block], hi[block] = bn.min(axis=0), bn.max(axis=0)
     tol = 1e-12 * np.maximum(hi, -lo)
     mixed = ~ramp & (lo < -tol) & (hi > tol)
     if np.any(mixed):
@@ -200,7 +205,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
 def per_field(x):
     """A result with one value per field: a float for a single field, the
     array for a block."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 def split_parts(v):
@@ -537,7 +542,7 @@ class DoDScheme:
     maps inflow data to them (`inflow_cells`, `inflow_matrix`), and the
     characteristic coordinates of the inflow and jump-face quadrature
     points (`inflow_chars`, `jump_chars`), on which the inflow data of
-    every step and the exact solution of every error seminorm are
+    every step and the snapshot of every `norms.beta_seminorm` are
     evaluated.  The face quadrature points themselves are built once, on
     the jump faces only, and not kept.
     The time step `dt` = kappa h is fixed by the configuration, and

@@ -12,19 +12,19 @@ as well as a single one and then returns one value per row.
 
 The formula has one implementation, `scheme.seminorm` (a
 `discretization.JumpSeminorm`, built once with the scheme): a few gathers
-and sums over its fixed face index pairs and weights.  The smooth part of
-a V* element is single-valued, so it cancels from every interior jump: the
-seminorm takes those jumps from the discrete part alone and needs the
-smooth part only on the scheme's `jump_faces`, the boundary faces with flux
-and the legs of stabilized cells, a few percent of the faces.  `beta_seminorm`
-evaluates a smooth part there only; `error_seminorm`, and so
-`error_breakdown` and `converge --accumulate`, takes the exact solution
-there from the scheme's cached characteristic coordinates of those points
-(`jump_chars`).  The starred norm needs a smooth part's mean on every face
-anyway, from the face table's `all_faces` quadrature, built on its first
-use (only the `verify` checks ask for it), and gives the jump faces' means
-to the same formula; its cell-boundary mass takes the capacity weights
-from `scheme.records` on each call.
+and sums over its fixed face index pairs and weights, and `beta_seminorm`
+is its one entry, for every element of V*, `error_breakdown` and
+`converge --accumulate` included.  The smooth part of a V* element is
+single-valued, so it cancels from every interior jump: the seminorm takes
+those jumps from the discrete part alone and needs the smooth part only on
+the scheme's `jump_faces`, the boundary faces with flux and the legs of
+stabilized cells, a few percent of the faces.  There it evaluates the
+snapshot from the scheme's cached characteristic coordinates of those
+faces' quadrature points (`jump_chars`).  The starred norm needs a smooth
+part's mean on every face anyway, from the face table's `all_faces`
+quadrature, built on its first use (only the `verify` checks ask for it),
+and gives the jump faces' means to the same formula; its cell-boundary
+mass takes the capacity weights from `scheme.records` on each call.
 """
 from __future__ import annotations
 
@@ -91,10 +91,16 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
 
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
     """(plain, capacity-weighted, extended-jump) parts of the squared
-    seminorm; a smooth part of v is evaluated on `scheme.jump_faces` only."""
-    means = face_side_means(scheme.mesh, scheme.table, v, scheme.jump_faces)
-    parts = scheme.seminorm.parts(split_parts(v)[1], means)
-    return tuple(per_field(p) for p in parts)
+    seminorm.  A snapshot part of v, of a problem on the scheme's ramp, is
+    evaluated on the jump faces only, from the scheme's `jump_chars`."""
+    smooth, disc = split_parts(v)
+    means = face_side_means(scheme.mesh, scheme.table, disc, scheme.jump_faces)
+    if smooth is not None:
+        if smooth.problem.ramp != scheme.problem.ramp:
+            raise ValueError("the snapshot is not on the scheme's ramp")
+        s = scheme.seminorm.smooth_means(smooth.problem.exact_from(smooth.t, scheme.jump_chars))
+        means += np.stack([s, s], axis=-1)
+    return tuple(map(per_field, scheme.seminorm.parts(disc, means)))
 
 
 def _squared(parts):
@@ -104,17 +110,6 @@ def _squared(parts):
 
 def beta_seminorm(scheme: DoDScheme, v) -> float | np.ndarray:
     return per_field(np.sqrt(_squared(beta_seminorm_parts(scheme, v))))
-
-
-def error_seminorm(scheme: DoDScheme, t: float, u_h) -> float | np.ndarray:
-    """|u(t, .) - u_h|_beta against the problem's exact solution, which is
-    evaluated from the scheme's characteristic coordinates of the jump
-    faces' quadrature points; one value per row for a block of u_h."""
-    disc = -np.asarray(u_h, dtype=float)
-    s = scheme.seminorm.smooth_means(scheme.problem.exact_from(t, scheme.jump_chars))
-    means = face_side_means(scheme.mesh, scheme.table, disc, scheme.jump_faces)
-    means += np.stack([s, s], axis=-1)
-    return per_field(np.sqrt(_squared(scheme.seminorm.parts(disc, means))))
 
 
 def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np.ndarray:
@@ -149,7 +144,6 @@ def h1_norm(scheme: DoDScheme, snap: Snapshot) -> float:
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:
     """L2 norm and beta-seminorm of u(t, .) - u_h against the problem's
     exact solution, which is evaluated once on the cut cells' points, once
-    in closed form on the uncut squares and once on the jump faces' points
-    (`error_seminorm`)."""
+    in closed form on the uncut squares and once on the jump faces' points."""
     diff = (Snapshot(scheme.problem, t), -np.asarray(u_h, dtype=float))
-    return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), error_seminorm(scheme, t, u_h))
+    return ErrorBreakdown(math.sqrt(l2_norm_squared(scheme, diff)), beta_seminorm(scheme, diff))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cutdg import discretization
 from cutdg.discretization import (
     DoDScheme,
     InvalidConfig,
@@ -178,17 +179,35 @@ class TestFaceTable:
         with pytest.raises(ValueError, match="tangent"):
             build_face_table(mesh, constant_velocity([1.0, 0.0]), SegmentRule.gauss())
 
-    def test_rejects_sign_change_along_a_face(self):
+    @staticmethod
+    def shear():
         # beta = (y - 1/2, 0) turns on the vertical faces across y = 1/2,
         # where the net flux psi(b) - psi(a) is zero
-        shear = VelocityField(
+        return VelocityField(
             evaluate=lambda p: np.stack([p[..., 1] - 0.5, np.zeros_like(p[..., 1])], axis=-1),
             stream=lambda p: 0.5 * (p[..., 1] - 0.5) ** 2,
             inf_norm=0.5,
             w1inf_norm=1.0,
         )
+
+    def test_rejects_sign_change_along_a_face(self):
         with pytest.raises(ValueError, match="changes sign"):
-            build_face_table(cartesian_mesh(5), shear, SegmentRule.gauss())
+            build_face_table(cartesian_mesh(5), self.shear(), SegmentRule.gauss())
+
+    def test_sign_check_blocks_do_not_change_the_table(self, monkeypatch):
+        problem = make_ramp_problem(45.0, 0.2 + 1e-10)
+        mesh, rule = build_mesh(problem.ramp, 40), SegmentRule.gauss()
+        want = build_face_table(mesh, problem.velocity, rule)
+        with pytest.raises(ValueError) as whole:
+            build_face_table(cartesian_mesh(5), self.shear(), rule)
+        monkeypatch.setattr(discretization, "_SIGN_BLOCK", 3)
+        got = build_face_table(mesh, problem.velocity, rule)
+        for name in ("flux_in", "abs_flux", "upwind"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        with pytest.raises(ValueError) as blocked:
+            build_face_table(cartesian_mesh(5), self.shear(), rule)
+        assert str(blocked.value) == str(whole.value)
+        assert "beta.n changes sign on 6 face(s)" in str(whole.value)
 
 
 class TestBetaWeightedMean:

@@ -148,15 +148,17 @@ class TestJumpFaces:
     def test_smooth_part_called_once_on_jump_faces(self, scheme_cache, monkeypatch):
         scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
         u_h = np.random.default_rng(28).uniform(-1, 1, scheme.mesh.n_cells)
+        problem = scheme.problem
+        exact_from = type(problem).exact_from
         calls = []
-        call = Snapshot.__call__
 
-        def counting_call(self, p):
-            calls.append(len(p))
-            return call(self, p)
+        # every evaluation of a snapshot ends in `exact_from`
+        def counting_exact_from(self, t, chars):
+            calls.append(np.size(chars.xi))
+            return exact_from(self, t, chars)
 
-        monkeypatch.setattr(Snapshot, "__call__", counting_call)
-        beta_seminorm(scheme, (Snapshot(scheme.problem, 0.2), -u_h))
+        monkeypatch.setattr(type(problem), "exact_from", counting_exact_from)
+        beta_seminorm(scheme, (Snapshot(problem, 0.2), -u_h))
         assert calls == [scheme.config.face_order * len(scheme.jump_faces)]
 
 

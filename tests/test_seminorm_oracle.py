@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import seminorm_oracle as oracle
-from cutdg.discretization import smooth_face_means, weighted_face_means
-from cutdg.field import Snapshot
+from cutdg.discretization import FaceIntegralTable, smooth_face_means, weighted_face_means
+from cutdg.field import Snapshot, make_ramp_problem
 from cutdg.norms import (
     beta_seminorm,
     beta_seminorm_parts,
     error_breakdown,
-    error_seminorm,
     triple_star_norm,
 )
 
@@ -59,7 +58,30 @@ def test_error_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
     assert (eb.l2, eb.beta_semi) == oracle.error_breakdown(scheme, T, u_h)
     exact_t = Snapshot(scheme.problem, T)
     block = fields["block"]
-    assert np.array_equal(error_seminorm(scheme, T, block), oracle.beta_seminorm(scheme, (exact_t, -block)))
+    assert np.array_equal(beta_seminorm(scheme, (exact_t, -block)),
+                          oracle.beta_seminorm(scheme, (exact_t, -block)))
+
+
+@pytest.mark.parametrize("gamma,x0,n", [GEOMETRIES[0], GEOMETRIES[3]])
+def test_seminorm_of_a_snapshot_builds_no_face_points(scheme_cache, monkeypatch, gamma, x0, n):
+    # a snapshot is evaluated from the scheme's `jump_chars`
+    scheme = scheme_cache(gamma, x0, n)
+    v = (Snapshot(scheme.problem, T), elements(scheme)["block"])
+    want = oracle.beta_seminorm(scheme, v)
+
+    def no_quadrature(self, faces):
+        raise AssertionError("face quadrature rebuilt")
+
+    monkeypatch.setattr(FaceIntegralTable, "quadrature", no_quadrature)
+    assert np.array_equal(beta_seminorm(scheme, v), want)
+
+
+def test_seminorm_rejects_a_snapshot_of_another_ramp(scheme_cache):
+    scheme = scheme_cache(25.0, 0.2001, 16)
+    other = make_ramp_problem(25.0, 0.25)
+    u_h = np.zeros(scheme.mesh.n_cells)
+    with pytest.raises(ValueError, match="not on the scheme.s ramp"):
+        beta_seminorm(scheme, (Snapshot(other, T), u_h))
 
 
 def test_smooth_face_means_equal_row_sums(scheme_cache):
