@@ -21,6 +21,7 @@ from .field import (
 from .geometry import (
     CutCellMesh,
     DegenerateGeometry,
+    InvalidConfig,
     InvalidStabilization,
     RampDomain,
     StabilizedCells,

@@ -71,14 +71,11 @@ class ConfigKey:
         return ConfigError(f"{self.key} ({self.flag}): {message}")
 
 
-# the scheme.* and quad.* keys have no rules here: SchemeConfig checks them
+# the problem.*, scheme.* and quad.* keys have no rules: validate's objects check them
 CONFIG_KEYS = (
-    ConfigKey("problem.gamma_deg", "--gamma", float, "25.0",
-              rules=((lambda v: 0.0 < v < 90.0, "must lie in (0, 90) degrees"),)),
-    ConfigKey("problem.x0", "--x0", float, "0.2001",
-              rules=((lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),)),
-    ConfigKey("problem.t_final", "--t-final", float, "0.5",
-              rules=((lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),)),
+    ConfigKey("problem.gamma_deg", "--gamma", float, "25.0"),
+    ConfigKey("problem.x0", "--x0", float, "0.2001"),
+    ConfigKey("problem.t_final", "--t-final", float, "0.5"),
     ConfigKey("scheme.tau", "--tau", float, "1.0"),
     ConfigKey("scheme.cfl_epsilon", "--cfl-epsilon", float, "0.25"),
     ConfigKey("scheme.cfl_kappa", "--cfl-kappa", float, None),
@@ -97,8 +94,8 @@ CONFIG_KEYS = (
     ConfigKey("run.accumulate", "--accumulate", _boolean, "false", commands=("converge",)),
 )
 
-# SchemeConfig field -> RunConfig field, where the two names differ
-_SCHEME_KEYS = {"epsilon": "cfl_epsilon"}
+# InvalidConfig.field of the library -> RunConfig field, where the two differ
+_LIBRARY_FIELDS = {"gamma": "gamma_deg", "epsilon": "cfl_epsilon"}
 
 
 @dataclass
@@ -126,9 +123,10 @@ class RunConfig:
                 if not check(value):
                     raise row.error(f"{rule}, got {value}")
         try:
+            self.problem()
             self.scheme_config()
         except InvalidConfig as exc:
-            field = _SCHEME_KEYS.get(exc.field, exc.field)
+            field = _LIBRARY_FIELDS.get(exc.field, exc.field)
             raise next(row for row in CONFIG_KEYS if row.field == field).error(str(exc)) from exc
 
     def problem(self):
@@ -353,7 +351,7 @@ def main(argv=None) -> int:
             "export": cmd_export,
         }[args.command]
         return command(cfg)
-    except (ConfigError, InvalidConfig, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,25 +19,18 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import F_RAMP, CutCellMesh, StabilizedCells, build_mesh, identify_stabilized
+from .geometry import (F_RAMP, CutCellMesh, InvalidConfig, StabilizedCells, build_mesh,
+                       identify_stabilized)
 from .field import RampTestProblem, Snapshot, VelocityField
 from .quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 
 #: one scalar per cell, indexed by cell id
 PiecewiseConstantField = np.ndarray
-
-
-class InvalidConfig(ValueError):
-    """Scheme configuration violates its admissible ranges; `field` names the parameter."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -660,9 +653,7 @@ class DoDScheme:
         observer(k, t, u, dt) on every state k = 0..steps, with dt the step
         that leaves it (0.0 at T, where t is T exactly).
         """
-        T = self.problem.t_final if t_final is None else t_final
-        if not 0.0 <= T < math.inf:
-            raise ValueError(f"t_final must be finite and nonnegative, got {T}")
+        T = (self.problem if t_final is None else replace(self.problem, t_final=t_final)).t_final
         u = self.project_initial()
         n_steps = max(1, math.ceil(T / self.dt - 1e-12)) if T > 0.0 else 0
         t = 0.0

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import RampDomain
+from .geometry import InvalidConfig, RampDomain
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,11 @@ class RampTestProblem:
     zero_inflow: bool = False
 
     def __post_init__(self):
-        # the wave number sqrt(2) pi / (1 - x0) needs room right of the ramp
-        if not self.ramp.x0 < 1.0:
-            raise ValueError(f"x0 must be below 1 for the ramp test problem, got {self.ramp.x0}")
+        x0, T = self.ramp.x0, self.t_final
+        if not x0 < 1.0:  # the wave number sqrt(2) pi / (1 - x0) needs room right of the ramp
+            raise InvalidConfig("x0", f"x0 must be below 1 for the ramp test problem, got {x0}")
+        if not 0.0 <= T < math.inf:
+            raise InvalidConfig("t_final", f"t_final must be finite and nonnegative, got {T}")
 
     def rotated(self, pts: np.ndarray):
         p = np.asarray(pts, dtype=float)

@@ -18,8 +18,16 @@ K_CARTESIAN, K_CUT3, K_CUT4, K_CUT5 = range(4)
 F_INTERIOR, F_SQUARE, F_RAMP = range(3)
 
 
-class DegenerateGeometry(ValueError):
-    """The ramp exits the square through an unsupported side."""
+class InvalidConfig(ValueError):
+    """A parameter violates its admissible range; `field` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class DegenerateGeometry(InvalidConfig):
+    """The ramp exits the square through an unsupported side; `field` is "gamma"."""
 
 
 class InvalidStabilization(ValueError):
@@ -31,7 +39,9 @@ class RampDomain:
     """Unit square with a ramp of angle `gamma` cut out, starting at (x0, 0).
 
     `slope` defaults to tan(gamma); tests may pin it exactly (tan(pi/4) != 1
-    in floating point) since all geometry is built from the slope.
+    in floating point) since all geometry is built from the slope.  The ramp
+    leaves through the right edge (up to 1e-12), or construction raises
+    DegenerateGeometry, so `area` subtracts the exact removed triangle.
     """
 
     gamma: float
@@ -40,11 +50,16 @@ class RampDomain:
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5 * math.pi:
-            raise ValueError(f"ramp angle must lie in (0, pi/2), got {self.gamma}")
+            degrees = float(f"{math.degrees(self.gamma):.15g}")  # no round-trip noise
+            raise InvalidConfig("gamma", f"ramp angle must lie in (0, 90) degrees, got {degrees}")
         if not (0.0 <= self.x0 <= 1.0):
-            raise ValueError(f"ramp start x0={self.x0} not on the bottom edge")
+            raise InvalidConfig("x0", f"ramp start x0={self.x0} not on the bottom edge")
         if self.slope is None:
             object.__setattr__(self, "slope", math.tan(self.gamma))
+        exit_y = self.slope * (1.0 - self.x0)
+        if exit_y > 1.0 + 1e-12:
+            raise DegenerateGeometry("gamma", f"ramp exits through the top (y={exit_y:.6g} at "
+                                     "x=1.0); only bottom-to-right ramps are supported")
 
     def signed_distance(self, pts) -> np.ndarray:
         """Distance to the ramp line, positive on the retained side.
@@ -161,18 +176,11 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     """Clip an n x n background grid against the ramp and assemble faces.
 
     Cells above the ramp line are copied from the grid; the O(n) cells that
-    straddle it are clipped together in one array pass.  Raises
-    DegenerateGeometry if the ramp does not exit through the right edge of
-    the square, and ValueError for n < 4.
+    straddle it are clipped together in one array pass.  Raises ValueError
+    for n < 4.
     """
     if n < 4:
         raise ValueError(f"need at least 4 cells per side, got n={n}")
-    exit_y = ramp.slope * (1.0 - ramp.x0)
-    if exit_y > 1.0 + 1e-12:
-        raise DegenerateGeometry(
-            f"ramp exits through the top (y={exit_y:.6g} at x=1.0); "
-            "only bottom-to-right ramps are supported"
-        )
     h = 1.0 / n
     eps = 1e-12 * h
     xs = ys = np.arange(n + 1) / n

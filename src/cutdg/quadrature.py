@@ -30,8 +30,6 @@ class SegmentRule:
     @classmethod
     def gauss(cls, order: int = 4) -> "SegmentRule":
         """The rule with `order` points; one shared instance per order."""
-        if order < 1:
-            raise ValueError(f"segment rule needs >= 1 point, got {order}")
         return _gauss(order)
 
     def __len__(self) -> int:

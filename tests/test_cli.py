@@ -53,6 +53,7 @@ class TestConfig:
         ("--gamma", "0"),
         ("--gamma", "nan"),
         ("--x0", "inf"),
+        ("--x0", "1"),
         ("--t-final", "nan"),
         ("--t-final", "inf"),
         ("--tau", "nan"),
@@ -101,6 +102,12 @@ class TestConfig:
         assert err.startswith("error: [Errno 2] No such file or directory: ")
         assert str(tmp_path / "missing") in err
         assert not (tmp_path / "missing").exists()
+
+    def test_top_exit_is_named_before_the_out_check(self, tmp_path, capsys):
+        # RunConfig.validate builds the ramp, so its range error wins over the missing directory
+        assert run(["converge", "--gamma", "80", "--out", str(tmp_path / "missing" / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem.gamma_deg (--gamma): ramp exits through the top")
 
     def test_unknown_flag_exits_one(self, monkeypatch, capsys):
         import cutdg.cli as cli
@@ -154,6 +161,7 @@ class TestConfig:
         (["converge", "--n-list", "16,32,"], "--n-list"),
         (["converge", "--n-list", ",16"], "--n-list"),
         (["verify", "--n-list", "8, ,16"], "--n-list"),
+        (["run", "--gamma", "80"], "--gamma"),  # exits through the top
     ])
     def test_bad_size_names_flag_before_the_work(self, argv, flag, tmp_path, monkeypatch, capsys):
         import cutdg.cli as cli

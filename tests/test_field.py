@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutdg.field import VelocityField, make_ramp_problem
-from cutdg.geometry import RampDomain
+from cutdg.geometry import InvalidConfig, RampDomain
 from polygon_oracle import grid_square_rule
 from velocity_fields import constant_velocity
 
@@ -168,8 +168,15 @@ class TestExactSolution:
         # the mesh accepts x0 = 1 (an all-Cartesian square), but the wave
         # number sqrt(2) pi / (1 - x0) of the initial data does not
         RampDomain(gamma=math.radians(25.0), x0=1.0)
-        with pytest.raises(ValueError, match="x0 must be below 1"):
+        with pytest.raises(InvalidConfig, match="x0 must be below 1") as info:
             make_ramp_problem(25.0, 1.0)
+        assert info.value.field == "x0"
+
+    @pytest.mark.parametrize("t_final", [-0.01, math.nan, math.inf])
+    def test_problem_rejects_bad_t_final(self, t_final):
+        with pytest.raises(InvalidConfig, match="^t_final must be finite and nonnegative") as info:
+            make_ramp_problem(25.0, 0.2001, t_final=t_final)
+        assert info.value.field == "t_final"
 
 
 class TestSquareIntegrals:
@@ -215,9 +222,17 @@ class TestSquareIntegrals:
 
 
 def test_ramp_domain_validation():
-    with pytest.raises(ValueError):
-        RampDomain(gamma=0.0, x0=0.5)
-    with pytest.raises(ValueError):
-        RampDomain(gamma=math.pi / 2, x0=0.5)
-    with pytest.raises(ValueError):
-        RampDomain(gamma=0.3, x0=1.5)
+    # the field and text the CLI prints after the key and flag
+    angle = "ramp angle must lie in (0, 90) degrees, got "
+    for gamma, x0, field, message in (
+        (0.0, 0.5, "gamma", angle + "0.0"),
+        (math.pi / 2, 0.5, "gamma", angle + "90.0"),
+        (math.radians(95.0), 0.5, "gamma", angle + "95.0"),
+        (math.radians(123.456), 0.5, "gamma", angle + "123.456"),
+        (math.nan, 0.5, "gamma", angle + "nan"),
+        (0.3, 1.5, "x0", "ramp start x0=1.5 not on the bottom edge"),
+        (0.3, math.inf, "x0", "ramp start x0=inf not on the bottom edge"),
+    ):
+        with pytest.raises(InvalidConfig) as info:
+            RampDomain(gamma=gamma, x0=x0)
+        assert (info.value.field, str(info.value)) == (field, message)

@@ -175,8 +175,10 @@ class TestBuildMesh:
                 assert np.all(v[:, 1] <= (j + 1) * h + 1e-12)
 
     def test_rejects_ramp_through_top(self):
-        with pytest.raises(DegenerateGeometry):
-            build_mesh(RampDomain(gamma=math.radians(60.0), x0=0.2001), 8)
+        # the domain itself refuses it, under the field the CLI maps to --gamma
+        with pytest.raises(DegenerateGeometry, match="exits through the top") as info:
+            RampDomain(gamma=math.radians(60.0), x0=0.2001)
+        assert info.value.field == "gamma"
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
@@ -210,9 +212,10 @@ class TestBuildMesh:
                     x0 = k / n + offset
                     if not 0.0 <= x0 <= 1.0:
                         continue
-                    ramp = RampDomain(math.radians(gamma_deg), x0, slope)
-                    if ramp.slope * (1.0 - x0) > 1.0 + 1e-12:
-                        continue
+                    try:
+                        ramp = RampDomain(math.radians(gamma_deg), x0, slope)
+                    except DegenerateGeometry:
+                        continue  # exits through the top
                     mesh = build_mesh(ramp, n)
                     nxt = np.arange(1, len(mesh.vertices) + 1)
                     nxt[mesh.cell_ptr[1:] - 1] = mesh.cell_ptr[:-1]
@@ -265,9 +268,10 @@ def ramp_geometries(draw):
 @settings(max_examples=50, deadline=None)
 def test_partition_property(geometry, tau):
     gamma_deg, x0, n = geometry
+    # ahead of the construction, which refuses a ramp through the top
+    assume(math.tan(math.radians(gamma_deg)) * (1.0 - x0) <= 0.98)
     problem = make_ramp_problem(gamma_deg, x0).with_zero_inflow()
     ramp = problem.ramp
-    assume(ramp.slope * (1.0 - x0) <= 0.98)
     config = SchemeConfig(tau=tau, epsilon=1.0 / 14.0)
     scheme = DoDScheme(problem, config, n)
     mesh, table = scheme.mesh, scheme.table
