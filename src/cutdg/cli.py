@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,10 @@ CONFIG_KEYS = (
 # InvalidConfig.field of the library -> RunConfig field, where the two differ
 _LIBRARY_FIELDS = {"gamma": "gamma_deg", "epsilon": "cfl_epsilon"}
 
+#: the most time steps a solve may take to t_final on one mesh; the largest
+#: run in the repository (n = 256 to T = 1) takes about 3,000
+MAX_STEPS = 10**7
+
 
 @dataclass
 class RunConfig:
@@ -116,7 +120,10 @@ class RunConfig:
     out: str = "out"
     accumulate: bool = False
 
-    def validate(self):
+    def validate(self, command: str | None = None):
+        """Check each key's rules and the problem and scheme they build, then
+        the step count of the solves `command` runs (see `steps`); `verify`
+        and `export` take no steps to t_final."""
         for row in CONFIG_KEYS:
             value = getattr(self, row.field)
             for check, rule in row.rules:
@@ -128,6 +135,29 @@ class RunConfig:
         except InvalidConfig as exc:
             field = _LIBRARY_FIELDS.get(exc.field, exc.field)
             raise next(row for row in CONFIG_KEYS if row.field == field).error(str(exc)) from exc
+        if command in ("verify", "export"):
+            return
+        steps, n = self.steps(command)
+        if steps > MAX_STEPS:
+            # the key at fault is the one of those that set t_final / (kappa h)
+            # whose default cuts the steps most
+            def at_default(row):
+                default = None if row.default is None else row.parse(row.default)
+                return replace(self, **{row.field: default}).steps(command)[0]
+
+            fields = ("t_final", "tau", "cfl_epsilon", "cfl_kappa", "n", "n_list")
+            row = min((r for r in CONFIG_KEYS if r.field in fields
+                       and (command is None or command in r.commands)), key=at_default)
+            raise row.error(f"{steps:.3g} time steps to t_final at n={n}, "
+                            f"more than the {MAX_STEPS:,} a solve may take")
+
+    def steps(self, command: str | None = None) -> tuple[float, int]:
+        """(t_final / dt, n) on the largest n the solves of `command` take:
+        `n` for `run`, `n_list` for `converge`, both for no command.  The
+        count is a float, inf where dt underflows to 0."""
+        n = max({"run": [self.n], "converge": self.n_list}.get(command, [self.n, *self.n_list]))
+        dt = self.scheme_config().kappa(self.problem().velocity) * (1.0 / n)
+        return (self.t_final / dt if dt > 0.0 else math.inf), n
 
     def problem(self):
         return make_ramp_problem(self.gamma_deg, self.x0, self.t_final)
@@ -198,7 +228,7 @@ def _resolve(args, file_values: dict) -> RunConfig:
         except ValueError as exc:
             raise row.error(str(exc)) from exc
     cfg = RunConfig(**values)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 

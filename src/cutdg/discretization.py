@@ -73,6 +73,13 @@ class SchemeConfig:
         """The trace constant C_tr = max(4 |beta|_inf, 1/tau)."""
         return max(4.0 * velocity.inf_norm, 1.0 / self.tau)
 
+    def kappa(self, velocity) -> float:
+        """kappa of dt = kappa h: `cfl_kappa`, or the stability constant."""
+        if self.cfl_kappa is not None:
+            return self.cfl_kappa
+        eps = self.epsilon
+        return (1.0 - 2.0 * eps) / ((1.0 + eps) * self.c_tr(velocity))
+
 
 #: faces per block of `build_face_table`'s sign check, to bound its temporaries
 _SIGN_BLOCK = 4096
@@ -116,9 +123,10 @@ class FaceIntegralTable:
     for the faces a caller reads (a scheme reads its jump faces only), and
     `all_faces` holds them for every face, built on first request.
 
-    Every face endpoint on the ramp takes psi at the ramp start, so ramp
-    faces carry exactly zero flux and the fluxes of each cell sum to zero
-    up to rounding, however small the cell (the sum telescopes around it).
+    Every face endpoint on the ramp line (`mesh.f_on_ramp_line`) takes psi
+    at the ramp start, so ramp faces carry exactly zero flux and the fluxes
+    of each cell sum to zero up to rounding, however small the cell (the
+    sum telescopes around it).
     """
 
     flux_in: np.ndarray
@@ -151,17 +159,10 @@ class FaceIntegralTable:
 
 def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceIntegralTable:
     psi = velocity.stream(mesh.f_endpoints.reshape(-1, 2)).reshape(-1, 2)
-    ramp = mesh.f_kind == F_RAMP
-    if np.any(ramp):
-        # the ramp is a streamline: an endpoint equal to an endpoint of a
-        # ramp face takes psi at the ramp start, in every face it ends.
-        # Equal points have equal psi, so only the few endpoints with |psi|
-        # no larger than on the ramp faces are compared as (x, y) keys.
-        ends = mesh.f_endpoints.view(np.complex128)[..., 0]  # (x, y) as one key
-        keys = np.unique(ends[ramp])
-        on_line = np.abs(psi) <= np.abs(psi[ramp]).max()
-        near = ends[on_line]
-        on_line[on_line] = keys[np.minimum(np.searchsorted(keys, near), len(keys) - 1)] == near
+    on_line = mesh.f_on_ramp_line
+    if np.any(on_line):
+        # the ramp is a streamline: every endpoint the mesh build put on the
+        # ramp line takes psi at the ramp start, in every face it ends
         psi0 = velocity.stream(np.array([mesh.domain.x0, 0.0]))
         worst = float(np.abs(psi[on_line] - psi0).max())
         if worst > 1e-10 * mesh.h * velocity.inf_norm:
@@ -180,7 +181,7 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
         bn = _face_points(mesh, velocity, rule, block)[1]
         lo[block], hi[block] = bn.min(axis=0), bn.max(axis=0)
     tol = 1e-12 * np.maximum(hi, -lo)
-    mixed = ~ramp & (lo < -tol) & (hi > tol)
+    mixed = (mesh.f_kind != F_RAMP) & (lo < -tol) & (hi > tol)
     if np.any(mixed):
         raise ValueError(
             f"beta.n changes sign on {int(mixed.sum())} face(s); refine or split faces"
@@ -495,11 +496,7 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable, faces, qpoints, wb
 
 def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
     """dt = kappa h, with kappa from the stability constant or an override."""
-    if config.cfl_kappa is not None:
-        return config.cfl_kappa * mesh.h
-    eps = config.epsilon
-    kappa = (1.0 - 2.0 * eps) / ((1.0 + eps) * config.c_tr(velocity))
-    return kappa * mesh.h
+    return config.kappa(velocity) * mesh.h
 
 
 def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:

@@ -123,14 +123,18 @@ class CutCellMesh:
     Cells are numbered in background order (row j, then column i).  Cell c
     owns rows `cell_ptr[c]:cell_ptr[c + 1]` of `vertices`: 3 to 5 corners of
     a convex polygon, counter-clockwise.  `areas`, `kind_codes` (K_*) and
-    `background` (the (i, j) grid index) hold one row per cell.
+    `background` (the (i, j) grid index) hold one row per cell: K_CARTESIAN
+    marks the grid squares the clip left whole, K_CUT3 to K_CUT5 the
+    clipped cells by vertex count.
 
     Faces carry `f_endpoints` (F, 2, 2), `f_length`, `f_normal` (unit,
     outward for `f_left`), `f_left`, `f_right` (-1 on the boundary) and
     `f_kind` (F_*).  The cell-to-face map is a CSR on the same offsets as
     the vertices: the edge from vertex k to vertex k + 1 (cyclically) of a
     cell is face `edge_face[k]`, and `edge_sign[k]` is +1 when the face
-    normal points out of that cell, -1 otherwise.
+    normal points out of that cell, -1 otherwise.  `f_on_ramp_line` (F, 2)
+    flags the endpoints on the ramp line: the snapped grid corners and the
+    line's crossings of the grid.
 
     A face is either a grid edge, shared by the cells on its two sides, or
     the piece of the ramp line inside one cut cell.  `build_mesh` asserts
@@ -155,6 +159,7 @@ class CutCellMesh:
     f_left: np.ndarray
     f_right: np.ndarray
     f_kind: np.ndarray
+    f_on_ramp_line: np.ndarray
 
     @property
     def h(self) -> float:
@@ -215,11 +220,8 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     square = np.ones(len(nv), dtype=bool)
     square[cut] = False
     cell_ptr = np.concatenate([[0], np.cumsum(nv)])
-    kind_codes = np.select(
-        [nv == 3, nv == 5, np.abs(areas - h * h) <= 1e-12 * h * h],
-        [K_CUT3, K_CUT5, K_CARTESIAN],
-        K_CUT4,
-    ).astype(np.int8)
+    kind_codes = np.select([square, nv == 3, nv == 4], [K_CARTESIAN, K_CUT3, K_CUT4],
+                           K_CUT5).astype(np.int8)
 
     # Vertices, one column per coordinate.  Edge e runs from vertex e to the
     # next vertex of its cell and is keyed by its grid edge: vertical edge
@@ -264,8 +266,9 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
         c = cell[np.argmax(cross < -eps * h)]
         raise AssertionError(f"cell ({bi[c]},{bj[c]}) polygon is not convex CCW")
     del cross
-    on_ramp = on_line & on_line[nxt]
-    del on_line, nxt
+    next_on_line = on_line[nxt]
+    on_ramp = on_line & next_on_line
+    del nxt
 
     e = clipped_edges
     i, j = bi[cell[e]], bj[cell[e]]
@@ -315,6 +318,8 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
     del dx, dy
     f_endpoints = np.column_stack([vx[owner], vy[owner], wx[owner], wy[owner]]).reshape(-1, 2, 2)
     del wx, wy
+    f_on_ramp_line = np.column_stack([on_line[owner], next_on_line[owner]])
+    del on_line, next_on_line
     f_length = np.hypot(fdx, fdy)
     mesh = CutCellMesh(
         domain=ramp,
@@ -332,6 +337,7 @@ def build_mesh(ramp: RampDomain, n: int) -> CutCellMesh:
         f_left=f_left,
         f_right=f_right,
         f_kind=f_kind,
+        f_on_ramp_line=f_on_ramp_line,
     )
     rel_gap = abs(mesh.total_area() - ramp.area()) / ramp.area()
     if rel_gap > 1e-12:

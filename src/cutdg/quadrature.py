@@ -19,6 +19,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
+from .geometry import K_CARTESIAN
+
 
 @dataclass(frozen=True)
 class SegmentRule:
@@ -90,9 +92,8 @@ def _conical_product(degree: int) -> TriangleRule:
 class CellQuadratureTable:
     """Quadrature points of every cell that is not an uncut grid square.
 
-    `squares` lists the uncut squares, the cells stored as parallelograms
-    (v0 + v2 == v1 + v3 holds exactly for every uncut grid square and fails
-    for a square clipped by however little), and `square_ij` their grid
+    `squares` lists the uncut squares, the cells of kind K_CARTESIAN (the
+    grid squares the mesh build left unclipped), and `square_ij` their grid
     indices i and j as two rows.  They take no points, as the norms
     integrate over them in closed form.  Every other cell takes `rule`
     on each triangle of its fan from vertex 0; `integrate` reduces integrand
@@ -103,18 +104,12 @@ class CellQuadratureTable:
         self.n_cells = mesh.n_cells
         counts = np.diff(mesh.cell_ptr)
         vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        quads = np.flatnonzero(counts == 4)
-        at = mesh.cell_ptr[quads]
-        cx = [vx[at + k] for k in range(4)]
-        cy = [vy[at + k] for k in range(4)]
-        self.squares = quads[(cx[0] + cx[2] == cx[1] + cx[3]) & (cy[0] + cy[2] == cy[1] + cy[3])]
+        self.squares = np.flatnonzero(mesh.kind_codes == K_CARTESIAN)
         self.square_ij = np.ascontiguousarray(mesh.background[self.squares].T)  # rows i, j
-        fan = np.ones(self.n_cells, dtype=bool)
-        fan[self.squares] = False
 
         # `rule` on each fan triangle (v0, vk+1, vk+2), one row per
         # triangle, ordered by vertex count, then cell, then k
-        others = np.flatnonzero(fan)
+        others = np.flatnonzero(mesh.kind_codes != K_CARTESIAN)
         others = others[np.argsort(counts[others], kind="stable")]
         per_cell = counts[others] - 2
         cells = np.repeat(others, per_cell)

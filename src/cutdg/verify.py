@@ -3,7 +3,8 @@
 Each check runs a quantified sweep (fixed seed, stated instance counts) and
 returns a LemmaReport with the worst observed ratio.  Inequalities pass at
 max_ratio <= 1 + 1e-10; identities are measured as relative deviations and
-pass at 1e-12 unless stated otherwise.
+pass at 1e-12 unless stated otherwise; their max_ratio is the worst
+deviation itself.
 
 The sampled checks draw their random fields in blocks of BLOCK rows or all
 at once (the same stream as drawing them one by one) and evaluate them
@@ -64,18 +65,17 @@ class LemmaReport:
     def identity(cls, lemma_id, deviations, seed=None, tol=IDENT_TOL, **details):
         dev = np.atleast_1d(np.asarray(deviations, dtype=float))
         mx = float(np.abs(dev).max()) if dev.size else 0.0
-        # stored ratio is 1 + worst relative deviation
-        return cls(lemma_id, "identity", int(dev.size), 1.0 + mx, mx <= tol, tol, seed, details)
+        return cls(lemma_id, "identity", int(dev.size), mx, mx <= tol, tol, seed, details)
 
     def csv_row(self) -> str:
         return f"{self.lemma_id},{self.instances},{self.max_ratio:.16e},{self.passed}"
 
     def status_line(self) -> str:
-        """`pass|FAIL <id>: <value> (<N> instances)`; an identity prints its
-        deviation, since its max_ratio of 1 + deviation hides small ones."""
+        """`pass|FAIL <id>: <value> (<N> instances)`; an identity's max_ratio
+        is its worst deviation, and prints as one."""
         status = "pass" if self.passed else "FAIL"
-        value = (f"deviation={self.max_ratio - 1.0:.6e}" if self.kind == "identity"
-                 else f"max_ratio={self.max_ratio:.6e}")
+        label = "deviation" if self.kind == "identity" else "max_ratio"
+        value = f"{label}={self.max_ratio:.6e}"
         return f"{status}  {self.lemma_id}: {value} ({self.instances} instances)"
 
 
@@ -162,7 +162,7 @@ def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
         "inverse-trace", ratios, stabilized=len(st), **_worst_cell(scheme, ratios)
     )
     rep.passed = rep.passed and closure.passed
-    rep.details["flux_closure_dev"] = closure.max_ratio - 1.0
+    rep.details["flux_closure_dev"] = closure.max_ratio
     return rep
 
 

@@ -9,10 +9,14 @@ with, which the package must match bit for bit: the face numbering by sort
 (`face_numbering_reference`) and the quadrature points of the cell and face
 tables as broadcasts over (..., 2) coordinate axes (`cell_table_reference`,
 `face_table_reference`), and reads the corners of one cell
-(`cell_vertices`)."""
+(`cell_vertices`).  Three rules re-derived from the mesh arrays what the
+clip now records: the kinds by area (`area_tolerance_kinds`), the uncut
+squares as parallelograms (`parallelogram_cells`) and the face endpoints
+on the ramp by their coordinates (`ramp_endpoints_reference`)."""
 import numpy as np
 
-from cutdg.geometry import RampDomain, _clip_squares
+from cutdg.geometry import (F_RAMP, K_CARTESIAN, K_CUT3, K_CUT4, K_CUT5, RampDomain,
+                            _clip_squares)
 from cutdg.quadrature import SegmentRule, TriangleRule
 
 
@@ -134,16 +138,34 @@ def face_numbering_reference(mesh):
     return edge_face, edge_sign, cell[owner], f_right, np.stack([a[owner], b[owner]], axis=1)
 
 
+def area_tolerance_kinds(mesh):
+    """The K_* kind of each cell by its vertex count and area: a
+    quadrilateral within 1e-12 h^2 of h^2 is K_CARTESIAN.  Unlike the clip's
+    kinds, this takes a clipped quadrilateral that close to a square for one."""
+    nv, h = np.diff(mesh.cell_ptr), mesh.h
+    return np.select(
+        [nv == 3, nv == 5, np.abs(mesh.areas - h * h) <= 1e-12 * h * h],
+        [K_CUT3, K_CUT5, K_CARTESIAN],
+        K_CUT4,
+    ).astype(np.int8)
+
+
+def parallelogram_cells(mesh):
+    """Ids of the cells stored as parallelograms, v0 + v2 == v1 + v3
+    exactly: every uncut grid square, and no square clipped by however
+    little on the meshes the tests build."""
+    quads = np.flatnonzero(np.diff(mesh.cell_ptr) == 4)
+    corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]
+    return quads[np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)]
+
+
 def cell_table_reference(mesh, rule: TriangleRule):
     """(points, weights, cell_index) of `CellQuadratureTable(mesh, rule)`
     from (cells, points, 2) broadcasts: the cells that are not uncut squares
     (parallelograms), grouped by vertex count; uncut squares take none."""
     counts = np.diff(mesh.cell_ptr)
-    quads = np.flatnonzero(counts == 4)
-    corners = mesh.vertices[mesh.cell_ptr[quads][:, None] + np.arange(4)]
-    parallel = np.all(corners[:, 0] + corners[:, 2] == corners[:, 1] + corners[:, 3], axis=1)
     fan = np.ones(mesh.n_cells, dtype=bool)
-    fan[quads[parallel]] = False
+    fan[parallelogram_cells(mesh)] = False
     pts, wts, idx = [np.empty((0, 2))], [np.empty(0)], [np.empty(0, dtype=np.int64)]
     r, s = rule.points[:, 0], rule.points[:, 1]
     for nv in np.unique(counts[fan]).tolist():
@@ -197,3 +219,20 @@ def face_table_reference(mesh, velocity, rule: SegmentRule, flux_in):
     quad = (w * bn).sum(axis=1)
     bn *= np.divide(flux_in, quad, out=np.zeros_like(flux_in), where=flux_in != 0.0)[:, None]
     return pts, w * bn
+
+
+def ramp_endpoints_reference(mesh, velocity):
+    """(faces, 2) flags of the face endpoints equal, as (x, y) keys, to an
+    endpoint of a ramp face; none without a ramp face.  Equal points have
+    equal psi, so only the endpoints with |psi| no larger than on the ramp
+    faces are compared."""
+    ramp = mesh.f_kind == F_RAMP
+    if not np.any(ramp):
+        return np.zeros(mesh.f_endpoints.shape[:2], dtype=bool)
+    psi = velocity.stream(mesh.f_endpoints.reshape(-1, 2)).reshape(-1, 2)
+    ends = mesh.f_endpoints.view(np.complex128)[..., 0]  # (x, y) as one key
+    keys = np.unique(ends[ramp])
+    on_line = np.abs(psi) <= np.abs(psi[ramp]).max()
+    near = ends[on_line]
+    on_line[on_line] = keys[np.minimum(np.searchsorted(keys, near), len(keys) - 1)] == near
+    return on_line

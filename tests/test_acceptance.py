@@ -79,7 +79,7 @@ def test_criterion_03_discrete_dissipation(scheme_cache):
     worst = 0.0
     for gamma, n in ((5.0, 16), (25.0, 32), (45.0, 16)):
         rep = vf.check_dissipation(scheme_cache(gamma, X0, n), samples=100, seed=100)
-        worst = max(worst, rep.max_ratio - 1.0)
+        worst = max(worst, rep.max_ratio)
     assert _report("3 discrete dissipation", worst <= 1e-12, f"max rel dev {worst:.2e}")
 
 
@@ -87,7 +87,7 @@ def test_criterion_04_face_sum_identities(scheme_cache):
     worst = 0.0
     for gamma, n in ((5.0, 16), (25.0, 32), (45.0, 16)):
         for rep in vf.check_identities(scheme_cache(gamma, X0, n), samples=100, seed=101):
-            worst = max(worst, rep.max_ratio - 1.0)
+            worst = max(worst, rep.max_ratio)
     assert _report("4 face-sum identities", worst <= 1e-12, f"max normalized residual {worst:.2e}")
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,47 @@ class TestConfig:
         assert err.startswith("error: [Errno 2] No such file or directory: ")
         assert str(tmp_path / "missing") in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv,key,message", [
+        (["run", "--n", "8", "--tau", "1e-300"], "scheme.tau (--tau)",
+         "1e+301 time steps to t_final at n=8"),
+        (["run", "--n", "8", "--cfl-kappa", "1e-300"], "scheme.cfl_kappa (--cfl-kappa)",
+         "4e+300 time steps to t_final at n=8"),
+        (["converge", "--n-list", "8,64", "--cfl-epsilon", "0.49999999999999994"],
+         "scheme.cfl_epsilon (--cfl-epsilon)", "2.02e+18 time steps to t_final at n=64"),
+        (["run", "--n", "8", "--t-final", "1e300"], "problem.t_final (--t-final)",
+         "9.35e+301 time steps to t_final at n=8"),
+        (["run", "--n", "1000000000000000"], "run.n (--n)",
+         "5.85e+15 time steps to t_final at n=1000000000000000"),
+    ], ids=["tau", "cfl-kappa", "cfl-epsilon", "t-final", "n"])
+    def test_endless_time_loop_exits_one(self, argv, key, message, tmp_path, monkeypatch, capsys):
+        # the step count t_final / (kappa h) is checked before any mesh is built
+        import cutdg.discretization as disc
+
+        monkeypatch.setattr(disc, "build_mesh", lambda *a, **k: pytest.fail("a mesh was built"))
+        start = time.perf_counter()
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {key}: {message}, more than the 10,000,000 a solve may take\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_step_count_is_checked_on_the_sizes_a_command_solves(self):
+        from cutdg.cli import MAX_STEPS, RunConfig
+
+        # about 100 steps per unit time at n = 8 and 750 at n = 64
+        cfg = RunConfig(gamma_deg=25.0, x0=0.2001, t_final=2e4, tau=1.0, cfl_epsilon=0.25,
+                        cfl_kappa=None, face_order=4, cell_degree=6, n=8, n_list=[8, 64])
+        assert cfg.steps("run")[0] < MAX_STEPS < cfg.steps("converge")[0]
+        assert cfg.steps("converge") == cfg.steps(None)
+        for command in ("run", "verify", "export"):
+            cfg.validate(command)
+        for command in ("converge", None):
+            with pytest.raises(ConfigError) as err:
+                cfg.validate(command)
+            steps = cfg.steps(command)[0]
+            assert str(err.value).startswith(
+                f"problem.t_final (--t-final): {steps:.3g} time steps to t_final at n=64")
 
     def test_top_exit_is_named_before_the_out_check(self, tmp_path, capsys):
         # RunConfig.validate builds the ramp, so its range error wins over the missing directory

@@ -14,13 +14,16 @@ from cutdg.geometry import (
     F_RAMP,
     K_CARTESIAN,
     K_CUT3,
+    InvalidConfig,
     RampDomain,
     build_mesh,
     identify_stabilized,
 )
-from cutdg.quadrature import SegmentRule
+from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 from cutdg.verify import check_energy_decay, check_incompressibility
-from polygon_oracle import cell_vertices, clip_cell, clip_cell_reference, face_numbering_reference
+from polygon_oracle import (area_tolerance_kinds, cell_vertices, clip_cell, clip_cell_reference,
+                            face_numbering_reference, parallelogram_cells,
+                            ramp_endpoints_reference)
 
 
 def shoelace(poly):
@@ -250,6 +253,53 @@ def test_face_numbering_matches_sorted_reference(name):
                            got, face_numbering_reference(mesh), strict=True):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
+
+
+def clip_sweep():
+    """(ramp, n) over angles 0.2 to 89.8 degrees and a slope pinned to 1,
+    with the ramp start on grid lines, 1e-15 to 1e-8 off them, or off them
+    by 0.5 to 3 times the 1e-12 h snap distance of the corners."""
+    pinned = [(math.pi / 4, 1.0)]
+    angles = [(math.radians(d), None) for d in (0.2, 3.7, 25.0, 60.0, 89.8)] + pinned
+    for n in (4, 7, 16, 64):
+        h = 1.0 / n
+        offsets = [0.0] + [s * d for s in (1, -1) for d in (1e-15, 1e-8, 0.5e-12 * h,
+                                                          1e-12 * h, 1.01e-12 * h, 3e-12 * h)]
+        for gamma, slope in angles:
+            # from the grid line before the first one whose ramp leaves
+            # through the right edge, to x0 = 1
+            k0 = max(0, math.ceil(n * (1.0 - 1.0 / (slope or math.tan(gamma)))) - 1)
+            for k in sorted({k0, k0 + 1, (k0 + n) // 2, n}):
+                for offset in offsets:
+                    try:
+                        ramp = RampDomain(gamma, k / n + offset, slope)
+                    except InvalidConfig:
+                        continue  # off the bottom edge, or through the top
+                    yield ramp, n
+
+
+def test_clip_records_match_rederived_rules():
+    # build_mesh records which cells it clipped and which face endpoints lie
+    # on the ramp line; the rules that once re-derived them from the mesh
+    # arrays agree bit for bit wherever the ramp has a face
+    rule = TriangleRule.of_degree(1)
+    no_ramp_face = 0
+    for ramp, n in clip_sweep():
+        mesh = build_mesh(ramp, n)
+        np.testing.assert_array_equal(mesh.kind_codes, area_tolerance_kinds(mesh))
+        np.testing.assert_array_equal(CellQuadratureTable(mesh, rule).squares,
+                                      parallelogram_cells(mesh))
+        flags = mesh.f_on_ramp_line
+        assert flags.shape == mesh.f_endpoints.shape[:2] and flags.dtype == bool
+        if np.any(mesh.f_kind == F_RAMP):
+            np.testing.assert_array_equal(
+                flags, ramp_endpoints_reference(mesh, ramp_velocity(ramp)))
+        else:
+            # a ramp from within the snap distance of (1, 0) clips no cell:
+            # the corner (1, 0) is then the one point on the line
+            assert np.all(mesh.f_endpoints[flags] == [1.0, 0.0])
+            no_ramp_face += 1
+    assert 0 < no_ramp_face
 
 
 @st.composite

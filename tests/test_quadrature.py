@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutdg.field import make_ramp_problem
-from cutdg.geometry import K_CARTESIAN, RampDomain, build_mesh
+from cutdg.geometry import K_CARTESIAN, K_CUT4, RampDomain, build_mesh
 from cutdg.quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 from polygon_oracle import (
-    cell_table_reference, cell_vertices, integrate_cell, polygon_moment, polygon_quadrature,
-    triangulate_fan,
+    area_tolerance_kinds, cell_table_reference, cell_vertices, integrate_cell, polygon_moment,
+    polygon_quadrature, triangulate_fan,
 )
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -145,11 +145,13 @@ def test_cell_table_matches_per_cell_quadrature(scheme_cache):
         assert per_cell[c] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
-def one_cell_mesh(corners):
-    """The fields of a mesh that `CellQuadratureTable` reads, for one cell."""
+def one_cell_mesh(corners, kind):
+    """The fields of a mesh that `CellQuadratureTable` reads, for one cell
+    of kind `kind` (K_*)."""
     corners = np.asarray(corners, dtype=float)
     return SimpleNamespace(vertices=corners, cell_ptr=np.array([0, len(corners)]), n_cells=1,
-                           background=np.zeros((1, 2), dtype=np.int64))
+                           background=np.zeros((1, 2), dtype=np.int64),
+                           kind_codes=np.array([kind], dtype=np.int8))
 
 
 @pytest.mark.parametrize("degree", [2, 6, 10])
@@ -178,14 +180,16 @@ def test_square_rule_monomial_exactness(degree):
 
 @pytest.mark.parametrize("degree", [2, 6, 10])
 def test_parallelogram_rule_total_degree_exactness(degree):
-    # a parallelogram is taken for an uncut square and holds no points; with
-    # one corner moved it is a fan cell of two triangles, exact for a + b <= degree
+    # a cell of kind K_CARTESIAN is taken for an uncut square and holds no
+    # points, whatever its corners; a clipped quadrilateral is a fan cell of
+    # two triangles, exact for a + b <= degree
     parallelogram = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.5, 0.75]]  # v0 + v2 == v1 + v3
-    table = CellQuadratureTable(one_cell_mesh(parallelogram), TriangleRule.of_degree(degree))
+    table = CellQuadratureTable(one_cell_mesh(parallelogram, K_CARTESIAN),
+                                TriangleRule.of_degree(degree))
     assert table.squares.tolist() == [0] and len(table.weights) == 0
     corners = [[0.25, 0.125], [0.75, 0.25], [1.0, 0.875], [0.4375, 0.75]]
     rule = TriangleRule.of_degree(degree)
-    table = CellQuadratureTable(one_cell_mesh(corners), rule)
+    table = CellQuadratureTable(one_cell_mesh(corners, K_CUT4), rule)
     assert len(table.squares) == 0 and len(table.weights) == 2 * len(rule)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -209,7 +213,8 @@ TABLE_MESHES = {
     "45deg-sliver-n20": lambda: build_mesh(make_ramp_problem(45.0, 0.2 + 1e-10).ramp, 20),
     # a 1e-10-degree ramp 1e-15 right of a grid node clips the squares it
     # crosses into trapezoids within 2e-11 h^2 of a square; one of them is
-    # within the 1e-12 h^2 area tolerance that marks a cell K_CARTESIAN
+    # within the 1e-12 h^2 area tolerance that kinds by area would take for
+    # a square
     "trapezoids-n8": lambda: build_mesh(RampDomain(gamma=math.radians(1e-10), x0=0.5 + 1e-15), 8),
 }
 
@@ -221,9 +226,11 @@ def test_cell_table_rules_per_cell(name):
     table = CellQuadratureTable(mesh, rule)
     square = squares(mesh)
     np.testing.assert_array_equal(table.squares, np.flatnonzero(square))
+    # the clip's kinds mark exactly the uncut squares K_CARTESIAN
+    np.testing.assert_array_equal(mesh.kind_codes == K_CARTESIAN, square)
     if name.startswith("trapezoids"):
         clipped = (np.diff(mesh.cell_ptr) == 4) & ~square
-        assert np.any(clipped & (mesh.kind_codes == K_CARTESIAN))
+        assert np.any(clipped & (area_tolerance_kinds(mesh) == K_CARTESIAN))
     # the fan cells' weights sum to their areas; uncut squares hold no points
     fan_areas = np.bincount(table.cell_index, table.weights, minlength=mesh.n_cells)
     np.testing.assert_allclose(fan_areas[~square], mesh.areas[~square], rtol=1e-13, atol=0.0)

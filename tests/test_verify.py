@@ -97,7 +97,7 @@ class TestDissipation:
     def test_random_fields(self, scheme_cache):
         rep = vf.check_dissipation(scheme_cache(25.0, 0.2001, 16), samples=100, seed=5)
         assert rep.passed
-        assert rep.max_ratio - 1.0 <= 1e-12
+        assert rep.max_ratio <= 1e-12
 
     def test_zero_field_trivial(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 16)
@@ -131,7 +131,7 @@ class TestIdentities:
     def test_algebraic_identity_report(self):
         rep = vf.check_algebraic_identity(samples=100_000, seed=7)
         assert rep.passed
-        assert rep.max_ratio - 1.0 <= 1e-14
+        assert rep.max_ratio <= 1e-14
 
 
 @given(
@@ -400,6 +400,15 @@ def test_report_csv_row(scheme_cache):
     assert int(fields[1]) == 10
     float(fields[2])
     assert fields[3] in ("True", "False")
+
+
+def test_identity_report_stores_its_deviation():
+    # a deviation below the spacing of doubles near 1 keeps its value
+    rep = vf.LemmaReport.identity("closure", [1e-17, -3e-17])
+    assert rep.max_ratio == 3e-17 and rep.passed
+    assert rep.csv_row() == "closure,2,3.0000000000000001e-17,True"
+    assert rep.status_line() == "pass  closure: deviation=3.000000e-17 (2 instances)"
+    assert not vf.LemmaReport.identity("closure", [2e-12]).passed
 
 
 def test_run_all_passes(problem):
