@@ -14,6 +14,7 @@ import os
 import resource
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 from cutdg.discretization import DoDScheme, SchemeConfig, build_face_table
@@ -46,6 +47,8 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     problem = make_ramp_problem(args.gamma, 0.2001)
     config = SchemeConfig()
+    # the horizon: 2.5 steps of dt = kappa h
+    problem = replace(problem, t_final=2.5 * config.kappa(problem.velocity) / args.n)
     stages: dict = {}
     tracemalloc.start()
     mesh = traced(stages, "build_mesh", lambda: build_mesh(problem.ramp, args.n))
@@ -53,7 +56,7 @@ def main() -> int:
     table = traced(stages, "build_face_table", lambda: build_face_table(mesh, problem.velocity, rule))
     del mesh, table
     scheme = traced(stages, "DoDScheme", lambda: DoDScheme(problem, config, args.n))
-    result = traced(stages, "solve", lambda: scheme.solve(t_final=2.5 * scheme.dt))
+    result = traced(stages, "solve", scheme.solve)
     data = mesh_cell_data(scheme.mesh, scheme.records, u=result.u)
     traced(stages, "write_vtk", lambda: write_vtk(os.devnull, scheme.mesh, data))
     tracemalloc.stop()

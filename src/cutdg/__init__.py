@@ -9,7 +9,6 @@ from .discretization import (
     bilinear_J,
     build_face_table,
     build_inflow,
-    cfl_dt,
 )
 from .field import (
     RampTestProblem,

@@ -19,7 +19,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,6 +83,8 @@ class SchemeConfig:
 
 #: faces per block of `build_face_table`'s sign check, to bound its temporaries
 _SIGN_BLOCK = 4096
+#: the two ends of a face, where an affine beta.n takes its extremes
+_FACE_ENDS = SegmentRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def _face_points(mesh: CutCellMesh, velocity, rule: SegmentRule, faces):
@@ -173,12 +175,12 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
         psi[on_line] = psi0
     flux = psi[:, 1] - psi[:, 0]
 
-    # beta.n must not change sign along a face off the ramp: at every
-    # quadrature point, a block of faces at a time
+    # beta.n must not change sign along a face off the ramp: at both ends,
+    # which is exact for an affine beta, a block of faces at a time
     lo, hi = np.empty(mesh.n_faces), np.empty(mesh.n_faces)
     for start in range(0, mesh.n_faces, _SIGN_BLOCK):
         block = slice(start, start + _SIGN_BLOCK)
-        bn = _face_points(mesh, velocity, rule, block)[1]
+        bn = _face_points(mesh, velocity, _FACE_ENDS, block)[1]
         lo[block], hi[block] = bn.min(axis=0), bn.max(axis=0)
     tol = 1e-12 * np.maximum(hi, -lo)
     mixed = (mesh.f_kind != F_RAMP) & (lo < -tol) & (hi > tol)
@@ -494,11 +496,6 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable, faces, qpoints, wb
     return cells, qpoints[rows].reshape(-1, 2), matrix
 
 
-def cfl_dt(mesh: CutCellMesh, velocity, config: SchemeConfig) -> float:
-    """dt = kappa h, with kappa from the stability constant or an override."""
-    return config.kappa(velocity) * mesh.h
-
-
 def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
     """Min of |beta.n| over the in/outflow faces of stabilized cells.
 
@@ -509,11 +506,8 @@ def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
     """
     if not len(st):
         return math.inf
-    fids = np.concatenate([st.e_in, st.e_out])
-    ends = mesh.f_endpoints[fids]
-    beta = velocity.evaluate(ends.reshape(-1, 2)).reshape(ends.shape)
-    bn = np.einsum("fqd,fd->fq", beta, mesh.f_normal[fids])
-    return float(np.abs(bn).min())
+    legs = np.concatenate([st.e_in, st.e_out])
+    return float(np.abs(_face_points(mesh, velocity, _FACE_ENDS, legs)[1]).min())
 
 
 @dataclass
@@ -564,7 +558,7 @@ class DoDScheme:
         self.inflow_cells, points, self.inflow_matrix = build_inflow(
             self.mesh, self.table, self.jump_faces, qpoints, wbn)
         self.inflow_chars = problem.characteristics(points)
-        self.dt = cfl_dt(self.mesh, problem.velocity, config)
+        self.dt = config.kappa(problem.velocity) * self.mesh.h
         self.step_S = self.step_matrix(self.dt)
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
@@ -628,9 +622,8 @@ class DoDScheme:
         inflow data added on the inflow cells only.  S is `step_S` for the
         scheme's `dt`, and built afresh for any other step."""
         out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
-        if not self.problem.zero_inflow:
-            data = self.problem.g_from(t, self.inflow_chars)
-            out[self.inflow_cells] += dt * (self.inflow_matrix @ data)
+        data = self.problem.g_from(t, self.inflow_chars)
+        out[self.inflow_cells] += dt * (self.inflow_matrix @ data)
         return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:
@@ -642,15 +635,16 @@ class DoDScheme:
 
         return l2_project(self.mesh, self.problem.u0, self.cellquad)
 
-    def solve(self, t_final: float | None = None, observer=None) -> SolveResult:
-        """March the fully discrete scheme from the projected initial data to T.
+    def solve(self, observer=None) -> SolveResult:
+        """March the fully discrete scheme from the projected initial data to
+        the problem's t_final, T.
 
         Every step is `dt` except the final one, which is shortened to land
         on T exactly.  The observer, if given, is called as
         observer(k, t, u, dt) on every state k = 0..steps, with dt the step
         that leaves it (0.0 at T, where t is T exactly).
         """
-        T = (self.problem if t_final is None else replace(self.problem, t_final=t_final)).t_final
+        T = self.problem.t_final
         u = self.project_initial()
         n_steps = max(1, math.ceil(T / self.dt - 1e-12)) if T > 0.0 else 0
         t = 0.0

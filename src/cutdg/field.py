@@ -18,7 +18,7 @@ the ramp: the ramp is a streamline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,7 +88,6 @@ class RampTestProblem:
     ramp: RampDomain
     velocity: VelocityField
     t_final: float = 0.5
-    zero_inflow: bool = False
 
     def __post_init__(self):
         x0, T = self.ramp.x0, self.t_final
@@ -166,13 +165,8 @@ class RampTestProblem:
 
     def g_from(self, t: float, chars: Characteristics) -> np.ndarray:
         """Inflow boundary data on the points of `chars`: the trace of the
-        exact solution (or zero)."""
-        if self.zero_inflow:
-            return np.zeros(np.shape(chars.xi))
+        exact solution."""
         return self.exact_from(t, chars)
-
-    def with_zero_inflow(self) -> "RampTestProblem":
-        return replace(self, zero_inflow=True)
 
 
 @dataclass(frozen=True)

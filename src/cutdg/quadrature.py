@@ -24,7 +24,8 @@ from .geometry import K_CARTESIAN
 
 @dataclass(frozen=True)
 class SegmentRule:
-    """Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1."""
+    """Nodes and weights on [0, 1]; weights sum to 1.  `gauss` gives the
+    Gauss-Legendre rules."""
 
     points: np.ndarray
     weights: np.ndarray

@@ -158,12 +158,6 @@ class TestExactSolution:
             np.testing.assert_allclose(g[:, 0], gx, atol=1e-8)
             np.testing.assert_allclose(g[:, 1], gy, atol=1e-8)
 
-    def test_zero_inflow_variant(self, problem):
-        z = problem.with_zero_inflow()
-        pts = np.array([[0.0, 0.5], [0.1, 0.0]])
-        np.testing.assert_array_equal(z.g_from(0.3, z.characteristics(pts)), np.zeros(2))
-        assert problem.g_from(0.3, problem.characteristics(pts[0])) != 0.0
-
     def test_problem_needs_x0_below_one(self):
         # the mesh accepts x0 = 1 (an all-Cartesian square), but the wave
         # number sqrt(2) pi / (1 - x0) of the initial data does not

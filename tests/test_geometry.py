@@ -320,7 +320,7 @@ def test_partition_property(geometry, tau):
     gamma_deg, x0, n = geometry
     # ahead of the construction, which refuses a ramp through the top
     assume(math.tan(math.radians(gamma_deg)) * (1.0 - x0) <= 0.98)
-    problem = make_ramp_problem(gamma_deg, x0).with_zero_inflow()
+    problem = make_ramp_problem(gamma_deg, x0)
     ramp = problem.ramp
     config = SchemeConfig(tau=tau, epsilon=1.0 / 14.0)
     scheme = DoDScheme(problem, config, n)
@@ -336,22 +336,22 @@ def test_partition_property(geometry, tau):
 
 
 def assert_discrete_conservation(scheme, steps):
-    """Zero inflow: each step changes the mass by the outflow-boundary flux.
+    """Zero inflow: each step u^{k+1} = S u^k changes the mass by the
+    outflow-boundary flux.
 
-    r_k = sum |E| (u^{k+1} - u^k) / dt_k + sum_outflow flux_in u^k[f_left]
+    r_k = sum |E| (u^{k+1} - u^k) / dt + sum_outflow flux_in u^k[f_left]
     must vanish to roundoff relative to sum_f |flux_in| max |u^k|.
     """
     mesh, table = scheme.mesh, scheme.table
     outflow = np.nonzero((mesh.f_right < 0) & (table.flux_in > 0.0))[0]
     scale = np.abs(table.flux_in).sum()
-    states = []
-    scheme.solve(t_final=steps * scheme.dt,
-                 observer=lambda k, t, u, dt: states.append((u, dt)))
-    assert len(states) == steps + 1
-    for (u, dt), (u_next, _) in zip(states, states[1:]):
-        r = (np.dot(mesh.areas, u_next - u) / dt
+    u = scheme.project_initial()
+    for _ in range(steps):
+        u_next = scheme.step_S @ u
+        r = (np.dot(mesh.areas, u_next - u) / scheme.dt
              + np.dot(table.flux_in[outflow], u[mesh.f_left[outflow]]))
         assert abs(r) <= 1e-12 * scale * np.abs(u).max()
+        u = u_next
 
 
 def assert_admissible_stabilization(mesh, table, stab, tau):
