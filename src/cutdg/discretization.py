@@ -4,7 +4,9 @@ Discrete fields are plain numpy arrays with one value per cell (the space of
 piecewise constants).  Functions in the extended space V* are passed as
 (snapshot u(t, .) of the exact solution, discrete) parts; all face couplings
 reduce to the |beta.n|-weighted mean of the trace per face and side, so
-assembly is a handful of vectorized gathers over the face arrays.
+assembly is a handful of vectorized gathers over the face arrays.  The
+builders take parts, as they run before a scheme exists; the V* forms take
+the built scheme, and `face_side_means` alone evaluates a snapshot on faces.
 
 A block of discrete fields is a (fields, cells) array.  The face means, the
 bilinear forms and the norms accept one in place of a single field and
@@ -121,9 +123,9 @@ class FaceIntegralTable:
                no-flow faces (flux_in == 0)
     mesh, velocity, rule : what the quadrature points are built from
 
-    The quadrature points are not stored: `quadrature(faces)` builds them
-    for the faces a caller reads (a scheme reads its jump faces only), and
-    `all_faces` holds them for every face, built on first request.
+    The quadrature points are not stored: a scheme builds them once for
+    its jump faces with `quadrature(faces)`, and `all_faces` holds them for
+    every face, built on first request.
 
     Every face endpoint on the ramp line (`mesh.f_on_ramp_line`) takes psi
     at the ramp start, so ramp faces carry exactly zero flux and the fluxes
@@ -219,18 +221,22 @@ def split_parts(v):
     return smooth, None if disc is None else np.asarray(disc, dtype=float)
 
 
-def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v, faces=None) -> np.ndarray:
+def face_side_means(scheme: DoDScheme, v, faces=None) -> np.ndarray:
     """beta-weighted means of the traces of v, per face and side, on every
     face or on the faces with the given ids.
 
     Column 0 is the trace from f_left, column 1 from f_right (for the
     smooth part the trace is single-valued, so boundary faces carry it in
-    both columns).  Zero-flux faces get mean 0; they never enter any form.
-    A (fields, cells) discrete part gives (fields, faces, 2) means.  A
-    face's means do not depend on which other faces are asked for.
+    both columns).  A (fields, cells) discrete part gives (fields, faces, 2)
+    means.  A face's means do not depend on which other faces are asked for.
+    A snapshot part, of a problem on the scheme's ramp, is evaluated on
+    `table.all_faces`, or on the jump faces' `jump_chars` when `faces` are
+    given, which must then be jump faces.  Its mean is 0 on a zero-flux
+    face, where a discrete part keeps its cell values; no form reads them,
+    as each weights a face by its flux or skips it (upwind -2).
     """
     smooth, disc = split_parts(v)
-    left, right = mesh.f_left, mesh.f_right
+    left, right = scheme.mesh.f_left, scheme.mesh.f_right
     if faces is not None:
         left, right = left[faces], right[faces]
     if disc is None:
@@ -240,23 +246,20 @@ def face_side_means(mesh: CutCellMesh, table: FaceIntegralTable, v, faces=None) 
         m = np.take(disc, np.stack([left, right], axis=-1), axis=-1)
         m[..., right < 0, 1] = 0.0
     if smooth is not None:
+        if smooth.problem.ramp != scheme.problem.ramp:
+            raise ValueError("the snapshot is not on the scheme's ramp")
+        if faces is None:
+            qpoints, wbn = scheme.table.all_faces
+            s = weighted_face_means(np.abs(wbn), smooth(qpoints.reshape(-1, 2)), scheme.table.abs_flux)
+        else:
+            at = np.searchsorted(scheme.jump_faces, faces)
+            if (scheme.jump_faces.take(at, mode="clip") != faces).any():
+                raise ValueError("a snapshot's side means are read on the jump faces only")
+            vals = smooth.problem.exact_from(smooth.t, scheme.jump_chars)
+            s = scheme.seminorm.smooth_means(vals)[at]
         # one (faces, 2) addend: a stride-0 inner axis of length 2 is slow
-        s = smooth_face_means(table, smooth, faces)
         m += np.stack([s, s], axis=-1)
     return m
-
-
-def smooth_face_means(table: FaceIntegralTable, smooth, faces=None) -> np.ndarray:
-    """|beta.n|-weighted mean of a smooth function on each face, or on the
-    faces with the given ids, from one call of `smooth` on their quadrature
-    points.  Zero-flux faces get mean 0.  A face's mean does not depend on
-    which other faces are asked for."""
-    if faces is None:
-        (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
-    else:
-        (qpoints, wbn), abs_flux = table.quadrature(faces), table.abs_flux[faces]
-    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float)
-    return weighted_face_means(np.abs(wbn), vals, abs_flux)
 
 
 def weighted_face_means(abs_wbn, vals, abs_flux) -> np.ndarray:
@@ -333,28 +336,30 @@ def assemble_dod_matrix(
     return mat.tocsr()
 
 
-def bilinear_a_dod(mesh, table, st: StabilizedCells, v, w_h, means=None) -> float | np.ndarray:
+def bilinear_a_dod(scheme: DoDScheme, v, w_h, means=None) -> float | np.ndarray:
     """a_dod(v, w_h): upwind sum over non-stabilized-outflow faces plus the
     capacity-blended flux alpha*v_E + (1-alpha)*v_in on each e_out.  One
     value per row when v or w_h is a block of fields.  `means` is
-    `face_side_means(mesh, table, v)` when the caller already has it."""
+    `face_side_means(scheme, v)` when the caller already has it."""
+    table, st = scheme.table, scheme.records
     if means is None:
-        means = face_side_means(mesh, table, v)
+        means = face_side_means(scheme, v)
     up = _upwind_values(table, means)
     v_e = np.take(up, st.e_out, axis=-1)  # trace from the stabilized cell (upwind on e_out)
     v_in = np.take(up, st.e_in, axis=-1)  # trace from the inflow neighbor (upwind on e_in)
     up[..., st.e_out] = st.alpha * v_e + (1.0 - st.alpha) * v_in
-    return per_field((up * table.flux_in * _test_jump(mesh, w_h)).sum(axis=-1))
+    return per_field((up * table.flux_in * _test_jump(scheme.mesh, w_h)).sum(axis=-1))
 
 
-def bilinear_J(mesh, table, st: StabilizedCells, v, w_h) -> float | np.ndarray:
+def bilinear_J(scheme: DoDScheme, v, w_h) -> float | np.ndarray:
     """Stabilization sum_E (1-alpha) int_{e_out} (v_in - v_E) beta.[w].  One
     value per row when v or w_h is a block of fields.  Reads v and w_h on
-    the legs e_in and e_out of the stabilized cells only."""
+    the legs e_in and e_out of the stabilized cells only (jump faces)."""
+    table, st = scheme.table, scheme.records
     legs = np.concatenate([st.e_in, st.e_out])
-    up = _upwind_values(table, face_side_means(mesh, table, v, legs), legs)
+    up = _upwind_values(table, face_side_means(scheme, v, legs), legs)
     v_in, v_e = np.split(up, 2, axis=-1)
-    wjump = _test_jump(mesh, w_h, st.e_out)
+    wjump = _test_jump(scheme.mesh, w_h, st.e_out)
     eta = 1.0 - st.alpha
     return per_field((eta * (v_in - v_e) * (table.flux_in[st.e_out] * wjump)).sum(axis=-1))
 

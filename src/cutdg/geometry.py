@@ -364,6 +364,12 @@ class StabilizedCells:
     def __len__(self) -> int:
         return len(self.cells)
 
+    def capacity(self, n_cells: int) -> np.ndarray:
+        """Per-cell capacity: alpha on the stabilized cells, 1 on the other cells."""
+        out = np.ones(n_cells)
+        out[self.cells] = self.alpha
+        return out
+
 
 def identify_stabilized(mesh: CutCellMesh, table, tau: float) -> StabilizedCells:
     """Select triangular cut cells with max(|e_in|, |e_out|) strictly < h/2.

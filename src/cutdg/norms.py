@@ -18,13 +18,13 @@ is its one entry, for every element of V*, `error_breakdown` and
 single-valued, so it cancels from every interior jump: the seminorm takes
 those jumps from the discrete part alone and needs the smooth part only on
 the scheme's `jump_faces`, the boundary faces with flux and the legs of
-stabilized cells, a few percent of the faces.  There it evaluates the
-snapshot from the scheme's cached characteristic coordinates of those
-faces' quadrature points (`jump_chars`).  The starred norm needs a smooth
+stabilized cells, a few percent of the faces.  There `face_side_means`
+evaluates a snapshot from the scheme's cached characteristic coordinates
+of their quadrature points (`jump_chars`).  The starred norm needs a smooth
 part's mean on every face anyway, from the face table's `all_faces`
 quadrature, built on its first use (only the `verify` checks ask for it),
 and gives the jump faces' means to the same formula; its cell-boundary
-mass takes the capacity weights from `scheme.records` on each call.
+mass weights each cell by `records.capacity`.
 """
 from __future__ import annotations
 
@@ -81,9 +81,8 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     """Sum over cells, capacity-weighted on stabilized ones, of the cell's
     int_e |beta.n| (own-trace mean)^2 over its faces; one value per row for
     the means of a block."""
-    mesh, st = scheme.mesh, scheme.records
-    capacity = np.ones(mesh.n_cells)
-    capacity[st.cells] = st.alpha
+    mesh = scheme.mesh
+    capacity = scheme.records.capacity(mesh.n_cells)
     own = capacity[mesh.f_left] * np.square(means[..., 0])
     own += np.where(mesh.f_right >= 0, capacity[mesh.f_right], 0.0) * np.square(means[..., 1])
     return per_field((own * scheme.table.abs_flux).sum(axis=-1))
@@ -91,16 +90,9 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
 
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
     """(plain, capacity-weighted, extended-jump) parts of the squared
-    seminorm.  A snapshot part of v, of a problem on the scheme's ramp, is
-    evaluated on the jump faces only, from the scheme's `jump_chars`."""
-    smooth, disc = split_parts(v)
-    means = face_side_means(scheme.mesh, scheme.table, disc, scheme.jump_faces)
-    if smooth is not None:
-        if smooth.problem.ramp != scheme.problem.ramp:
-            raise ValueError("the snapshot is not on the scheme's ramp")
-        s = scheme.seminorm.smooth_means(smooth.problem.exact_from(smooth.t, scheme.jump_chars))
-        means += np.stack([s, s], axis=-1)
-    return tuple(map(per_field, scheme.seminorm.parts(disc, means)))
+    seminorm, from the side means of v on the jump faces only."""
+    means = face_side_means(scheme, v, scheme.jump_faces)
+    return tuple(map(per_field, scheme.seminorm.parts(split_parts(v)[1], means)))
 
 
 def _squared(parts):
@@ -122,7 +114,7 @@ def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np
         l2_sq = l2_norm_squared(scheme, v)
     # the cell-point values are gone before the face points are evaluated
     if means is None:
-        means = face_side_means(scheme.mesh, scheme.table, v)
+        means = face_side_means(scheme, v)
     parts = scheme.seminorm.parts(split_parts(v)[1], np.take(means, scheme.jump_faces, axis=-2))
     return per_field(np.sqrt(l2_sq + _squared(parts) + _boundary_mass(scheme, means)))
 

@@ -11,14 +11,15 @@ at once (the same stream as drawing them one by one) and evaluate them
 BLOCK rows at a time with the forms and norms.  The checks with
 exact-solution snapshots go snapshot by snapshot: each snapshot is
 evaluated once on the cut cells' quadrature points (it is integrated over
-the uncut squares in closed form) and once on the face points (of the
-stabilized legs only in `check_consistency`), in `check_boundedness` while
-samples <= 8 BLOCK, since one sample in eight takes each of its four
-snapshots.  Their reports name the worst instance in `details`:
-`worst_sample`, plus `worst_time` where the instance has an exact-solution
-snapshot.  The per-cell checks name their worst cell: `worst_cell`, its
-`worst_kind` code (geometry.K_*), `worst_volume_fraction` |E|/h^2 and
-`worst_alpha`, which is None unless the cell is stabilized.
+the uncut squares in closed form) and once on face points: every face's in
+`check_boundedness`, while samples <= 8 BLOCK, since one sample in eight
+takes each of its four snapshots; the jump faces' in `check_consistency`,
+whose stabilization form reads the legs of the stabilized cells only.
+Their reports name the worst instance in `details`: `worst_sample`, plus
+`worst_time` where the instance has an exact-solution snapshot.  The
+per-cell checks name their worst cell: `worst_cell`, its `worst_kind` code
+(geometry.K_*), `worst_volume_fraction` |E|/h^2 and `worst_alpha`, which
+is None unless the cell is stabilized.
 """
 from __future__ import annotations
 
@@ -168,10 +169,9 @@ def check_inverse_trace(scheme: DoDScheme) -> LemmaReport:
 
 def check_dissipation(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> LemmaReport:
     """a_dod(v, v) = 1/2 |v|_beta^2 for random discrete fields."""
-    mesh, table, st = scheme.mesh, scheme.table, scheme.records
     dev = np.empty(samples)
-    for start, v in _field_blocks(np.random.default_rng(seed), samples, mesh.n_cells):
-        lhs = bilinear_a_dod(mesh, table, st, v, v)
+    for start, v in _field_blocks(np.random.default_rng(seed), samples, scheme.mesh.n_cells):
+        lhs = bilinear_a_dod(scheme, v, v)
         rhs = 0.5 * beta_seminorm(scheme, v) ** 2
         dev[start:start + len(v)] = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     return LemmaReport.identity("discrete-dissipation", dev, seed=seed,
@@ -189,13 +189,13 @@ def check_identities(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> li
     dev1, dev2 = np.empty(samples), np.empty(samples)
     for start, w in _field_blocks(rng, samples, mesh.n_cells):
         rows = slice(start, start + len(w))
-        mv = face_side_means(mesh, table, fields[rows])
+        mv = face_side_means(scheme, fields[rows])
         jump_v = np.where(interior, mv[..., 0] - mv[..., 1], mv[..., 0])
         avg_v = np.where(interior, 0.5 * (mv[..., 0] + mv[..., 1]), mv[..., 0])
         dev1[rows] = _cancellation(omega * avg_v * table.flux_in * jump_v)
         # free a block's face arrays early: they set the check's peak memory
         del jump_v, avg_v
-        mw = face_side_means(mesh, table, w)
+        mw = face_side_means(scheme, w)
         prod_jump = np.where(
             interior, mv[..., 0] * mw[..., 0] - mv[..., 1] * mw[..., 1], mv[..., 0] * mw[..., 0]
         )
@@ -237,13 +237,13 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
     v runs over smooth + discrete: sample k adds the exact snapshot at
     times[(k // 2) % 4] to its random field when k is even.
     """
-    mesh, table, st = scheme.mesh, scheme.table, scheme.records
+    n_cells = scheme.mesh.n_cells
     times = np.linspace(0.0, scheme.problem.t_final, 4)
     k = np.arange(samples)
     # the snapshot each sample adds, -1 for none
     snap = np.where(k % 2 == 0, (k // 2) % len(times), -1)
-    disc = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
-    w = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
+    disc = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n_cells))
+    w = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(samples, n_cells))
     ratios1 = np.empty(samples)
     # snapshot by snapshot, so that each one is evaluated once per point set
     # for up to BLOCK of its samples
@@ -253,13 +253,13 @@ def check_boundedness(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> l
         for start in range(0, len(ids), BLOCK):
             g = ids[start:start + BLOCK]
             v = (smooth, disc[g])
-            means = face_side_means(mesh, table, v)
-            a = bilinear_a_dod(mesh, table, st, v, w[g], means)
+            means = face_side_means(scheme, v)
+            a = bilinear_a_dod(scheme, v, w[g], means)
             bound = triple_star_norm(scheme, v, means) * beta_seminorm(scheme, w[g])
             ratios1[g] = np.abs(a) / np.maximum(bound, 1e-300)
     c = math.sqrt(scheme.c_tr / scheme.h)
     ratios2 = np.empty(samples)
-    for start, v in _field_blocks(np.random.default_rng(seed + 2), samples, mesh.n_cells):
+    for start, v in _field_blocks(np.random.default_rng(seed + 2), samples, n_cells):
         ratios2[start:start + len(v)] = (
             scheme.l2_norm(scheme.apply(v)) / np.maximum(c * beta_seminorm(scheme, v), 1e-300)
         )
@@ -280,15 +280,14 @@ def check_consistency(
     seed: int = 0,
 ) -> LemmaReport:
     """|J(u(t), w)| <= sqrt(tau h) |beta|_W1inf ||u(t)||_H1 |w|_beta."""
-    mesh, table, st = scheme.mesh, scheme.table, scheme.records
     rng = np.random.default_rng(seed)
     factor = math.sqrt(scheme.config.tau * scheme.h) * scheme.velocity.w1inf_norm
     ratios = np.empty(len(times) * samples)  # time-major, as drawn
     for ti, t in enumerate(times):
         u_t = Snapshot(scheme.problem, t)
         bound_t = factor * h1_norm(scheme, u_t)
-        w = rng.uniform(-1.0, 1.0, size=(samples, mesh.n_cells))
-        j = bilinear_J(mesh, table, st, u_t, w)
+        w = rng.uniform(-1.0, 1.0, size=(samples, scheme.mesh.n_cells))
+        j = bilinear_J(scheme, u_t, w)
         ratios_t = ratios[ti * samples:(ti + 1) * samples]
         for start in range(0, samples, BLOCK):
             rows = slice(start, start + BLOCK)

@@ -125,15 +125,12 @@ def write_vtk(path, mesh: CutCellMesh, cell_data: dict | None = None) -> None:
                     f.write(_rows(_format_values(arr[rows], fmt), "\n"))
 
 
-def mesh_cell_data(mesh: CutCellMesh, stab: StabilizedCells | None = None, u=None) -> dict:
+def mesh_cell_data(mesh: CutCellMesh, stab: StabilizedCells, u=None) -> dict:
     """Standard export arrays: kind, area, alpha (1 on unstabilized cells)."""
-    alpha = np.ones(mesh.n_cells)
-    if stab is not None:
-        alpha[stab.cells] = stab.alpha
     data = {
         "kind": mesh.kind_codes.astype(np.int64),
         "area": mesh.areas,
-        "alpha": alpha,
+        "alpha": stab.capacity(mesh.n_cells),
     }
     if u is not None:
         data["u"] = np.asarray(u, dtype=float)

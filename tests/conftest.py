@@ -54,7 +54,7 @@ def _all_faces_seminorm(scheme, v):
     """|v|_beta from the side means of every face, the smooth part included
     on interior faces, where it cancels from the jump."""
     mesh, table, st = scheme.mesh, scheme.table, scheme.records
-    means = face_side_means(mesh, table, v)
+    means = face_side_means(scheme, v)
     jump = means[..., 0] - np.where(mesh.f_right >= 0, means[..., 1], 0.0)
     face_sq = table.abs_flux * np.square(jump)
     stab_faces = np.zeros(mesh.n_faces, dtype=bool)

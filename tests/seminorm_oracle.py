@@ -4,9 +4,10 @@ This is the seminorm formula as `cutdg.norms` evaluated it before the
 scheme built its `JumpSeminorm` once: a squared jump per face from the
 (faces, 2) side means, a mask of the legs of stabilized cells, and the
 extended jumps picked from the side means by the sign of each leg's flux.
-The smooth face means are the row sums of |w beta.n| times the values, and
-the starred norm's cell-boundary mass gathers per-cell capacity weights on
-every call.  Tests compare the package against it bit for bit.
+The smooth face means are the row sums of |w beta.n| times the values at
+points the face table builds for the faces asked for, and the starred
+norm's cell-boundary mass gathers per-cell capacity weights on every
+call.  Tests compare the package against it bit for bit.
 """
 import math
 
@@ -18,9 +19,12 @@ from cutdg.norms import l2_norm_squared
 
 
 def smooth_face_means(table, smooth, faces=None):
-    (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
-    if faces is not None:
-        qpoints, wbn, abs_flux = qpoints[faces], wbn[faces], abs_flux[faces]
+    """Row sums of |w beta.n| times the values of `smooth` on the face
+    quadrature of every face, or of the given faces, built afresh."""
+    if faces is None:
+        (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
+    else:
+        (qpoints, wbn), abs_flux = table.quadrature(faces), table.abs_flux[faces]
     vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(wbn.shape)
     num = (np.abs(wbn) * vals).sum(axis=1)
     return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)

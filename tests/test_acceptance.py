@@ -175,7 +175,7 @@ def test_criterion_10_constants_and_duality(scheme_cache, constant_inflow_scheme
         for F in rng.choice(mesh.n_cells, size=8, replace=False):
             w = np.zeros(mesh.n_cells)
             w[F] = 1.0
-            aF = bilinear_a_dod(mesh, scheme.table, scheme.records, v, w)
+            aF = bilinear_a_dod(scheme, v, w)
             worst = max(worst, abs(mesh.areas[F] * av[F] - aF) / scale)
     ok = drift < 1e-13 and worst < 1e-12
     assert _report(

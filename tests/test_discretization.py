@@ -19,7 +19,7 @@ from cutdg.discretization import (
     build_inflow,
     estimate_cb,
     face_side_means,
-    smooth_face_means,
+    weighted_face_means,
     _test_jump,
 )
 from cutdg.field import VelocityField, make_ramp_problem
@@ -82,14 +82,15 @@ def inflow_on_boundary(mesh, table):
     return build_inflow(mesh, table, faces, *table.quadrature(faces))
 
 
-def bilinear_upwind(mesh, table, v, w_h) -> float:
+def bilinear_upwind(scheme, v, w_h) -> float:
     """Unstabilized upwind form in centered-plus-penalty shape.
 
     Interior faces: int {v} beta.[w] + 1/2 |beta.n| [v].[w]; boundary faces:
     int (beta.n)^+ v w.  Independent algebra from `bilinear_a_dod`, used to
     cross-check a_dod = upwind + J.
     """
-    means = face_side_means(mesh, table, v)
+    mesh, table = scheme.mesh, scheme.table
+    means = face_side_means(scheme, v)
     wjump = _test_jump(mesh, w_h)
     interior = mesh.f_right >= 0
     avg = 0.5 * (means[:, 0] + means[:, 1])
@@ -214,19 +215,25 @@ class TestFaceTable:
 
 class TestBetaWeightedMean:
     """The |beta.n|-weighted face means of `face_side_means` and, for any
-    smooth function, `smooth_face_means`."""
+    smooth function, `weighted_face_means` of its values at every face's
+    quadrature points."""
+
+    @staticmethod
+    def all_face_means(table, f):
+        qpoints, wbn = table.all_faces
+        return weighted_face_means(np.abs(wbn), f(qpoints.reshape(-1, 2)), table.abs_flux)
 
     def test_constant_function(self, base_scheme):
         table = base_scheme.table
         flux = table.abs_flux > 0
-        m = smooth_face_means(table, lambda p: np.full(len(p), 3.25))
+        m = self.all_face_means(table, lambda p: np.full(len(p), 3.25))
         np.testing.assert_allclose(m[flux], 3.25, rtol=1e-14)
 
     def test_discrete_trace_is_cell_value(self, base_scheme):
-        mesh, table = base_scheme.mesh, base_scheme.table
+        mesh = base_scheme.mesh
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, mesh.n_cells)
-        m = face_side_means(mesh, table, v)
+        m = face_side_means(base_scheme, v)
         has_r = mesh.f_right >= 0
         np.testing.assert_array_equal(m[:, 0], v[mesh.f_left])
         np.testing.assert_array_equal(m[has_r, 1], v[mesh.f_right[has_r]])
@@ -237,20 +244,43 @@ class TestBetaWeightedMean:
         vertical = np.nonzero(
             (np.abs(mesh.f_normal[:, 1]) < 1e-14) & (table.abs_flux > 0)
         )[0]
-        m = smooth_face_means(table, lambda p: p[:, 0])
+        m = self.all_face_means(table, lambda p: p[:, 0])
         a = mesh.f_endpoints[vertical, 0, 0]
         np.testing.assert_allclose(m[vertical], a, rtol=1e-13)
         # a snapshot's trace is single-valued: both sides carry its mean
-        both = face_side_means(mesh, table, base_scheme.problem.u0)
+        u0 = base_scheme.problem.u0
+        both = face_side_means(base_scheme, u0)
         np.testing.assert_array_equal(both[:, 0], both[:, 1])
-        np.testing.assert_array_equal(both[:, 0], smooth_face_means(table, base_scheme.problem.u0))
+        np.testing.assert_array_equal(both[:, 0], self.all_face_means(table, u0))
 
     def test_zero_flux_face_gets_mean_zero(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table
         zero = table.abs_flux == 0.0
         assert np.any(mesh.f_kind[zero] == F_RAMP)
-        m = smooth_face_means(table, lambda p: p[:, 0] + 1.0)
+        m = self.all_face_means(table, lambda p: p[:, 0] + 1.0)
         np.testing.assert_array_equal(m[zero], 0.0)
+        # only the snapshot part is zeroed: a discrete part keeps its cell values
+        v = np.random.default_rng(1).uniform(1.0, 2.0, mesh.n_cells)
+        got = face_side_means(base_scheme, (base_scheme.problem.u0, v))
+        np.testing.assert_array_equal(got[zero], face_side_means(base_scheme, v)[zero])
+        assert np.all(got[zero, 0] != 0.0)
+
+
+    def test_snapshot_means_on_given_faces_need_jump_faces(self, base_scheme):
+        mesh, u0 = base_scheme.mesh, base_scheme.problem.u0
+        v = np.random.default_rng(2).uniform(-1.0, 1.0, mesh.n_cells)
+        jump = base_scheme.jump_faces
+        other = np.setdiff1d(np.arange(mesh.n_faces), jump)
+        # any jump faces, in any order, take their rows of every face's means
+        faces = jump[::-3]
+        np.testing.assert_array_equal(face_side_means(base_scheme, (u0, v), faces),
+                                      face_side_means(base_scheme, (u0, v))[faces])
+        for faces in (other[:3], np.append(jump[:2], other[0]), other[-1:]):
+            with pytest.raises(ValueError, match="jump faces only"):
+                face_side_means(base_scheme, (u0, v), faces)
+            # a discrete part alone is read on any faces
+            np.testing.assert_array_equal(face_side_means(base_scheme, v, faces),
+                                          face_side_means(base_scheme, v)[faces])
 
 
 class TestOperator:
@@ -301,7 +331,7 @@ class TestOperator:
         for F in rng.choice(mesh.n_cells, size=40, replace=False):
             w = np.zeros(mesh.n_cells)
             w[F] = 1.0
-            aF = bilinear_a_dod(mesh, base_scheme.table, base_scheme.records, v, w)
+            aF = bilinear_a_dod(base_scheme, v, w)
             assert mesh.areas[F] * av[F] == pytest.approx(aF, rel=1e-12, abs=1e-15)
 
 
@@ -309,36 +339,36 @@ class TestBilinearForms:
     def test_zero_test_function(self, base_scheme):
         v = np.ones(base_scheme.mesh.n_cells)
         w = np.zeros(base_scheme.mesh.n_cells)
-        assert bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, w) == 0.0
+        assert bilinear_a_dod(base_scheme, v, w) == 0.0
 
     def test_dod_equals_upwind_plus_stabilization(self, base_scheme):
-        mesh, table, stab = base_scheme.mesh, base_scheme.table, base_scheme.records
+        mesh = base_scheme.mesh
         rng = np.random.default_rng(11)
         for _ in range(20):
             v = rng.uniform(-1, 1, mesh.n_cells)
             w = rng.uniform(-1, 1, mesh.n_cells)
-            a = bilinear_a_dod(mesh, table, stab, v, w)
-            split = bilinear_upwind(mesh, table, v, w) + bilinear_J(mesh, table, stab, v, w)
+            a = bilinear_a_dod(base_scheme, v, w)
+            split = bilinear_upwind(base_scheme, v, w) + bilinear_J(base_scheme, v, w)
             assert a == pytest.approx(split, rel=1e-12, abs=1e-13)
         # also for smooth + discrete arguments
         u = base_scheme.problem.u0
         w = rng.uniform(-1, 1, mesh.n_cells)
         v = (u, rng.uniform(-1, 1, mesh.n_cells))
-        a = bilinear_a_dod(mesh, table, stab, v, w)
-        split = bilinear_upwind(mesh, table, v, w) + bilinear_J(mesh, table, stab, v, w)
+        a = bilinear_a_dod(base_scheme, v, w)
+        split = bilinear_upwind(base_scheme, v, w) + bilinear_J(base_scheme, v, w)
         assert a == pytest.approx(split, rel=1e-12)
 
     def test_dissipation_identity(self, base_scheme):
         rng = np.random.default_rng(12)
         for _ in range(20):
             v = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
-            a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, v)
+            a = bilinear_a_dod(base_scheme, v, v)
             assert a == pytest.approx(0.5 * beta_seminorm(base_scheme, v) ** 2, rel=1e-12)
 
     def test_stabilization_vanishes_for_constants(self, base_scheme):
         v = np.full(base_scheme.mesh.n_cells, 4.0)
         w = np.random.default_rng(13).uniform(-1, 1, base_scheme.mesh.n_cells)
-        assert bilinear_J(base_scheme.mesh, base_scheme.table, base_scheme.records, v, w) == 0.0
+        assert bilinear_J(base_scheme, v, w) == 0.0
 
     @pytest.mark.parametrize("geometry", [(25.0, 0.2001, 16), (45.0, 0.2 + 1e-10, 20)])
     def test_stabilization_matches_all_faces_reference(self, scheme_cache, geometry):
@@ -348,7 +378,7 @@ class TestBilinearForms:
 
         def all_faces_J(v, w):
             # np.take keeps each row of a block contiguous, as bilinear_J does
-            means = face_side_means(mesh, table, v)
+            means = face_side_means(scheme, v)
             up = np.where(table.flux_in > 0.0, means[..., 0], means[..., 1])
             up[..., table.upwind < 0] = 0.0
             right = np.where(mesh.f_right >= 0, np.take(w, mesh.f_right, axis=-1), 0.0)
@@ -363,7 +393,7 @@ class TestBilinearForms:
         disc = rng.uniform(-1, 1, (3, mesh.n_cells))
         for v in (u0, disc[0], (u0, disc[1]), (u0, disc)):
             for w in (rng.uniform(-1, 1, mesh.n_cells), rng.uniform(-1, 1, (3, mesh.n_cells))):
-                got = bilinear_J(mesh, table, stab, v, w)
+                got = bilinear_J(scheme, v, w)
                 np.testing.assert_array_equal(got, all_faces_J(v, w))
                 assert np.all(got != 0.0)
 
@@ -374,7 +404,7 @@ class TestBilinearForms:
         v = rng.uniform(-1, 1, scheme.mesh.n_cells)
         w = rng.uniform(-1, 1, scheme.mesh.n_cells)
         assert np.all(scheme.records.alpha == 1.0)
-        assert bilinear_J(scheme.mesh, scheme.table, scheme.records, v, w) == 0.0
+        assert bilinear_J(scheme, v, w) == 0.0
 
 
 class TestRhsAndStep:

@@ -81,7 +81,7 @@ class TestBetaSeminorm:
 
     def test_smooth_function_has_no_interior_jumps(self, base_scheme):
         # single-valued traces: interior means agree from both sides
-        means = face_side_means(base_scheme.mesh, base_scheme.table, base_scheme.problem.u0)
+        means = face_side_means(base_scheme, base_scheme.problem.u0)
         interior = base_scheme.mesh.f_right >= 0
         assert np.abs(means[interior, 0] - means[interior, 1]).max() < 1e-14
 
@@ -90,7 +90,7 @@ class TestBetaSeminorm:
 
         rng = np.random.default_rng(21)
         v = rng.uniform(-1, 1, base_scheme.mesh.n_cells)
-        a = bilinear_a_dod(base_scheme.mesh, base_scheme.table, base_scheme.records, v, v)
+        a = bilinear_a_dod(base_scheme, v, v)
         assert beta_seminorm(base_scheme, v) ** 2 == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_stabilized_branch_hand_oracle(self, scheme_cache):
@@ -286,11 +286,11 @@ class TestErrorBreakdown:
     def test_interior_plain_jumps_are_discrete_jumps(self, base_scheme):
         # the smooth part cancels across interior faces, so the plain part of
         # the error seminorm equals the discrete jumps there
-        mesh, t = base_scheme.mesh, base_scheme.table
+        mesh = base_scheme.mesh
         rng = np.random.default_rng(25)
         u_h = rng.uniform(-1, 1, mesh.n_cells)
         diff = (base_scheme.problem.u0, -u_h)
-        means = face_side_means(mesh, t, diff)
+        means = face_side_means(base_scheme, diff)
         interior = mesh.f_right >= 0
         jump = means[interior, 0] - means[interior, 1]
         expect = u_h[mesh.f_right[interior]] - u_h[mesh.f_left[interior]]

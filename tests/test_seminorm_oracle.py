@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import seminorm_oracle as oracle
-from cutdg.discretization import FaceIntegralTable, smooth_face_means, weighted_face_means
+from cutdg.discretization import (DoDScheme, FaceIntegralTable, bilinear_J, face_side_means,
+                                  weighted_face_means)
 from cutdg.field import Snapshot, make_ramp_problem
 from cutdg.norms import (
     beta_seminorm,
@@ -64,16 +65,46 @@ def test_error_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
 
 @pytest.mark.parametrize("gamma,x0,n", [GEOMETRIES[0], GEOMETRIES[3]])
 def test_seminorm_of_a_snapshot_builds_no_face_points(scheme_cache, monkeypatch, gamma, x0, n):
-    # a snapshot is evaluated from the scheme's `jump_chars`
-    scheme = scheme_cache(gamma, x0, n)
-    v = (Snapshot(scheme.problem, T), elements(scheme)["block"])
-    want = oracle.beta_seminorm(scheme, v)
+    # a snapshot is evaluated from the scheme's `jump_chars`: a fresh scheme,
+    # whose `all_faces` is not built yet, builds no face points for the
+    # seminorm, the error norms or the stabilization form
+    twin = scheme_cache(gamma, x0, n)
+    scheme = DoDScheme(twin.problem, twin.config, n)
+    fields = elements(twin)
+    u = Snapshot(scheme.problem, T)
+    v, w = (u, fields["block"]), fields["block"][::-1]
+    u_h = twin.project_initial() + 1e-3 * fields["single"]
+    # J as from every face's means: test_discretization pins it bit for bit
+    want = (oracle.beta_seminorm(twin, v), oracle.error_breakdown(twin, T, u_h),
+            bilinear_J(twin, u, w), bilinear_J(twin, v, w))
 
     def no_quadrature(self, faces):
         raise AssertionError("face quadrature rebuilt")
 
     monkeypatch.setattr(FaceIntegralTable, "quadrature", no_quadrature)
-    assert np.array_equal(beta_seminorm(scheme, v), want)
+    eb = error_breakdown(scheme, T, u_h)
+    got = (beta_seminorm(scheme, v), (eb.l2, eb.beta_semi),
+           bilinear_J(scheme, u, w), bilinear_J(scheme, v, w))
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+    assert "all_faces" not in vars(scheme.table)
+
+
+def test_starred_norm_builds_every_face_once(scheme_cache, monkeypatch):
+    twin = scheme_cache(25.0, 0.2001, 16)
+    scheme = DoDScheme(twin.problem, twin.config, 16)
+    quadrature = FaceIntegralTable.quadrature
+    calls = []
+
+    def counting_quadrature(self, faces):
+        calls.append(faces)
+        return quadrature(self, faces)
+
+    monkeypatch.setattr(FaceIntegralTable, "quadrature", counting_quadrature)
+    v = (Snapshot(scheme.problem, T), elements(twin)["block"])
+    for _ in range(3):
+        assert np.array_equal(triple_star_norm(scheme, v), oracle.triple_star_norm(twin, v))
+    assert calls == [slice(None)]
 
 
 def test_seminorm_rejects_a_snapshot_of_another_ramp(scheme_cache):
@@ -82,12 +113,18 @@ def test_seminorm_rejects_a_snapshot_of_another_ramp(scheme_cache):
     u_h = np.zeros(scheme.mesh.n_cells)
     with pytest.raises(ValueError, match="not on the scheme.s ramp"):
         beta_seminorm(scheme, (Snapshot(other, T), u_h))
+    with pytest.raises(ValueError, match="not on the scheme.s ramp"):
+        bilinear_J(scheme, Snapshot(other, T), u_h)
 
 
 def test_smooth_face_means_equal_row_sums(scheme_cache):
+    # on both point sets: every face, and the jump faces
     scheme = scheme_cache(45.0, 0.2 + 1e-10, 40)
     u = Snapshot(scheme.problem, T)
-    assert np.array_equal(smooth_face_means(scheme.table, u), oracle.smooth_face_means(scheme.table, u))
+    assert np.array_equal(face_side_means(scheme, u)[:, 0], oracle.smooth_face_means(scheme.table, u))
+    jump = scheme.jump_faces
+    assert np.array_equal(face_side_means(scheme, u, jump)[:, 0],
+                          oracle.smooth_face_means(scheme.table, u, jump))
 
 
 def test_weighted_face_means_add_columns_in_row_sum_order():

@@ -102,7 +102,7 @@ class TestDissipation:
     def test_zero_field_trivial(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 16)
         z = np.zeros(scheme.mesh.n_cells)
-        assert bilinear_a_dod(scheme.mesh, scheme.table, scheme.records, z, z) == 0.0
+        assert bilinear_a_dod(scheme, z, z) == 0.0
         assert beta_seminorm(scheme, z) == 0.0
 
     def test_indicator_of_stabilized_cell_oracle(self, scheme_cache):
@@ -113,7 +113,7 @@ class TestDissipation:
         t = scheme.table
         v = np.zeros(scheme.mesh.n_cells)
         v[st.cells[0]] = 1.0
-        a = bilinear_a_dod(scheme.mesh, scheme.table, st, v, v)
+        a = bilinear_a_dod(scheme, v, v)
         phi_in = float(t.abs_flux[st.e_in[0]])
         phi_out = float(t.abs_flux[st.e_out[0]])
         alpha = float(st.alpha[0])
@@ -168,8 +168,8 @@ class TestConsistency:
         w = np.random.default_rng(10).uniform(-1, 1, scheme.mesh.n_cells)
         # J is linear in v: a constant added to a snapshot leaves it unchanged
         u, c = Snapshot(scheme.problem, 0.25), np.full(scheme.mesh.n_cells, 2.0)
-        j_u = bilinear_J(scheme.mesh, scheme.table, scheme.records, u, w)
-        j = bilinear_J(scheme.mesh, scheme.table, scheme.records, (u, c), w)
+        j_u = bilinear_J(scheme, u, w)
+        j = bilinear_J(scheme, (u, c), w)
         assert j_u != 0.0 and abs(j - j_u) < 1e-14
 
     def test_exact_solution_ratio(self, scheme_cache):
@@ -261,12 +261,12 @@ class TestBatchedChecks:
 
     def oracle(self, scheme):
         """Per-instance ratios from the single-field forms and norms."""
-        mesh, table, stab = scheme.mesh, scheme.table, scheme.records
+        mesh, table = scheme.mesh, scheme.table
         k, seed = self.SAMPLES, self.SEED
         out = {}
         _, fields = self.fields(scheme, k, seed)
         out["discrete-dissipation"] = [
-            abs(bilinear_a_dod(mesh, table, stab, v, v) - 0.5 * beta_seminorm(scheme, v) ** 2)
+            abs(bilinear_a_dod(scheme, v, v) - 0.5 * beta_seminorm(scheme, v) ** 2)
             / (0.5 * beta_seminorm(scheme, v) ** 2)
             for v in fields
         ]
@@ -275,7 +275,7 @@ class TestBatchedChecks:
         dev1, dev2 = [], []
         for v in fields:
             w = rng.uniform(-1.0, 1.0, mesh.n_cells)
-            mv, mw = face_side_means(mesh, table, v), face_side_means(mesh, table, w)
+            mv, mw = face_side_means(scheme, v), face_side_means(scheme, w)
             jump = np.where(interior, mv[:, 0] - mv[:, 1], mv[:, 0])
             avg = np.where(interior, 0.5 * (mv[:, 0] + mv[:, 1]), mv[:, 0])
             terms1 = np.where(interior, 1.0, 0.5) * avg * table.flux_in * jump
@@ -295,7 +295,7 @@ class TestBatchedChecks:
         for i, (disc, w) in enumerate(zip(self.fields(scheme, k, seed)[1], w_fields)):
             t = float(times[(i // 2) % 4])
             v = (Snapshot(scheme.problem, t), disc) if i % 2 == 0 else disc
-            a = bilinear_a_dod(mesh, table, stab, v, w)
+            a = bilinear_a_dod(scheme, v, w)
             star.append(abs(a) / (triple_star_norm(scheme, v) * beta_seminorm(scheme, w)))
         out["boundedness-star"] = star
         out["boundedness-operator"] = [
@@ -310,7 +310,7 @@ class TestBatchedChecks:
             bound = factor * h1_norm(scheme, u_t)
             for _ in range(k):
                 w = rng.uniform(-1.0, 1.0, mesh.n_cells)
-                cons.append(abs(bilinear_J(mesh, table, stab, u_t, w)) / (bound * beta_seminorm(scheme, w)))
+                cons.append(abs(bilinear_J(scheme, u_t, w)) / (bound * beta_seminorm(scheme, w)))
         out["stabilization-consistency"] = cons
         return {key: np.array(vals) for key, vals in out.items()}
 
@@ -368,22 +368,22 @@ class TestBatchedChecks:
             assert max(calls.count(t) for t in calls) <= 2
 
     def test_block_rows_equal_single_fields(self, base_scheme):
-        mesh, table, stab = base_scheme.mesh, base_scheme.table, base_scheme.records
+        n_cells = base_scheme.mesh.n_cells
         rng = np.random.default_rng(22)
-        v = rng.uniform(-1.0, 1.0, (3, mesh.n_cells))
-        w = rng.uniform(-1.0, 1.0, (3, mesh.n_cells))
+        v = rng.uniform(-1.0, 1.0, (3, n_cells))
+        w = rng.uniform(-1.0, 1.0, (3, n_cells))
         u0 = base_scheme.problem.u0
         block = {
-            "a_dod": bilinear_a_dod(mesh, table, stab, (u0, v), w),
-            "J": bilinear_J(mesh, table, stab, u0, w),
+            "a_dod": bilinear_a_dod(base_scheme, (u0, v), w),
+            "J": bilinear_J(base_scheme, u0, w),
             "semi": beta_seminorm(base_scheme, (u0, v)),
             "star": triple_star_norm(base_scheme, (u0, v)),
             "l2": base_scheme.l2_norm(base_scheme.apply(v)),
         }
         for i in range(3):
             single = {
-                "a_dod": bilinear_a_dod(mesh, table, stab, (u0, v[i]), w[i]),
-                "J": bilinear_J(mesh, table, stab, u0, w[i]),
+                "a_dod": bilinear_a_dod(base_scheme, (u0, v[i]), w[i]),
+                "J": bilinear_J(base_scheme, u0, w[i]),
                 "semi": beta_seminorm(base_scheme, (u0, v[i])),
                 "star": triple_star_norm(base_scheme, (u0, v[i])),
                 "l2": base_scheme.l2_norm(base_scheme.apply(v[i])),
