@@ -115,7 +115,7 @@ class RunConfig:
     face_order: int
     cell_degree: int
     n: int
-    n_list: list[int] = dc_field(default_factory=list)
+    n_list: list[int] = dc_field(default_factory=lambda: [16, 32, 64])
     seed: int = 0
     out: str = "out"
     accumulate: bool = False

@@ -191,12 +191,8 @@ def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceInte
             f"beta.n changes sign on {int(mixed.sum())} face(s); refine or split faces"
         )
 
-    left, right = mesh.f_left, mesh.f_right
-    upwind = np.full(mesh.n_faces, -2, dtype=np.int64)
-    pos = flux > 0.0
-    neg = flux < 0.0
-    upwind[pos] = left[pos]
-    upwind[neg] = np.where(right[neg] >= 0, right[neg], -1)
+    # f_right is -1 on the boundary, the inflow code of `upwind`
+    upwind = np.select([flux > 0.0, flux < 0.0], [mesh.f_left, mesh.f_right], -2)
     return FaceIntegralTable(flux, np.abs(flux), upwind, mesh, velocity, rule)
 
 
@@ -600,25 +596,17 @@ class DoDScheme:
     def step_matrix(self, dt: float) -> sp.csr_matrix:
         """S = I - dt A, the explicit Euler update without inflow data.
 
-        Built on A's pattern, with the entries scipy's `identity - dt * A`
-        gives: -dt a_ij off the diagonal, 1 - dt a_ii on it, and the exact
-        zeros dropped.  `matrix` is canonical (sorted, no duplicates), so
-        each row keeps its order and `S @ u` its bits.  S shares A's index
-        arrays unless a zero is dropped or a diagonal slot added.
+        `-dt A` on A's own index arrays, with `setdiag` adding the identity;
+        `matrix` is canonical (sorted, no duplicates) and stores its whole
+        diagonal, so S has the entries and order of scipy's `identity - dt A`
+        and `S @ u` its bits.  S shares A's index arrays unless an exact
+        zero is dropped: those go on a copy, so A's arrays stay as they are.
         """
         a = self.matrix
-        n = a.shape[0]
-        rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
-        diag = a.indices == rows
-        data = -dt * a.data
-        data[diag] += 1.0
-        s = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-        if np.count_nonzero(diag) < n:
-            # a row without a diagonal slot takes 1 there; the sum drops zeros
-            missing = np.setdiff1d(np.arange(n), rows[diag])
-            s = s + sp.csr_matrix((np.ones(len(missing)), (missing, missing)), shape=a.shape)
-        elif not data.all():
-            s = s.copy()  # A's index arrays stay as they are
+        s = sp.csr_matrix((-dt * a.data, a.indices, a.indptr), shape=a.shape)
+        s.setdiag(s.diagonal() + 1.0)
+        if not s.data.all():
+            s = s.copy()
             s.eliminate_zeros()
         return s
 

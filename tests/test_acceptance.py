@@ -121,9 +121,7 @@ def test_criterion_06_inverse_estimate_and_boundedness(scheme_cache):
 def test_criterion_07_consistency(scheme_cache):
     per_n = {}
     for n in (32, 64, 128):
-        rep = vf.check_consistency(
-            scheme_cache(25.0, X0, n), times=(0.0, 0.25, 0.5), samples=100, seed=104
-        )
+        rep = vf.check_consistency(scheme_cache(25.0, X0, n), samples=100, seed=104)
         per_n[n] = rep.max_ratio
         assert rep.passed
     worst = max(per_n.values())

@@ -246,6 +246,24 @@ class TestSurface:
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
         assert len({row.key for row in CONFIG_KEYS}) == len({row.flag for row in CONFIG_KEYS}) == len(fields)
 
+    def test_field_defaults_are_the_table_defaults(self):
+        # a RunConfig field left out takes the value of its key's default text
+        from cutdg.cli import CONFIG_KEYS, RunConfig
+
+        rows = {row.field: row for row in CONFIG_KEYS}
+        defaulted = {}
+        for f in dataclasses.fields(RunConfig):
+            if f.default is not dataclasses.MISSING:
+                defaulted[f.name] = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                defaulted[f.name] = f.default_factory()
+        assert set(defaulted) == {"n_list", "seed", "out", "accumulate"}
+        for name, default in defaulted.items():
+            assert default == rows[name].parse(rows[name].default), name
+        required = {row.field: None if row.default is None else row.parse(row.default)
+                    for row in CONFIG_KEYS if row.field not in defaulted}
+        RunConfig(**required).validate("run")
+
 
 class TestExport:
     def test_polygon_count_matches_geometry_oracle(self, tmp_path):
@@ -407,6 +425,22 @@ class TestConverge:
 
 
 class TestVerifyCommand:
+    def test_consistency_reads_u_up_to_t_final(self, tmp_path, monkeypatch):
+        # u(t) is sampled at 0, T/2 and T, never past a short --t-final
+        import cutdg.cli as cli
+        from cutdg.verify import run_all
+
+        reports = []
+
+        def recording_run_all(*args, **kwargs):
+            reports.extend(run_all(*args, **kwargs))
+            return reports
+
+        monkeypatch.setattr(cli, "run_all", recording_run_all)
+        assert run(["verify", "--n-list", "8", "--t-final", "0.1", "--out", str(tmp_path / "v")]) == 0
+        rep = next(r for r in reports if r.lemma_id == "stabilization-consistency@n=8")
+        assert rep.details["times"] == [0.0, 0.05, 0.1]
+
     def test_verify_exits_zero_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run([

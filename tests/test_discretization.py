@@ -130,6 +130,28 @@ class TestFaceTable:
         assert np.all(base_scheme.table.abs_flux[ramp] == 0.0)
         assert np.all(base_scheme.table.upwind[ramp] == -2)
 
+    @pytest.mark.parametrize("case", ["25deg-n32", "sliver45-n40", "grid-aligned-45deg-n20", "strip-n5"])
+    def test_upwind_is_its_definition(self, case):
+        # face by face: f_left where flux > 0, f_right (-1 on the boundary)
+        # where flux < 0, -2 where the flux is exactly zero
+        if case == "strip-n5":
+            mesh, velocity = cartesian_mesh(5), constant_velocity([1.0, 0.0])
+        else:
+            gamma, x0, n = {"25deg-n32": (25.0, 0.2001, 32), "sliver45-n40": (45.0, 0.2 + 1e-10, 40),
+                            "grid-aligned-45deg-n20": (45.0, 0.2, 20)}[case]
+            problem = make_ramp_problem(gamma, x0)
+            mesh, velocity = build_mesh(problem.ramp, n), problem.velocity
+        table = build_face_table(mesh, velocity, SegmentRule.gauss())
+        want = [
+            left if flux > 0.0 else right if flux < 0.0 else -2
+            for flux, left, right in zip(table.flux_in.tolist(), mesh.f_left.tolist(),
+                                         mesh.f_right.tolist(), strict=True)
+        ]
+        assert table.upwind.dtype == np.int64
+        assert table.upwind.tolist() == want
+        # each code occurs: no-flow faces, inflow boundary faces and cells
+        assert {-2, -1} < set(want)
+
     def test_flux_matches_gauss_integral(self, scheme_cache):
         # psi(b) - psi(a) against an independent 8-point Gauss integral of beta.n
         scheme = scheme_cache(25.0, 0.2001, 64)
@@ -487,6 +509,19 @@ class TestRhsAndStep:
             assert (got @ u).tobytes() == (want @ u).tobytes()
         for x, y in zip((A.data, A.indices, A.indptr), before, strict=True):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("case", [(25.0, 0.2001, 32), (45.0, 0.2 + 1e-10, 40),
+                                      (5.0, 0.25 + 1e-15, 32)])
+    def test_step_S_is_built_on_a_canonical_A(self, case, scheme_cache):
+        # A is canonical and stores its whole diagonal, so `setdiag` only
+        # writes S's data: on a non-canonical A it would sum the duplicates
+        # in place, on index arrays that S and A share
+        scheme = scheme_cache(*case)
+        A, S, n = scheme.matrix, scheme.step_S, scheme.mesh.n_cells
+        assert A.has_canonical_format
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        assert np.count_nonzero(A.indices == rows) == n
+        assert np.shares_memory(S.indices, A.indices) and np.shares_memory(S.indptr, A.indptr)
 
     @pytest.mark.parametrize("missing_diagonal", [False, True])
     def test_step_matrix_drops_exact_zeros_and_fills_missing_diagonals(self, missing_diagonal, base_scheme):
