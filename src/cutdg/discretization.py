@@ -7,6 +7,9 @@ reduce to the |beta.n|-weighted mean of the trace per face and side, so
 assembly is a handful of vectorized gathers over the face arrays.  The
 builders take parts, as they run before a scheme exists; the V* forms take
 the built scheme, and `face_side_means` alone evaluates a snapshot on faces.
+The beta-seminorm is data here: `build_jump_rows` gives its rows as index
+pairs and weights into one vector of the discrete part and the jump faces'
+side means, and `norms` evaluates them.
 
 A block of discrete fields is a (fields, cells) array.  The face means, the
 bilinear forms and the norms accept one in place of a single field and
@@ -252,7 +255,8 @@ def face_side_means(scheme: DoDScheme, v, faces=None) -> np.ndarray:
             if (scheme.jump_faces.take(at, mode="clip") != faces).any():
                 raise ValueError("a snapshot's side means are read on the jump faces only")
             vals = smooth.problem.exact_from(smooth.t, scheme.jump_chars)
-            s = scheme.seminorm.smooth_means(vals)[at]
+            s = weighted_face_means(scheme.jump_abs_wbn, vals,
+                                    scheme.table.abs_flux[scheme.jump_faces])[at]
         # one (faces, 2) addend: a stride-0 inner axis of length 2 is slow
         m += np.stack([s, s], axis=-1)
     return m
@@ -360,115 +364,38 @@ def bilinear_J(scheme: DoDScheme, v, w_h) -> float | np.ndarray:
     return per_field((eta * (v_in - v_e) * (table.flux_in[st.e_out] * wjump)).sum(axis=-1))
 
 
-@dataclass(frozen=True)
-class JumpSeminorm:
-    """The constant face structure of the beta-seminorm, built once per scheme.
+def build_jump_rows(
+    mesh: CutCellMesh, table: FaceIntegralTable, st: StabilizedCells, jump_faces: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, weight): the rows of the beta-seminorm, each the jump
+    x[left] - x[right] of x = [discrete part, 0, side means of the whole
+    element on the jump faces, 2 per face], weighted by `weight`.
 
-    |v|_beta^2 is the sum of three parts: `plain`, the |beta.n|-weighted
-    squared jumps on the faces that are no leg of a stabilized cell;
-    `capacity`, those on the legs e_in and e_out weighted by alpha; and
-    `extended`, (1 - alpha) |flux(e_out)| times the squared extended jump,
-    the downwind-neighbor mean on e_out minus the inflow-neighbor mean on
-    e_in.  A smooth part of v is single-valued, so it cancels from every
-    interior jump and enters only through the side means on the jump faces
-    (the boundary faces with flux and the legs).
-
-    Every jump is x[left] - x[right] of the vector
-    x = [discrete part, 0, whole-element mean on each boundary jump face]:
-    an interior face pairs its two cells, a boundary jump face its slot
-    with the 0, and a zero-flux boundary face its cell with the 0.  The
-    extended jumps read the (jump faces, 2) side means at the flat indices
-    `ext_out` and `ext_in`.  The jump faces' |w beta.n| and fluxes give
-    the smooth means from values at their quadrature points.
+    The rows are every face that is no leg of a stabilized cell, in face
+    order, then e_in and e_out of every stabilized cell, weighted by
+    |flux| (the evaluator adds alpha on the legs); an interior face pairs
+    its two cells, a boundary jump face its column-0 mean with the 0, and
+    a zero-flux boundary face its cell with the 0.  Then one extended row
+    per stabilized cell, weighted by
+    (1 - alpha) |flux(e_out)|: the mean from across e_out minus the mean
+    from behind e_in.
     """
-
-    n_cells: int
-    boundary: np.ndarray  # positions of the boundary faces among the jump faces
-    plain_left: np.ndarray
-    plain_right: np.ndarray
-    plain_weight: np.ndarray  # |flux| of each plain face
-    leg_left: np.ndarray  # e_in of every stabilized cell, then e_out
-    leg_right: np.ndarray
-    leg_weight: np.ndarray
-    alpha: np.ndarray
-    ext_out: np.ndarray
-    ext_in: np.ndarray
-    ext_weight: np.ndarray  # (1 - alpha) |flux(e_out)|
-    abs_wbn: np.ndarray  # (jump faces, points per face)
-    abs_flux: np.ndarray  # |flux| of each jump face
-
-    def parts(self, disc, jump_means: np.ndarray):
-        """(plain, capacity, extended) for the discrete part `disc` (None
-        for none) and the side means `jump_means` of the whole element on
-        the jump faces; one value per row for a block."""
-        lead = jump_means.shape[:-2]
-        disc = np.zeros(self.n_cells) if disc is None else disc
-        x = np.concatenate(
-            [disc, np.zeros(lead + (1,)), jump_means[..., self.boundary, 0]], axis=-1
-        )
-
-        def squared_jumps(left, right, weight):
-            # in place: fresh block-sized temporaries cost more than the arithmetic
-            jump = np.take(x, left, axis=-1)
-            jump -= np.take(x, right, axis=-1)
-            np.square(jump, out=jump)
-            jump *= weight
-            return jump
-
-        plain = squared_jumps(self.plain_left, self.plain_right, self.plain_weight).sum(axis=-1)
-        legs = squared_jumps(self.leg_left, self.leg_right, self.leg_weight)
-        k = len(self.alpha)
-        capacity = (self.alpha * (legs[..., :k] + legs[..., k:])).sum(axis=-1)
-        flat = jump_means.reshape(lead + (-1,))
-        ext = np.take(flat, self.ext_out, axis=-1) - np.take(flat, self.ext_in, axis=-1)
-        extended = (self.ext_weight * np.square(ext)).sum(axis=-1)
-        return plain, capacity, extended
-
-    def smooth_means(self, vals) -> np.ndarray:
-        """Jump-face means of a smooth function from its values at the jump
-        faces' quadrature points."""
-        return weighted_face_means(self.abs_wbn, vals, self.abs_flux)
-
-
-def build_jump_seminorm(
-    mesh: CutCellMesh,
-    table: FaceIntegralTable,
-    st: StabilizedCells,
-    jump_faces: np.ndarray,
-    wbn: np.ndarray,
-) -> JumpSeminorm:
-    """The seminorm's face structure; `wbn` is the second part of
-    `table.quadrature(jump_faces)`."""
     n = mesh.n_cells
     boundary = np.flatnonzero(mesh.f_right[jump_faces] < 0)
     left = mesh.f_left.copy()
-    left[jump_faces[boundary]] = n + 1 + np.arange(len(boundary))
+    left[jump_faces[boundary]] = n + 1 + 2 * boundary
     right = np.where(mesh.f_right >= 0, mesh.f_right, n)
     legs = np.concatenate([st.e_in, st.e_out])
     plain = np.ones(mesh.n_faces, dtype=bool)
     plain[legs] = False
-    plain = np.flatnonzero(plain)
+    faces = np.concatenate([np.flatnonzero(plain), legs])
     # the extended jump takes the trace from across e_out and from behind e_in
-    at = np.searchsorted(jump_faces, legs)
     side = np.concatenate([table.flux_in[st.e_in] <= 0.0, table.flux_in[st.e_out] > 0.0])
-    flat = 2 * at + side
+    ext = n + 1 + 2 * np.searchsorted(jump_faces, legs) + side
     k = len(st)
-    return JumpSeminorm(
-        n_cells=n,
-        boundary=boundary,
-        plain_left=left[plain],
-        plain_right=right[plain],
-        plain_weight=table.abs_flux[plain],
-        leg_left=left[legs],
-        leg_right=right[legs],
-        leg_weight=table.abs_flux[legs],
-        alpha=st.alpha,
-        ext_out=flat[k:],
-        ext_in=flat[:k],
-        ext_weight=(1.0 - st.alpha) * table.abs_flux[st.e_out],
-        abs_wbn=np.abs(wbn),
-        abs_flux=table.abs_flux[jump_faces],
-    )
+    return (np.concatenate([left[faces], ext[k:]]),
+            np.concatenate([right[faces], ext[:k]]),
+            np.concatenate([table.abs_flux[faces], (1.0 - st.alpha) * table.abs_flux[st.e_out]]))
 
 
 def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable, faces, qpoints, wbn):
@@ -522,14 +449,15 @@ class DoDScheme:
     """Assembled discretization for one problem/mesh pair.
 
     Bundles the mesh, face table, stabilized-cell table `records`, the
-    beta-seminorm's `jump_faces` and face structure `seminorm`, operator
-    matrix, cell quadrature table, the inflow cells and the matrix that
-    maps inflow data to them (`inflow_cells`, `inflow_matrix`), and the
-    characteristic coordinates of the inflow and jump-face quadrature
-    points (`inflow_chars`, `jump_chars`), on which the inflow data of
-    every step and the snapshot of every `norms.beta_seminorm` are
-    evaluated.  The face quadrature points themselves are built once, on
-    the jump faces only, and not kept.
+    beta-seminorm's `jump_faces`, its rows (`jump_left`, `jump_right`,
+    `jump_weight`, see `build_jump_rows`) and the jump faces' |w beta.n|
+    (`jump_abs_wbn`), operator matrix, cell quadrature table, the inflow
+    cells and the matrix that maps inflow data to them (`inflow_cells`,
+    `inflow_matrix`), and the characteristic coordinates of the inflow and
+    jump-face quadrature points (`inflow_chars`, `jump_chars`), on which
+    the inflow data of every step and the snapshot of every
+    `norms.beta_seminorm` are evaluated.  The face quadrature points
+    themselves are built once, on the jump faces only, and not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  Everything is built once and
     treated as immutable, so a scheme can be shared by solves, norms, and
@@ -552,8 +480,9 @@ class DoDScheme:
         # the only face quadrature points a scheme reads: the inflow faces
         # are jump faces too
         qpoints, wbn = self.table.quadrature(self.jump_faces)
-        self.seminorm = build_jump_seminorm(
-            self.mesh, self.table, self.records, self.jump_faces, wbn)
+        self.jump_abs_wbn = np.abs(wbn)
+        self.jump_left, self.jump_right, self.jump_weight = build_jump_rows(
+            self.mesh, self.table, self.records, self.jump_faces)
         self.jump_chars = problem.characteristics(qpoints.reshape(-1, 2))
         self.matrix = assemble_dod_matrix(self.mesh, self.table, self.records)
         self.inflow_cells, points, self.inflow_matrix = build_inflow(

@@ -10,10 +10,12 @@ alpha and an extended jump (downwind-neighbor mean minus inflow-neighbor
 mean) weighted by 1 - alpha.  Every norm takes a block of discrete fields
 as well as a single one and then returns one value per row.
 
-The formula has one implementation, `scheme.seminorm` (a
-`discretization.JumpSeminorm`, built once with the scheme): a few gathers
-and sums over its fixed face index pairs and weights, and `beta_seminorm`
-is its one entry, for every element of V*, `error_breakdown` and
+The formula has one implementation, `_seminorm_parts`, over the rows the
+scheme builds once (`discretization.build_jump_rows`): every row is a
+weighted x[left] - x[right] of one vector, the discrete part, a 0 and the
+side means on the jump faces, so it takes two gathers, a subtract, a
+square and a weight, then sums three row ranges.  `beta_seminorm` is its
+one entry, for every element of V*, `error_breakdown` and
 `converge --accumulate` included.  The smooth part of a V* element is
 single-valued, so it cancels from every interior jump: the seminorm takes
 those jumps from the discrete part alone and needs the smooth part only on
@@ -88,11 +90,30 @@ def _boundary_mass(scheme: DoDScheme, means: np.ndarray) -> float | np.ndarray:
     return per_field((own * scheme.table.abs_flux).sum(axis=-1))
 
 
+def _seminorm_parts(scheme: DoDScheme, disc, jump_means: np.ndarray):
+    """(plain, capacity, extended) for the discrete part `disc` (None for
+    none) and the side means `jump_means` of the whole element on the jump
+    faces, from the scheme's rows; one value per row for a block."""
+    lead = jump_means.shape[:-2]
+    disc = np.zeros(scheme.mesh.n_cells) if disc is None else disc
+    x = np.concatenate([disc, np.zeros(lead + (1,)), jump_means.reshape(lead + (-1,))], axis=-1)
+    # in place: fresh block-sized temporaries cost more than the arithmetic
+    sq = np.take(x, scheme.jump_left, axis=-1)
+    sq -= np.take(x, scheme.jump_right, axis=-1)
+    np.square(sq, out=sq)
+    sq *= scheme.jump_weight
+    alpha = scheme.records.alpha
+    k = len(alpha)
+    p = sq.shape[-1] - 3 * k  # the plain rows; then e_in, e_out, extended
+    capacity = (alpha * (sq[..., p:p + k] + sq[..., p + k:p + 2 * k])).sum(axis=-1)
+    return sq[..., :p].sum(axis=-1), capacity, sq[..., p + 2 * k:].sum(axis=-1)
+
+
 def beta_seminorm_parts(scheme: DoDScheme, v) -> tuple[float, float, float]:
     """(plain, capacity-weighted, extended-jump) parts of the squared
     seminorm, from the side means of v on the jump faces only."""
     means = face_side_means(scheme, v, scheme.jump_faces)
-    return tuple(map(per_field, scheme.seminorm.parts(split_parts(v)[1], means)))
+    return tuple(map(per_field, _seminorm_parts(scheme, split_parts(v)[1], means)))
 
 
 def _squared(parts):
@@ -115,7 +136,7 @@ def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np
     # the cell-point values are gone before the face points are evaluated
     if means is None:
         means = face_side_means(scheme, v)
-    parts = scheme.seminorm.parts(split_parts(v)[1], np.take(means, scheme.jump_faces, axis=-2))
+    parts = _seminorm_parts(scheme, split_parts(v)[1], np.take(means, scheme.jump_faces, axis=-2))
     return per_field(np.sqrt(l2_sq + _squared(parts) + _boundary_mass(scheme, means)))
 
 

@@ -181,7 +181,14 @@ def check_dissipation(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> L
 
 
 def check_identities(scheme: DoDScheme, samples: int = 100, seed: int = 0) -> list[LemmaReport]:
-    """Face-sum identities: weighted average-jump sum and product-jump sum."""
+    """Face-sum identities: weighted average-jump sum and product-jump sum.
+
+    On discrete v and w both are flux closure regrouped by cell: with
+    closure_c the signed flux sum of cell c (`cell_flux_sums`),
+    sum_f omega {v}[v] flux = 1/2 sum_c v_c^2 closure_c and
+    sum_f flux [v w] = sum_c v_c w_c closure_c, so they fail only where
+    `flux-closure` does.
+    """
     mesh, table = scheme.mesh, scheme.table
     rng = np.random.default_rng(seed)
     # every v is drawn before the first w

@@ -1,7 +1,7 @@
 """The beta-seminorm as a face sum over every face, with per-call masks.
 
 This is the seminorm formula as `cutdg.norms` evaluated it before the
-scheme built its `JumpSeminorm` once: a squared jump per face from the
+scheme built its seminorm rows once: a squared jump per face from the
 (faces, 2) side means, a mask of the legs of stabilized cells, and the
 extended jumps picked from the side means by the sign of each leg's flux.
 The smooth face means are the row sums of |w beta.n| times the values at

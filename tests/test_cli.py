@@ -172,7 +172,7 @@ class TestConfig:
         sconf = cfg.scheme_config()
         assert (sconf.face_order, sconf.cell_degree) == (7, 9)
         scheme = DoDScheme(cfg.problem(), sconf, 8)
-        assert scheme.seminorm.abs_wbn.shape == (len(scheme.jump_faces), 7)
+        assert scheme.jump_abs_wbn.shape == (len(scheme.jump_faces), 7)
         assert scheme.table.quadrature(np.arange(scheme.mesh.n_faces))[1].shape[1] == 7
         # degree 9 takes q = (9 + 2) // 2 = 5, q^2 points on each fan triangle
         # of a cut cell; an uncut square takes none (it is integrated exactly)

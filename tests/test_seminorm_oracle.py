@@ -1,7 +1,9 @@
-"""The scheme's `JumpSeminorm` against the face-sum oracle, bit for bit."""
+"""The scheme's seminorm rows against the face-sum oracle, bit for bit,
+and against the dissipation of the operator, W A + A^T W."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import seminorm_oracle as oracle
 from cutdg.discretization import (DoDScheme, FaceIntegralTable, bilinear_J, face_side_means,
@@ -13,6 +15,7 @@ from cutdg.norms import (
     error_breakdown,
     triple_star_norm,
 )
+from cutdg.verify import IDENT_TOL
 
 GEOMETRIES = [
     pytest.param(25.0, 0.2001, 16, id="ramp25-n16"),
@@ -48,6 +51,42 @@ def test_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
             assert np.array_equal(got, want), name
         assert np.array_equal(beta_seminorm(scheme, v), oracle.beta_seminorm(scheme, v)), name
         assert np.array_equal(triple_star_norm(scheme, v), oracle.triple_star_norm(scheme, v)), name
+
+
+def jump_gram(scheme):
+    """(D P)^T diag(w) (D P): D has the rows x[left] - x[right] of the
+    scheme, P maps a discrete field to x = [v, 0, jump-face side means],
+    and w is the rows' weight with alpha applied on the legs."""
+    n, jf = scheme.mesh.n_cells, scheme.jump_faces
+    rows = len(scheme.jump_weight)
+    width = n + 1 + 2 * len(jf)
+    columns = np.stack([scheme.jump_left, scheme.jump_right], axis=1).ravel()
+    D = sp.csr_matrix((np.tile([1.0, -1.0], rows), columns, np.arange(0, 2 * rows + 1, 2)),
+                      shape=(rows, width))
+    # a discrete field's side means on a jump face: f_left's value, then
+    # f_right's, or 0 outside a boundary face
+    sides = np.stack([scheme.mesh.f_left[jf], scheme.mesh.f_right[jf]], axis=1).ravel()
+    source = np.concatenate([np.arange(n), [-1], sides])
+    keep = source >= 0
+    P = sp.csr_matrix((np.ones(keep.sum()), (np.flatnonzero(keep), source[keep])),
+                      shape=(width, n))
+    alpha = scheme.records.alpha
+    weight = scheme.jump_weight.copy()
+    legs = rows - 3 * len(alpha)
+    weight[legs:legs + 2 * len(alpha)] *= np.tile(alpha, 2)
+    DP = (D @ P).tocsr()
+    return (DP.T @ sp.diags(weight) @ DP).tocsr()
+
+
+@pytest.mark.parametrize("gamma,x0,n", GEOMETRIES)
+def test_rows_are_the_gram_factor_of_the_dissipation(scheme_cache, gamma, x0, n):
+    # v^T (W A + A^T W) v = 2 a_dod(v, v) = |v|_beta^2 for every discrete v,
+    # and both matrices are symmetric: they agree entry by entry
+    scheme = scheme_cache(gamma, x0, n)
+    WA = sp.diags(scheme.mesh.areas) @ scheme.matrix
+    Q = (WA + WA.T).tocsr()
+    worst = abs(Q - jump_gram(scheme)).max()
+    assert worst <= IDENT_TOL * abs(Q).max()
 
 
 @pytest.mark.parametrize("gamma,x0,n", GEOMETRIES)

@@ -128,6 +128,27 @@ class TestIdentities:
         for rep in vf.check_identities(scheme_cache(25.0, 0.2001, 16), samples=100, seed=6):
             assert rep.passed, rep.lemma_id
 
+    @pytest.mark.parametrize("gamma,x0,n", [(25.0, 0.2001, 32), (45.0, 0.2 + 1e-10, 40),
+                                             (5.0, 0.2001, 64)])
+    def test_face_sums_reduce_to_flux_closure(self, scheme_cache, gamma, x0, n):
+        # on discrete v and w each face sum regroups by cell: an interior face
+        # gives +flux to f_left and -flux to f_right, a boundary face (omega
+        # 1/2, mean and jump both v_left) +flux to f_left
+        scheme = scheme_cache(gamma, x0, n)
+        mesh, flux = scheme.mesh, scheme.table.flux_in
+        v, w = np.random.default_rng(34).uniform(-1.0, 1.0, (2, mesh.n_cells))
+        closure = vf.cell_flux_sums(scheme)[2]
+        interior = mesh.f_right >= 0
+        omega = np.where(interior, 1.0, 0.5)
+        mv, mw = face_side_means(scheme, v), face_side_means(scheme, w)
+        avg_v = np.where(interior, 0.5 * (mv[:, 0] + mv[:, 1]), mv[:, 0])
+        jump_v = np.where(interior, mv[:, 0] - mv[:, 1], mv[:, 0])
+        prod_jump = np.where(interior, mv[:, 0] * mw[:, 0] - mv[:, 1] * mw[:, 1],
+                             mv[:, 0] * mw[:, 0])
+        for terms, by_cell in ((omega * avg_v * jump_v * flux, 0.5 * v * v * closure),
+                               (flux * prod_jump, v * w * closure)):
+            assert abs(terms.sum() - by_cell.sum()) <= 1e-15 * np.abs(terms).sum()
+
     def test_algebraic_identity_report(self):
         rep = vf.check_algebraic_identity(samples=100_000, seed=7)
         assert rep.passed
