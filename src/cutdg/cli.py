@@ -71,6 +71,13 @@ class ConfigKey:
         return ConfigError(f"{self.key} ({self.flag}): {message}")
 
 
+#: the most time steps a solve may take to t_final on one mesh; the largest
+#: run in the repository (n = 256 to T = 1) takes about 3,000
+MAX_STEPS = 10**7
+#: the most cells per side of a mesh: an n = 1024 scheme keeps 412 MiB and
+#: peaks at 438 MiB, so by n^2 scaling an n = 2048 one keeps about 1.6 GiB
+MAX_N = 2048
+
 # the problem.*, scheme.* and quad.* keys have no rules: validate's objects check them
 CONFIG_KEYS = (
     ConfigKey("problem.gamma_deg", "--gamma", float, "25.0"),
@@ -83,10 +90,12 @@ CONFIG_KEYS = (
     ConfigKey("quad.cell_degree", "--quad-cell-degree", int, "6",
               note="; the rule on cut cells, as uncut squares are integrated exactly"),
     ConfigKey("run.n", "--n", int, "32", commands=("run", "export"),
-              rules=((lambda v: v >= 4, "need at least 4 cells per side"),)),
+              rules=((lambda v: v >= 4, "need at least 4 cells per side"),
+                     (lambda v: v <= MAX_N, f"need at most {MAX_N} cells per side"))),
     ConfigKey("run.n_list", "--n-list", _int_list, "16,32,64", commands=("converge", "verify"),
               rules=((lambda v: len(v) > 0, "must be nonempty"),
                      (lambda v: min(v) >= 4, "need at least 4 cells per side"),
+                     (lambda v: max(v) <= MAX_N, f"need at most {MAX_N} cells per side"),
                      (lambda v: v == sorted(set(v)), "must be strictly increasing"))),
     ConfigKey("run.seed", "--seed", int, "0",
               rules=((lambda v: v >= 0, "must be a nonnegative integer"),)),
@@ -96,10 +105,6 @@ CONFIG_KEYS = (
 
 # InvalidConfig.field of the library -> RunConfig field, where the two differ
 _LIBRARY_FIELDS = {"gamma": "gamma_deg", "epsilon": "cfl_epsilon"}
-
-#: the most time steps a solve may take to t_final on one mesh; the largest
-#: run in the repository (n = 256 to T = 1) takes about 3,000
-MAX_STEPS = 10**7
 
 
 @dataclass

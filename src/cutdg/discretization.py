@@ -299,38 +299,32 @@ def assemble_dod_matrix(
 ) -> sp.csr_matrix:
     """Sparse operator A with |F| (A v)_F = a_dod(v, 1_F).
 
-    Every non-ramp face contributes its upwind flux functional to both
-    adjacent rows (antisymmetrically); on the outflow face of a stabilized
-    cell the functional is alpha*v_E + (1-alpha)*v_{E_in} times the flux,
-    applied to the stabilized cell and its downwind neighbor alike.
+    One list of couplings (face, source cell, weight): every face with an
+    upwind cell takes its upwind trace with weight 1, except the outflow
+    face e_out of a stabilized cell, which takes alpha (its upwind cell is
+    the stabilized cell); then one (e_out, E_in, 1 - alpha) per stabilized
+    cell.  Each coupling adds weight * flux_in / |F| to the row of the
+    face's left cell F and subtracts it from the row of its right cell.
     """
-    nf = mesh.n_faces
-    eout_mask = np.zeros(nf, dtype=bool)
-    eout_mask[st.e_out] = True
-
-    rows, cols, vals = [], [], []
-
-    def scatter(face_ids, col_ids, flux_vals):
-        left = mesh.f_left[face_ids]
-        rows.append(left)
-        cols.append(col_ids)
-        vals.append(flux_vals / mesh.areas[left])
-        has_r = mesh.f_right[face_ids] >= 0
-        r = mesh.f_right[face_ids][has_r]
-        rows.append(r)
-        cols.append(col_ids[has_r])
-        vals.append(-flux_vals[has_r] / mesh.areas[r])
-
-    plain = np.nonzero((table.upwind >= 0) & ~eout_mask)[0]
-    scatter(plain, table.upwind[plain], table.flux_in[plain])
-    scatter(st.e_out, st.cells, st.alpha * table.flux_in[st.e_out])
-    scatter(st.e_out, st.E_in, (1.0 - st.alpha) * table.flux_in[st.e_out])
-
+    weight = np.ones(mesh.n_faces)
+    weight[st.e_out] = st.alpha
+    faces = np.flatnonzero(table.upwind >= 0)
+    cols = np.concatenate([table.upwind[faces], st.E_in])
+    weight = np.concatenate([weight[faces], 1.0 - st.alpha])
+    faces = np.concatenate([faces, st.e_out])
+    flux = weight * table.flux_in[faces]
+    del weight
+    left, right = mesh.f_left[faces], mesh.f_right[faces]
+    del faces
+    inner = right >= 0
+    right = right[inner]
+    vals = np.concatenate([flux / mesh.areas[left], -flux[inner] / mesh.areas[right]])
+    del flux
+    rows = np.concatenate([left, right])
+    del left, right
+    cols = np.concatenate([cols, cols[inner]])
+    del inner
     n = mesh.n_cells
-    # joined one list at a time, so that each list's pieces go as it is joined
-    vals = np.concatenate(vals)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     del vals, rows, cols  # the matrix holds its own int32 copies of the indices
     return mat.tocsr()
@@ -459,9 +453,10 @@ class DoDScheme:
     `norms.beta_seminorm` are evaluated.  The face quadrature points
     themselves are built once, on the jump faces only, and not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
-    `step_S` = I - dt A is built for it.  Everything is built once and
-    treated as immutable, so a scheme can be shared by solves, norms, and
-    verification checks.
+    `step_S` = I - dt A is built for it.  The explicit update is `step`:
+    S u plus dt `rhs(t)`, the one implementation of the inflow term, on
+    the inflow cells.  Everything is built once and treated as immutable,
+    so a scheme can be shared by solves, norms, and verification checks.
     """
 
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
@@ -516,11 +511,10 @@ class DoDScheme:
         # row-major, so that each row is laid out as a single A v would be
         return np.ascontiguousarray((self.matrix @ np.asarray(v, dtype=float).T).T)
 
-    def rhs(self, t: float) -> PiecewiseConstantField:
-        """The inflow contribution on every cell; zero off the inflow boundary."""
-        out = np.zeros(self.mesh.n_cells)
-        out[self.inflow_cells] = self.inflow_matrix @ self.problem.g_from(t, self.inflow_chars)
-        return out
+    def rhs(self, t: float) -> np.ndarray:
+        """The inflow-data term at time t, one value per `inflow_cells`
+        entry; it is zero on every other cell."""
+        return self.inflow_matrix @ self.problem.g_from(t, self.inflow_chars)
 
     def step_matrix(self, dt: float) -> sp.csr_matrix:
         """S = I - dt A, the explicit Euler update without inflow data.
@@ -540,12 +534,11 @@ class DoDScheme:
         return s
 
     def step(self, u: PiecewiseConstantField, t: float, dt: float) -> PiecewiseConstantField:
-        """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt times the
-        inflow data added on the inflow cells only.  S is `step_S` for the
-        scheme's `dt`, and built afresh for any other step."""
+        """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt rhs(t) on
+        the inflow cells.  S is `step_S` for the scheme's `dt`, and built
+        afresh for any other step."""
         out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
-        data = self.problem.g_from(t, self.inflow_chars)
-        out[self.inflow_cells] += dt * (self.inflow_matrix @ data)
+        out[self.inflow_cells] += dt * self.rhs(t)
         return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:

@@ -96,12 +96,6 @@ class RampTestProblem:
         if not 0.0 <= T < math.inf:
             raise InvalidConfig("t_final", f"t_final must be finite and nonnegative, got {T}")
 
-    def rotated(self, pts: np.ndarray):
-        p = np.asarray(pts, dtype=float)
-        c, s = math.cos(self.ramp.gamma), math.sin(self.ramp.gamma)
-        dx, y = p[..., 0] - self.ramp.x0, p[..., 1]
-        return c * dx + s * y, c * y - s * dx
-
     @property
     def wave_number(self) -> float:  # k of u0 = sin(k xi)
         return math.sqrt(2.0) * math.pi / (1.0 - self.ramp.x0)
@@ -111,8 +105,10 @@ class RampTestProblem:
         return Snapshot(self, 0.0)
 
     def characteristics(self, pts: np.ndarray) -> Characteristics:
-        xi, eta = self.rotated(pts)
-        return Characteristics(xi, 0.5 * (2.0 - eta))
+        p = np.asarray(pts, dtype=float)
+        c, s = math.cos(self.ramp.gamma), math.sin(self.ramp.gamma)
+        dx, y = p[..., 0] - self.ramp.x0, p[..., 1]
+        return Characteristics(c * dx + s * y, 0.5 * (2.0 - (c * y - s * dx)))
 
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
         """u(t, p) = u0 at the foot of the characteristic through p."""
@@ -124,10 +120,15 @@ class RampTestProblem:
         The speed along a streamline eta = const is (2 - eta)/2, so the
         solution is the initial wave evaluated at xi - (2 - eta)/2 * t.
         """
+        z = self._phase_from(t, chars)
+        return np.sin(z, out=z) if isinstance(z, np.ndarray) else np.sin(z)
+
+    def _phase_from(self, t: float, chars: Characteristics):
+        """The phase k (xi - speed t) of u(t, .) on the points of `chars`."""
         z = chars.speed * -t  # xi + (-speed t) has the bits of xi - speed t
         z += chars.xi
         z *= self.wave_number
-        return np.sin(z, out=z) if isinstance(z, np.ndarray) else np.sin(z)
+        return z
 
     def phase(self, t: float) -> tuple[float, float, float]:
         """(a, b, d) with u(t, x, y) = sin(a x + b y + d): at a fixed time
@@ -139,9 +140,7 @@ class RampTestProblem:
 
     def exact_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
         a, b, _ = self.phase(t)
-        xi, eta = self.rotated(pts)
-        k = self.wave_number
-        fp = np.cos(k * (xi - 0.5 * (2.0 - eta) * t))
+        fp = np.cos(self._phase_from(t, self.characteristics(pts)))
         return np.stack([a * fp, b * fp], axis=-1)
 
     def square_integrals(self, t: float, n: int, i: np.ndarray, j: np.ndarray):

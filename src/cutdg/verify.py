@@ -38,7 +38,8 @@ from .discretization import (
     face_side_means,
 )
 from .field import RampTestProblem, Snapshot
-from .norms import beta_seminorm, h1_norm, l2_norm_squared, smooth_norms_squared, triple_star_norm
+from .norms import (beta_seminorm, gradient_norm_squared, h1_norm, l2_norm_squared,
+                    triple_star_norm)
 
 INEQ_TOL = 1e-10  # slack on ratio <= 1
 IDENT_TOL = 1e-12  # relative deviation for identities
@@ -319,7 +320,7 @@ def check_projection(
     for n in n_values:
         scheme = (schemes or {}).get(n) or DoDScheme(problem, config, n)
         u0, proj = scheme.problem.u0, scheme.project_initial()
-        grad_norm = math.sqrt(smooth_norms_squared(scheme, u0)[1])
+        grad_norm = math.sqrt(gradient_norm_squared(scheme, u0))
         l2_sq = l2_norm_squared(scheme, (u0, -proj))
         l2_ratios.append(math.sqrt(l2_sq) / ((math.sqrt(2.0) / math.pi) * scheme.h * grad_norm))
         stars.append(triple_star_norm(scheme, (u0, -proj), l2_sq=l2_sq))

@@ -113,8 +113,9 @@ class TestConfig:
          "scheme.cfl_epsilon (--cfl-epsilon)", "2.02e+18 time steps to t_final at n=64"),
         (["run", "--n", "8", "--t-final", "1e300"], "problem.t_final (--t-final)",
          "9.35e+301 time steps to t_final at n=8"),
-        (["run", "--n", "1000000000000000"], "run.n (--n)",
-         "5.85e+15 time steps to t_final at n=1000000000000000"),
+        # n's default cuts the steps 64-fold, t_final's 40-fold, cfl_kappa's 43-fold
+        (["run", "--n", "2048", "--t-final", "20", "--cfl-kappa", "0.002"], "run.n (--n)",
+         "2.05e+07 time steps to t_final at n=2048"),
     ], ids=["tau", "cfl-kappa", "cfl-epsilon", "t-final", "n"])
     def test_endless_time_loop_exits_one(self, argv, key, message, tmp_path, monkeypatch, capsys):
         # the step count t_final / (kappa h) is checked before any mesh is built
@@ -144,6 +145,41 @@ class TestConfig:
             steps = cfg.steps(command)[0]
             assert str(err.value).startswith(
                 f"problem.t_final (--t-final): {steps:.3g} time steps to t_final at n=64")
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["run", "--n", "5000"], "run.n (--n)", "5000"),
+        (["export", "--n", "5000"], "run.n (--n)", "5000"),
+        (["run", "--n", "1000000000000000"], "run.n (--n)", "1000000000000000"),
+        (["converge", "--n-list", "16,5000"], "run.n_list (--n-list)", "[16, 5000]"),
+        (["verify", "--n-list", "16,5000"], "run.n_list (--n-list)", "[16, 5000]"),
+    ], ids=["run", "export", "run-huge", "converge", "verify"])
+    def test_oversized_mesh_exits_one(self, argv, key, value, tmp_path, monkeypatch, capsys):
+        # the size cap is checked before any scheme is built, by every command
+        import cutdg.cli as cli
+        import cutdg.verify as verify
+
+        for module in (cli, verify):
+            monkeypatch.setattr(module, "DoDScheme", lambda *a, **k: pytest.fail("a scheme was built"))
+        assert run(argv + ["--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key}: need at most 2048 cells per side, got {value}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_size_cap_is_checked_for_every_command(self):
+        from cutdg.cli import CONFIG_KEYS, MAX_N, RunConfig
+
+        defaults = RunConfig(**{row.field: None if row.default is None else row.parse(row.default)
+                                for row in CONFIG_KEYS})
+        largest = dataclasses.replace(defaults, n=MAX_N, n_list=[16, MAX_N])
+        for command in ("run", "export", "converge", "verify", None):
+            defaults.validate(command)
+            largest.validate(command)
+            for field, value in (("n", MAX_N + 1), ("n_list", [16, 5000])):
+                with pytest.raises(ConfigError) as err:
+                    dataclasses.replace(largest, **{field: value}).validate(command)
+                flag = "--n" if field == "n" else "--n-list"
+                assert str(err.value) == (
+                    f"run.{field} ({flag}): need at most 2048 cells per side, got {value}")
 
     def test_top_exit_is_named_before_the_out_check(self, tmp_path, capsys):
         # RunConfig.validate builds the ramp, so its range error wins over the missing directory

@@ -27,6 +27,7 @@ from cutdg.geometry import F_RAMP, RampDomain, build_mesh, identify_stabilized
 from cutdg.norms import beta_seminorm
 from cutdg.quadrature import SegmentRule
 from polygon_oracle import face_table_reference
+from test_seminorm_oracle import GEOMETRIES as SEMINORM_GEOMETRIES
 from velocity_fields import constant_velocity
 
 
@@ -60,6 +61,39 @@ def brute_force_row_sums(mesh, table, st, v):
         if right >= 0:
             out[right] -= value * flux
     return out
+
+
+def three_scatter_matrix(mesh, table, st):
+    """A from three scatters, each adding a face's flux functional to its
+    left cell's row and subtracting it from its right cell's: the plain
+    upwind faces, alpha on each e_out from the stabilized cell, and
+    1 - alpha on each e_out from E_in.
+
+    The assembly `assemble_dod_matrix` replaced, kept as the reference.
+    """
+    rows, cols, vals = [], [], []
+
+    def scatter(face_ids, col_ids, flux_vals):
+        left = mesh.f_left[face_ids]
+        rows.append(left)
+        cols.append(col_ids)
+        vals.append(flux_vals / mesh.areas[left])
+        has_r = mesh.f_right[face_ids] >= 0
+        r = mesh.f_right[face_ids][has_r]
+        rows.append(r)
+        cols.append(col_ids[has_r])
+        vals.append(-flux_vals[has_r] / mesh.areas[r])
+
+    eout_mask = np.zeros(mesh.n_faces, dtype=bool)
+    eout_mask[st.e_out] = True
+    plain = np.nonzero((table.upwind >= 0) & ~eout_mask)[0]
+    scatter(plain, table.upwind[plain], table.flux_in[plain])
+    scatter(st.e_out, st.cells, st.alpha * table.flux_in[st.e_out])
+    scatter(st.e_out, st.E_in, (1.0 - st.alpha) * table.flux_in[st.e_out])
+    n = mesh.n_cells
+    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    return coo.tocsr()
 
 
 def rhs_inflow_oracle(mesh, table, g, t):
@@ -333,6 +367,19 @@ class TestOperator:
             expected = (v[cid] - (v[by_idx[(i - 1, j)]] if i > 0 else 0.0)) / h
             assert av[cid] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma,x0,n,tau", [
+        *(pytest.param(*p.values, 1.0, id=p.id) for p in SEMINORM_GEOMETRIES),
+        # step_S drops an exact zero of I - dt A here
+        pytest.param(25.0, 0.2, 16, 0.25, id="ramp25-x0.2-n16-tau0.25"),
+    ])
+    def test_matrix_is_the_three_scatter_assembly(self, scheme_cache, gamma, x0, n, tau):
+        scheme = scheme_cache(gamma, x0, n, tau)
+        got = scheme.matrix
+        want = three_scatter_matrix(scheme.mesh, scheme.table, scheme.records)
+        assert got.shape == want.shape
+        for x, y in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_duality_with_brute_force_assembler(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 16)
         rng = np.random.default_rng(42)
@@ -482,9 +529,12 @@ class TestRhsAndStep:
         scheme, n = base_scheme, base_scheme.mesh.n_cells
         rng = np.random.default_rng(16)
         u = rng.uniform(-1, 1, n)
+        # rhs has one value per inflow cell
+        inflow = np.zeros(n)
+        inflow[scheme.inflow_cells] = scheme.rhs(0.2)
         for dt in (scheme.dt, 0.37 * scheme.dt):
             # the unfused update, kept as the reference
-            expected = u - dt * (scheme.matrix @ u) + dt * scheme.rhs(0.2)
+            expected = u - dt * (scheme.matrix @ u) + dt * inflow
             got = scheme.step(u, 0.2, dt)
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
             S = scheme.step_matrix(dt)
@@ -569,7 +619,8 @@ class TestRhsAndStep:
         rng = np.random.default_rng(15)
         u = rng.uniform(-1, 1, mesh.n_cells)
         t = 0.1
-        r = base_scheme.rhs(t)
+        r = np.zeros(mesh.n_cells)
+        r[base_scheme.inflow_cells] = base_scheme.rhs(t)
         dmass = float(np.dot(mesh.areas, -base_scheme.apply(u) + r))
         boundary = np.nonzero(mesh.f_right < 0)[0]
         flux_out = sum(

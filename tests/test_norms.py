@@ -11,10 +11,10 @@ from cutdg.norms import (
     beta_seminorm,
     beta_seminorm_parts,
     error_breakdown,
+    gradient_norm_squared,
     h1_norm,
     l2_norm_squared,
     l2_project,
-    smooth_norms_squared,
     triple_star_norm,
 )
 from cutdg.quadrature import CellQuadratureTable, TriangleRule
@@ -246,7 +246,7 @@ class TestProjectionError:
         for n in (16, 32):
             scheme = scheme_cache(25.0, 0.2001, n)
             l2 = math.sqrt(l2_norm_squared(scheme, projection_error(scheme)))
-            grad_norm = math.sqrt(smooth_norms_squared(scheme, scheme.problem.u0)[1])
+            grad_norm = math.sqrt(gradient_norm_squared(scheme, scheme.problem.u0))
             assert l2 <= (math.sqrt(2.0) / math.pi) * scheme.h * grad_norm
 
 
