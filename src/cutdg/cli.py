@@ -135,8 +135,7 @@ class RunConfig:
                 if not check(value):
                     raise row.error(f"{rule}, got {value}")
         try:
-            self.problem()
-            self.scheme_config()
+            self.scheme_config().kappa(self.problem().velocity)
         except InvalidConfig as exc:
             field = _LIBRARY_FIELDS.get(exc.field, exc.field)
             raise next(row for row in CONFIG_KEYS if row.field == field).error(str(exc)) from exc

@@ -79,8 +79,17 @@ class SchemeConfig:
         return max(4.0 * velocity.inf_norm, 1.0 / self.tau)
 
     def kappa(self, velocity) -> float:
-        """kappa of dt = kappa h: `cfl_kappa`, or the stability constant."""
+        """kappa of dt = kappa h: `cfl_kappa`, or the stability constant.
+
+        A `cfl_kappa` above 1/|beta|_inf is refused: the wave would travel
+        more than a cell width per step, past the face neighbours an
+        explicit step couples, so no such step is stable (the CFL
+        condition), and a long enough solve overflows.
+        """
         if self.cfl_kappa is not None:
+            if self.cfl_kappa * velocity.inf_norm > 1.0:
+                raise InvalidConfig("cfl_kappa", "cfl_kappa must be at most 1/|beta|_inf = "
+                                    f"{1.0 / velocity.inf_norm:.6g}, got {self.cfl_kappa}")
             return self.cfl_kappa
         eps = self.epsilon
         return (1.0 - 2.0 * eps) / ((1.0 + eps) * self.c_tr(velocity))
@@ -90,6 +99,8 @@ class SchemeConfig:
 _SIGN_BLOCK = 4096
 #: the two ends of a face, where an affine beta.n takes its extremes
 _FACE_ENDS = SegmentRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+#: steps of `DoDScheme.solve` whose inflow data one `rhs` call evaluates
+_STEP_BLOCK = 64
 
 
 def _face_points(mesh: CutCellMesh, velocity, rule: SegmentRule, faces):
@@ -455,7 +466,9 @@ class DoDScheme:
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  The explicit update is `step`:
     S u plus dt `rhs(t)`, the one implementation of the inflow term, on
-    the inflow cells.  Everything is built once and treated as immutable,
+    the inflow cells.  The inflow data do not depend on u, so `solve`
+    evaluates them for a block of steps with one `rhs` call and hands each
+    step its row.  Everything is built once and treated as immutable,
     so a scheme can be shared by solves, norms, and verification checks.
     """
 
@@ -511,10 +524,17 @@ class DoDScheme:
         # row-major, so that each row is laid out as a single A v would be
         return np.ascontiguousarray((self.matrix @ np.asarray(v, dtype=float).T).T)
 
-    def rhs(self, t: float) -> np.ndarray:
+    def rhs(self, t: float | np.ndarray) -> np.ndarray:
         """The inflow-data term at time t, one value per `inflow_cells`
-        entry; it is zero on every other cell."""
-        return self.inflow_matrix @ self.problem.g_from(t, self.inflow_chars)
+        entry; it is zero on every other cell.
+
+        A 1-D array of times gives one row per time from one `g_from` call
+        over (times, points) and one sparse product, with row k the bits of
+        `rhs(t[k])`: the product adds the same terms in the same order per
+        column.
+        """
+        data = self.problem.g_from(np.asarray(t, dtype=float)[..., None], self.inflow_chars)
+        return (self.inflow_matrix @ data.T).T
 
     def step_matrix(self, dt: float) -> sp.csr_matrix:
         """S = I - dt A, the explicit Euler update without inflow data.
@@ -533,12 +553,14 @@ class DoDScheme:
             s.eliminate_zeros()
         return s
 
-    def step(self, u: PiecewiseConstantField, t: float, dt: float) -> PiecewiseConstantField:
+    def step(self, u: PiecewiseConstantField, t: float, dt: float,
+             inflow: np.ndarray | None = None) -> PiecewiseConstantField:
         """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt rhs(t) on
         the inflow cells.  S is `step_S` for the scheme's `dt`, and built
-        afresh for any other step."""
+        afresh for any other step.  `inflow`, when given, is dt rhs(t)
+        already evaluated, as `solve` has it for a block of steps."""
         out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
-        out[self.inflow_cells] += dt * self.rhs(t)
+        out[self.inflow_cells] += dt * self.rhs(t) if inflow is None else inflow
         return out
 
     def l2_norm(self, u: PiecewiseConstantField) -> float | np.ndarray:
@@ -557,18 +579,30 @@ class DoDScheme:
         Every step is `dt` except the final one, which is shortened to land
         on T exactly.  The observer, if given, is called as
         observer(k, t, u, dt) on every state k = 0..steps, with dt the step
-        that leaves it (0.0 at T, where t is T exactly).
+        that leaves it (0.0 at T, where t is T exactly), and t and dt
+        Python floats; a state it is handed is never written afterwards.
+
+        The steps go in blocks of `_STEP_BLOCK`: one `rhs` call gives the
+        inflow data of a block's times, row k is scaled by its step, and
+        `step` takes the row, so every state has the bits of
+        u = step(u, t, dt) step by step.
         """
-        T = self.problem.t_final
+        T = float(self.problem.t_final)
         u = self.project_initial()
         n_steps = max(1, math.ceil(T / self.dt - 1e-12)) if T > 0.0 else 0
         t = 0.0
-        for k in range(n_steps):
-            dt_k = self.dt if k < n_steps - 1 else T - t
-            if observer is not None:
-                observer(k, t, u, dt_k)
-            u = self.step(u, t, dt_k)
-            t += dt_k
+        for start in range(0, n_steps, _STEP_BLOCK):
+            times, steps = [], []
+            for k in range(start, min(start + _STEP_BLOCK, n_steps)):
+                dt_k = self.dt if k < n_steps - 1 else T - t
+                times.append(t)
+                steps.append(dt_k)
+                t += dt_k
+            inflow = self.rhs(np.array(times)) * np.array(steps)[:, None]
+            for k, t_k, dt_k, inflow_k in zip(range(start, n_steps), times, steps, inflow):
+                if observer is not None:
+                    observer(k, t_k, u, dt_k)
+                u = self.step(u, t_k, dt_k, inflow=inflow_k)
         if n_steps:
             t = T
         if observer is not None:

@@ -67,6 +67,18 @@ def ramp_velocity(ramp: RampDomain) -> VelocityField:
     return VelocityField(evaluate, stream, inf_norm, max(inf_norm, 0.5))
 
 
+def _column_factors(n: int, w) -> np.ndarray:
+    """X(w) of every column of the n x n grid, one row per frequency in w:
+    the integral of e^{iwx} over the column, h e^{i w m} sinc(w h / 2) for
+    width h = 1/n and midpoint m (np.sinc(x) = sin(pi x) / (pi x)).  The
+    frequencies share each numpy call: at these sizes the per-call cost is
+    most of the work."""
+    h = 1.0 / n
+    mid = (np.arange(n) + 0.5) * h
+    w = np.array(w, dtype=float)[:, None]
+    return h * np.exp(1j * w * mid) * np.sinc(w * h / (2.0 * np.pi))
+
+
 @dataclass(frozen=True)
 class Characteristics:
     """What u(t, .) needs of a fixed set of points: each point's ramp-aligned
@@ -95,6 +107,10 @@ class RampTestProblem:
             raise InvalidConfig("x0", f"x0 must be below 1 for the ramp test problem, got {x0}")
         if not 0.0 <= T < math.inf:
             raise InvalidConfig("t_final", f"t_final must be finite and nonnegative, got {T}")
+        # on the unit square |k (xi - speed t)| <= 2 k (1 + t), and the square
+        # integrals take twice that phase
+        if not math.isfinite(4.0 * self.wave_number * (1.0 + T)):
+            raise InvalidConfig("t_final", f"t_final must keep the phase of u(t_final) finite, got {T}")
 
     @property
     def wave_number(self) -> float:  # k of u0 = sin(k xi)
@@ -143,28 +159,31 @@ class RampTestProblem:
         fp = np.cos(self._phase_from(t, self.characteristics(pts)))
         return np.stack([a * fp, b * fp], axis=-1)
 
-    def square_integrals(self, t: float, n: int, i: np.ndarray, j: np.ndarray):
-        """(int u, int u^2, int |grad u|^2) of u(t, .) over the squares
-        (i, j) of the n x n grid, in closed form: with
-        u = sin(a x + b y + d), int u = Im(e^{id} X_i(a) Y_j(b)), int u^2 =
-        |E|/2 - Re(Z)/2 and int |grad u|^2 = (a^2 + b^2)(|E|/2 + Re(Z)/2) for
-        Z = e^{2id} X_i(2a) Y_j(2b), where X_i(a) = h e^{i a m} sinc(a h / 2)
-        integrates e^{iax} over column i, of width h = 1/n and midpoint m."""
+    def square_integral(self, t: float, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """int u of u(t, .) over the squares (i, j) of the n x n grid, in
+        closed form: with u = sin(a x + b y + d), int u = Im(e^{id} X_i(a)
+        Y_j(b)), where X_i(a) = h e^{i a m} sinc(a h / 2) integrates e^{iax}
+        over column i, of width h = 1/n and midpoint m."""
         a, b, d = self.phase(t)
+        x, y = _column_factors(n, (a, b))
+        return ((np.exp(1j * d) * x)[i] * y[j]).imag
+
+    def square_quadratic_integrals(self, t: float, n: int, i: np.ndarray, j: np.ndarray):
+        """(int u^2, int |grad u|^2) of u(t, .) over the squares (i, j) of
+        the n x n grid, in closed form: int u^2 = |E|/2 - Re(Z)/2 and
+        int |grad u|^2 = (a^2 + b^2)(|E|/2 + Re(Z)/2) for
+        Z = e^{2id} X_i(2a) Y_j(2b), with X as in `square_integral`."""
+        a, b, d = self.phase(t)
+        x, y = _column_factors(n, (2.0 * a, 2.0 * b))
+        z2 = (np.exp(2j * d) * x)[i] * y[j]
         h = 1.0 / n
-        mid = (np.arange(n) + 0.5) * h
-
-        def factor(w):  # X(w) of every column, np.sinc(x) = sin(pi x) / (pi x)
-            return h * np.exp(1j * w * mid) * np.sinc(w * h / (2.0 * np.pi))
-
-        z1 = (np.exp(1j * d) * factor(a))[i] * factor(b)[j]
-        z2 = (np.exp(2j * d) * factor(2.0 * a))[i] * factor(2.0 * b)[j]
         half = 0.5 * h * h
-        return z1.imag, half - 0.5 * z2.real, (a * a + b * b) * (half + 0.5 * z2.real)
+        return half - 0.5 * z2.real, (a * a + b * b) * (half + 0.5 * z2.real)
 
-    def g_from(self, t: float, chars: Characteristics) -> np.ndarray:
+    def g_from(self, t: float | np.ndarray, chars: Characteristics) -> np.ndarray:
         """Inflow boundary data on the points of `chars`: the trace of the
-        exact solution."""
+        exact solution.  `t` is a time or an array of times that broadcasts
+        against the points, as `DoDScheme.rhs` passes a column of them."""
         return self.exact_from(t, chars)
 
 

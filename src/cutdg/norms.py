@@ -46,17 +46,32 @@ class ErrorBreakdown:
     beta_semi: float
 
 
-def _on_squares(mesh, cellquad: CellQuadratureTable, snap: Snapshot):
-    """(int u, int u^2, int |grad u|^2) of a snapshot on each uncut square."""
-    return snap.problem.square_integrals(snap.t, mesh.n, *cellquad.square_ij)
+def _on_squares(scheme: DoDScheme, snap: Snapshot):
+    """(int u^2, int |grad u|^2) of a snapshot on each uncut square."""
+    cq = scheme.cellquad
+    return snap.problem.square_quadratic_integrals(snap.t, scheme.mesh.n, *cq.square_ij)
 
 
 def l2_project(mesh, snap: Snapshot, cellquad: CellQuadratureTable) -> np.ndarray:
     """Cell averages |E|^-1 int_E u of a snapshot u, the L2 projection onto
     piecewise constants, by `cellquad` (a scheme's is `scheme.cellquad`)."""
     total = cellquad.integrate(snap)
-    total[cellquad.squares] = _on_squares(mesh, cellquad, snap)[0]
+    total[cellquad.squares] = snap.problem.square_integral(snap.t, mesh.n, *cellquad.square_ij)
     return total / mesh.areas
+
+
+def _snapshot_l2_squared(scheme: DoDScheme, snap: Snapshot, squares_u2) -> float:
+    """||u||^2 of a snapshot, from its int u^2 on each uncut square."""
+    cq = scheme.cellquad
+    x = np.square(np.asarray(snap(cq.points), dtype=float))
+    x *= cq.weights
+    return float(x.sum() + squares_u2.sum())
+
+
+def _gradient_squared(scheme: DoDScheme, snap: Snapshot, squares_grad2) -> float:
+    """||grad u||^2 of a snapshot, from its int |grad u|^2 on each uncut square."""
+    grad2 = scheme.cellquad.integrate_total(lambda p: np.square(snap.gradient(p)).sum(axis=-1))
+    return grad2 + float(squares_grad2.sum())
 
 
 def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
@@ -69,9 +84,11 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
     smooth, disc = split_parts(v)
     if smooth is None:
         return 0.0 if disc is None else per_field((np.square(disc) * scheme.mesh.areas).sum(axis=-1))
+    m2 = _on_squares(scheme, smooth)[0]
+    if disc is None:
+        return _snapshot_l2_squared(scheme, smooth, m2)
     cq = scheme.cellquad
-    m1, m2, _ = _on_squares(scheme.mesh, cq, smooth)
-    disc = np.zeros(scheme.mesh.n_cells) if disc is None else disc
+    m1 = smooth.problem.square_integral(smooth.t, scheme.mesh.n, *cq.square_ij)
     x = np.square(np.take(disc, cq.cell_index, axis=-1) + np.asarray(smooth(cq.points), dtype=float))
     x *= cq.weights
     c = np.take(disc, cq.squares, axis=-1)
@@ -142,14 +159,14 @@ def triple_star_norm(scheme: DoDScheme, v, means=None, l2_sq=None) -> float | np
 
 def gradient_norm_squared(scheme: DoDScheme, snap: Snapshot) -> float:
     """||grad u||^2 of a snapshot over the mesh."""
-    cq = scheme.cellquad
-    grad2 = cq.integrate_total(lambda p: np.square(snap.gradient(p)).sum(axis=-1))
-    return grad2 + float(_on_squares(scheme.mesh, cq, snap)[2].sum())
+    return _gradient_squared(scheme, snap, _on_squares(scheme, snap)[1])
 
 
 def h1_norm(scheme: DoDScheme, snap: Snapshot) -> float:
-    """H1(Omega) norm of a snapshot."""
-    return math.sqrt(l2_norm_squared(scheme, snap) + gradient_norm_squared(scheme, snap))
+    """H1(Omega) norm of a snapshot, from one closed-form pass over the
+    uncut squares."""
+    u2, grad2 = _on_squares(scheme, snap)
+    return math.sqrt(_snapshot_l2_squared(scheme, snap, u2) + _gradient_squared(scheme, snap, grad2))
 
 
 def error_breakdown(scheme: DoDScheme, t: float, u_h: np.ndarray) -> ErrorBreakdown:

@@ -14,8 +14,9 @@ class ConstantInflowProblem(RampTestProblem):
     c: float = 0.7
 
     def g_from(self, t, chars):
-        # the data path of `DoDScheme.step` and `DoDScheme.rhs`
-        return np.full(np.shape(chars.xi), self.c)
+        # the data path of `DoDScheme.step` and `DoDScheme.rhs`, with t a
+        # time or an array of times that broadcasts against the points
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(chars.xi)), self.c)
 
 
 @pytest.fixture(scope="session")

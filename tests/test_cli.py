@@ -1,16 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cutdg.cli import ConfigError, converge, main, parse_config_file
+from cutdg.cli import COMMANDS, CONFIG_KEYS, ConfigError, _boolean, converge, main, parse_config_file
 from cutdg.discretization import SchemeConfig
 from cutdg.field import Snapshot
 
@@ -249,6 +253,69 @@ class TestConfig:
         assert run(argv + ["--out", str(tmp_path / "r")]) == 1
         assert f"({flag})" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+# the edge strings of each CONFIG_KEYS value: not-a-number, infinite,
+# negative zero, the largest decade, huge integers, empty, whitespace and a
+# list with a repeat
+EDGE_VALUES = ("nan", "inf", "-0.0", "1e308", str(10**30), str(-10**30), "", " \t", "8,8")
+#: small settings for the keys that draw no edge value: no mesh above n = 16
+BASE_VALUES = {"run.n": "8", "run.n_list": "8,16", "problem.t_final": "0.01"}
+
+
+def command_rows(command):
+    return [row for row in CONFIG_KEYS if command in row.commands]
+
+
+def assert_exits_cleanly(command, values, via):
+    """Run `command` with `values` ({key: text}), each given by its flag or
+    in a config file as `via` says: it runs (exit 0), is refused (exit 1)
+    or, for verify, reports a lemma that fails (exit 2).  Nothing raises,
+    no traceback is printed, and no value it prints is NaN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        values = {**values, "run.out": f"{tmp}/{values.get('run.out', 'r')}"}
+        argv, lines = [command], []
+        for row in command_rows(command):
+            if row.key in values:
+                if via.get(row.key) == "file" or row.parse is _boolean:  # a boolean flag takes no value
+                    lines.append(f"{row.key} = {values[row.key]}\n")
+                else:
+                    argv += [row.flag, values[row.key]]
+        config = Path(tmp) / "edge.cfg"
+        config.write_text("".join(lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(config)])
+    assert code in ((0, 1, 2) if command == "verify" else (0, 1)), (argv, lines, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # a value, not an output path, that reads nan
+    assert not re.search(r"[=,]\s*nan\b", out.getvalue(), re.IGNORECASE), (argv, lines, out.getvalue())
+
+
+@st.composite
+def front_door_case(draw):
+    """(command, {key: value}, {key: 'flag' or 'file'}) with an edge value
+    for one to three of the command's keys and the base value for the rest."""
+    command = draw(st.sampled_from(COMMANDS))
+    rows = command_rows(command)
+    edged = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique=True))
+    values = {row.key: BASE_VALUES[row.key] for row in rows if row.key in BASE_VALUES}
+    values.update({row.key: draw(st.sampled_from(EDGE_VALUES)) for row in edged})
+    via = {key: draw(st.sampled_from(("flag", "file"))) for key in values}
+    return command, values, via
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_edge_value_alone(self, command):
+        for row in command_rows(command):
+            for value in EDGE_VALUES:
+                assert_exits_cleanly(command, {**BASE_VALUES, row.key: value}, {})
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(front_door_case())
+    def test_edge_values_together(self, case):
+        assert_exits_cleanly(*case)
 
 
 COMMON_FLAGS = {"--gamma", "--x0", "--t-final", "--tau", "--cfl-epsilon", "--cfl-kappa",

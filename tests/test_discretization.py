@@ -658,6 +658,16 @@ class TestCfl:
         dt = config.kappa(base_scheme.velocity) * base_scheme.h
         assert dt == pytest.approx(base_scheme.h / (2.0 * binf), rel=1e-14)
 
+    def test_kappa_above_the_cfl_limit_raises(self, base_scheme):
+        # a step that carries the wave past a cell width cannot be stable
+        velocity = base_scheme.velocity
+        limit = 1.0 / velocity.inf_norm
+        assert SchemeConfig(cfl_kappa=limit).kappa(velocity) == limit
+        for kappa in (limit * (1.0 + 1e-12), 1e30, 1e308):
+            with pytest.raises(InvalidConfig, match=r"^cfl_kappa must be at most 1/\|beta\|_inf") as info:
+                SchemeConfig(cfl_kappa=kappa).kappa(velocity)
+            assert info.value.field == "cfl_kappa"
+
     @pytest.mark.parametrize("name,value", [
         *[("tau", v) for v in (0.0, -1.0, math.nan, math.inf)],
         *[("cfl_kappa", v) for v in (0.0, -1.0, math.nan, math.inf)],

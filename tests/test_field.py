@@ -172,6 +172,14 @@ class TestExactSolution:
             make_ramp_problem(25.0, 0.2001, t_final=t_final)
         assert info.value.field == "t_final"
 
+    def test_problem_rejects_a_t_final_whose_phase_overflows(self):
+        # at 1e308 the phase k (xi - speed t) of u(t) is inf and u is nan
+        problem = make_ramp_problem(25.0, 0.2001, t_final=1e306)
+        assert np.isfinite(problem.exact(1e306, np.array([[0.9, 0.9]]))).all()
+        with pytest.raises(InvalidConfig, match="^t_final must keep the phase of u") as info:
+            make_ramp_problem(25.0, 0.2001, t_final=1e308)
+        assert info.value.field == "t_final"
+
 
 class TestSquareIntegrals:
     """The closed-form integrals of a snapshot over grid squares against a
@@ -197,8 +205,9 @@ class TestSquareIntegrals:
             grad = problem.exact_gradient(t, pts.reshape(-1, 2)).reshape(pts.shape)
             want = ((wts * u).sum(axis=1), (wts * u * u).sum(axis=1),
                     (wts * np.square(grad).sum(axis=-1)).sum(axis=1))
-            for name, got, ref in zip(("u", "u^2", "|grad u|^2"),
-                                      problem.square_integrals(t, n, *ij.T), want, strict=True):
+            got_all = (problem.square_integral(t, n, *ij.T),
+                       *problem.square_quadratic_integrals(t, n, *ij.T))
+            for name, got, ref in zip(("u", "u^2", "|grad u|^2"), got_all, want, strict=True):
                 # |grad u|^2 = (a^2 + b^2) cos^2, so its integral scales with a^2 + b^2
                 scale = 1.0 if name != "|grad u|^2" else sum(np.square(problem.phase(t)[:2]))
                 assert np.abs(got - ref).max() <= 1e-13 * scale / n**2, (name, t)
@@ -208,7 +217,7 @@ class TestSquareIntegrals:
         scheme = scheme_cache(25.0, 0.2001, 16)
         squares = scheme.cellquad.squares
         np.testing.assert_array_equal(scheme.cellquad.square_ij.T, scheme.mesh.background[squares])
-        _, m2, _ = scheme.problem.square_integrals(0.3, 16, *scheme.cellquad.square_ij)
+        m2, _ = scheme.problem.square_quadratic_integrals(0.3, 16, *scheme.cellquad.square_ij)
         pts, wts = grid_square_rule(16, scheme.mesh.background[squares])
         u = scheme.problem.exact(0.3, pts.reshape(-1, 2)).reshape(wts.shape)
         np.testing.assert_allclose(m2, (wts * u * u).sum(axis=1), rtol=0.0, atol=1e-13 / 16**2)
