@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .geometry import (F_RAMP, CutCellMesh, InvalidConfig, StabilizedCells, build_mesh,
                        identify_stabilized)
-from .field import RampTestProblem, Snapshot, VelocityField
+from .field import Characteristics, RampTestProblem, Snapshot, VelocityField
 from .quadrature import CellQuadratureTable, SegmentRule, TriangleRule
 
 #: one scalar per cell, indexed by cell id
@@ -137,9 +137,9 @@ class FaceIntegralTable:
                no-flow faces (flux_in == 0)
     mesh, velocity, rule : what the quadrature points are built from
 
-    The quadrature points are not stored: a scheme builds them once for
-    its jump faces with `quadrature(faces)`, and `all_faces` holds them for
-    every face, built on first request.
+    The quadrature points are not stored: a scheme builds them with
+    `quadrature(faces)` once for its jump faces, and once for every face on
+    first request (`DoDScheme.all_faces`), and keeps their characteristics.
 
     Every face endpoint on the ramp line (`mesh.f_on_ramp_line`) takes psi
     at the ramp start, so ramp faces carry exactly zero flux and the fluxes
@@ -168,11 +168,6 @@ class FaceIntegralTable:
         flux = self.flux_in[faces]
         bn *= np.divide(flux, quad, out=np.zeros_like(flux), where=flux != 0.0)
         return pts, np.ascontiguousarray((w * bn).T)
-
-    @functools.cached_property
-    def all_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """`quadrature` of every face, built on first request."""
-        return self.quadrature(slice(None))
 
 
 def build_face_table(mesh: CutCellMesh, velocity, rule: SegmentRule) -> FaceIntegralTable:
@@ -231,6 +226,14 @@ def split_parts(v):
     return smooth, None if disc is None else np.asarray(disc, dtype=float)
 
 
+def snapshot_problem(scheme: DoDScheme, snap: Snapshot) -> RampTestProblem:
+    """The problem of `snap`; every form and norm checks here that it is on
+    the scheme's ramp, whose points they read a snapshot on."""
+    if snap.problem.ramp != scheme.problem.ramp:
+        raise ValueError("the snapshot is not on the scheme's ramp")
+    return snap.problem
+
+
 def face_side_means(scheme: DoDScheme, v, faces=None) -> np.ndarray:
     """beta-weighted means of the traces of v, per face and side, on every
     face or on the faces with the given ids.
@@ -239,11 +242,11 @@ def face_side_means(scheme: DoDScheme, v, faces=None) -> np.ndarray:
     smooth part the trace is single-valued, so boundary faces carry it in
     both columns).  A (fields, cells) discrete part gives (fields, faces, 2)
     means.  A face's means do not depend on which other faces are asked for.
-    A snapshot part, of a problem on the scheme's ramp, is evaluated on
-    `table.all_faces`, or on the jump faces' `jump_chars` when `faces` are
-    given, which must then be jump faces.  Its mean is 0 on a zero-flux
-    face, where a discrete part keeps its cell values; no form reads them,
-    as each weights a face by its flux or skips it (upwind -2).
+    A snapshot part, of a problem on the scheme's ramp, is read on the
+    scheme's `all_faces`, or on `jump_chars` when `faces` are given, which
+    must then be jump faces.  Its mean is 0 on a zero-flux face, where a
+    discrete part keeps its cell values; no form reads them, as each
+    weights a face by its flux or skips it (upwind -2).
     """
     smooth, disc = split_parts(v)
     left, right = scheme.mesh.f_left, scheme.mesh.f_right
@@ -256,18 +259,16 @@ def face_side_means(scheme: DoDScheme, v, faces=None) -> np.ndarray:
         m = np.take(disc, np.stack([left, right], axis=-1), axis=-1)
         m[..., right < 0, 1] = 0.0
     if smooth is not None:
-        if smooth.problem.ramp != scheme.problem.ramp:
-            raise ValueError("the snapshot is not on the scheme's ramp")
+        problem = snapshot_problem(scheme, smooth)
         if faces is None:
-            qpoints, wbn = scheme.table.all_faces
-            s = weighted_face_means(np.abs(wbn), smooth(qpoints.reshape(-1, 2)), scheme.table.abs_flux)
+            (chars, abs_wbn), abs_flux, at = scheme.all_faces, scheme.table.abs_flux, slice(None)
         else:
             at = np.searchsorted(scheme.jump_faces, faces)
             if (scheme.jump_faces.take(at, mode="clip") != faces).any():
                 raise ValueError("a snapshot's side means are read on the jump faces only")
-            vals = smooth.problem.exact_from(smooth.t, scheme.jump_chars)
-            s = weighted_face_means(scheme.jump_abs_wbn, vals,
-                                    scheme.table.abs_flux[scheme.jump_faces])[at]
+            chars, abs_wbn = scheme.jump_chars, scheme.jump_abs_wbn
+            abs_flux = scheme.table.abs_flux[scheme.jump_faces]
+        s = weighted_face_means(abs_wbn, problem.exact_from(smooth.t, chars), abs_flux)[at]
         # one (faces, 2) addend: a stride-0 inner axis of length 2 is slow
         m += np.stack([s, s], axis=-1)
     return m
@@ -458,11 +459,11 @@ class DoDScheme:
     `jump_weight`, see `build_jump_rows`) and the jump faces' |w beta.n|
     (`jump_abs_wbn`), operator matrix, cell quadrature table, the inflow
     cells and the matrix that maps inflow data to them (`inflow_cells`,
-    `inflow_matrix`), and the characteristic coordinates of the inflow and
-    jump-face quadrature points (`inflow_chars`, `jump_chars`), on which
-    the inflow data of every step and the snapshot of every
-    `norms.beta_seminorm` are evaluated.  The face quadrature points
-    themselves are built once, on the jump faces only, and not kept.
+    `inflow_matrix`), and the characteristics of every point set the exact
+    solution is read on: `inflow_chars`, `jump_chars` and `cell_chars` of
+    the inflow, jump-face and cut-cell quadrature points, and `all_faces`
+    of every face's, built on first request.  The face quadrature points
+    themselves are not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  The explicit update is `step`:
     S u plus dt `rhs(t)`, the one implementation of the inflow term, on
@@ -499,6 +500,7 @@ class DoDScheme:
         self.dt = config.kappa(problem.velocity) * self.mesh.h
         self.step_S = self.step_matrix(self.dt)
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
+        self.cell_chars = problem.characteristics(self.cellquad.points)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
         if self.c_b < 1e-8:
             warnings.warn(
@@ -506,6 +508,13 @@ class DoDScheme:
                 "the projection-error bound may not apply",
                 stacklevel=2,
             )
+
+    @functools.cached_property
+    def all_faces(self) -> tuple[Characteristics, np.ndarray]:
+        """(chars, abs_wbn): the characteristics and (faces, points)
+        |w beta.n| of every face's quadrature points, built on first request."""
+        qpoints, wbn = self.table.quadrature(slice(None))
+        return self.problem.characteristics(qpoints.reshape(-1, 2)), np.abs(wbn)
 
     @property
     def velocity(self):
@@ -570,7 +579,7 @@ class DoDScheme:
     def project_initial(self) -> PiecewiseConstantField:
         from .norms import l2_project
 
-        return l2_project(self.mesh, self.problem.u0, self.cellquad)
+        return l2_project(self, self.problem.u0)
 
     def solve(self, observer=None) -> SolveResult:
         """March the fully discrete scheme from the projected initial data to

@@ -84,9 +84,9 @@ class Characteristics:
     """What u(t, .) needs of a fixed set of points: each point's ramp-aligned
     coordinate xi and the speed (2 - eta)/2 of the streamline through it.
 
-    A scheme builds these once for the point sets it evaluates on every
-    step or norm (the inflow and jump-face quadrature points); the exact
-    solution on them is then one affine combination and one sine.
+    A scheme builds these once for every point set it reads the exact
+    solution on, its cell and face quadrature points; u(t, .) on them is
+    then one affine combination and one sine.
     """
 
     xi: np.ndarray
@@ -154,9 +154,10 @@ class RampTestProblem:
         a, b = k * (c - 0.5 * t * s), k * (s + 0.5 * t * c)
         return a, b, -a * self.ramp.x0 - k * t
 
-    def exact_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
+    def gradient_from(self, t: float, chars: Characteristics) -> np.ndarray:
+        """grad u(t, .) on the points of `chars`, one (x, y) row per point."""
         a, b, _ = self.phase(t)
-        fp = np.cos(self._phase_from(t, self.characteristics(pts)))
+        fp = np.cos(self._phase_from(t, chars))
         return np.stack([a * fp, b * fp], axis=-1)
 
     def square_integral(self, t: float, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -189,17 +190,11 @@ class RampTestProblem:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """u(t, .) of `problem`: the smooth part of every element of V*, which
-    the forms and norms evaluate on points or integrate in closed form."""
+    """u(t, .) of `problem`: the smooth part of every element of V*, read
+    on a scheme's `Characteristics` or integrated in closed form."""
 
     problem: RampTestProblem
     t: float
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.problem.exact(self.t, pts)
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return self.problem.exact_gradient(self.t, pts)
 
 
 def make_ramp_problem(gamma_deg: float, x0: float, t_final: float = 0.5) -> RampTestProblem:

@@ -3,6 +3,8 @@
 The smooth part of a V* element is a snapshot u(t, .) of the exact solution,
 integrated in closed form over the uncut squares and by the scheme's cell
 quadrature, whose points lie on the cut cells only, over the other cells.
+A snapshot is read only on characteristics the scheme built once, and only
+if it is on the scheme's ramp (`discretization.snapshot_problem`).
 
 The beta-seminorm collects |beta.n|-weighted squared jumps of face means,
 with the in/outflow faces of stabilized cells weighted by their capacity
@@ -23,10 +25,10 @@ the scheme's `jump_faces`, the boundary faces with flux and the legs of
 stabilized cells, a few percent of the faces.  There `face_side_means`
 evaluates a snapshot from the scheme's cached characteristic coordinates
 of their quadrature points (`jump_chars`).  The starred norm needs a smooth
-part's mean on every face anyway, from the face table's `all_faces`
-quadrature, built on its first use (only the `verify` checks ask for it),
-and gives the jump faces' means to the same formula; its cell-boundary
-mass weights each cell by `records.capacity`.
+part's mean on every face anyway, from the scheme's `all_faces`
+characteristics, built on their first use (only the `verify` checks ask
+for them), and gives the jump faces' means to the same formula; its
+cell-boundary mass weights each cell by `records.capacity`.
 """
 from __future__ import annotations
 
@@ -35,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DoDScheme, face_side_means, per_field, split_parts
+from .discretization import DoDScheme, face_side_means, per_field, snapshot_problem, split_parts
 from .field import Snapshot
-from .quadrature import CellQuadratureTable
 
 
 @dataclass
@@ -52,26 +53,34 @@ def _on_squares(scheme: DoDScheme, snap: Snapshot):
     return snap.problem.square_quadratic_integrals(snap.t, scheme.mesh.n, *cq.square_ij)
 
 
-def l2_project(mesh, snap: Snapshot, cellquad: CellQuadratureTable) -> np.ndarray:
+def _on_cells(scheme: DoDScheme, snap: Snapshot) -> np.ndarray:
+    """u(t, .) of a snapshot on the cell quadrature points."""
+    return snapshot_problem(scheme, snap).exact_from(snap.t, scheme.cell_chars)
+
+
+def l2_project(scheme: DoDScheme, snap: Snapshot) -> np.ndarray:
     """Cell averages |E|^-1 int_E u of a snapshot u, the L2 projection onto
-    piecewise constants, by `cellquad` (a scheme's is `scheme.cellquad`)."""
-    total = cellquad.integrate(snap)
-    total[cellquad.squares] = snap.problem.square_integral(snap.t, mesh.n, *cellquad.square_ij)
+    piecewise constants, by the scheme's cell quadrature."""
+    mesh, cq = scheme.mesh, scheme.cellquad
+    vals = _on_cells(scheme, snap) * cq.weights
+    # bincount gives ints when there are no points
+    total = np.bincount(cq.cell_index, vals, mesh.n_cells).astype(float, copy=False)
+    total[cq.squares] = snap.problem.square_integral(snap.t, mesh.n, *cq.square_ij)
     return total / mesh.areas
 
 
 def _snapshot_l2_squared(scheme: DoDScheme, snap: Snapshot, squares_u2) -> float:
     """||u||^2 of a snapshot, from its int u^2 on each uncut square."""
-    cq = scheme.cellquad
-    x = np.square(np.asarray(snap(cq.points), dtype=float))
-    x *= cq.weights
+    x = np.square(_on_cells(scheme, snap))
+    x *= scheme.cellquad.weights
     return float(x.sum() + squares_u2.sum())
 
 
 def _gradient_squared(scheme: DoDScheme, snap: Snapshot, squares_grad2) -> float:
     """||grad u||^2 of a snapshot, from its int |grad u|^2 on each uncut square."""
-    grad2 = scheme.cellquad.integrate_total(lambda p: np.square(snap.gradient(p)).sum(axis=-1))
-    return grad2 + float(squares_grad2.sum())
+    grad = snapshot_problem(scheme, snap).gradient_from(snap.t, scheme.cell_chars)
+    x = np.square(grad).sum(axis=-1) * scheme.cellquad.weights
+    return float(x.sum()) + float(squares_grad2.sum())
 
 
 def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
@@ -89,7 +98,7 @@ def l2_norm_squared(scheme: DoDScheme, v) -> float | np.ndarray:
         return _snapshot_l2_squared(scheme, smooth, m2)
     cq = scheme.cellquad
     m1 = smooth.problem.square_integral(smooth.t, scheme.mesh.n, *cq.square_ij)
-    x = np.square(np.take(disc, cq.cell_index, axis=-1) + np.asarray(smooth(cq.points), dtype=float))
+    x = np.square(np.take(disc, cq.cell_index, axis=-1) + _on_cells(scheme, smooth))
     x *= cq.weights
     c = np.take(disc, cq.squares, axis=-1)
     y = m2 + c * (2.0 * m1 + c * scheme.mesh.areas[cq.squares])

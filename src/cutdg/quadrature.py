@@ -3,7 +3,8 @@
 Face integrals use Gauss-Legendre on the reference interval [0, 1]; the
 face points are not tabulated for the whole mesh:
 `discretization.FaceIntegralTable.quadrature` builds them for the faces a
-caller reads (a scheme's jump faces, the inflow faces among them).  Cell
+caller reads (a scheme's jump faces, the inflow faces among them, and all
+faces on request).  Cell
 integrals fan-triangulate each cut cell (a convex polygon) from vertex 0 and
 apply a conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each
 triangle.  Both are exact for polynomials up to a configurable total degree,
@@ -97,12 +98,12 @@ class CellQuadratureTable:
     grid squares the mesh build left unclipped), and `square_ij` their grid
     indices i and j as two rows.  They take no points, as the norms
     integrate over them in closed form.  Every other cell takes `rule`
-    on each triangle of its fan from vertex 0; `integrate` reduces integrand
-    values onto cells with bincount, so it gives 0 on the squares.
+    on each triangle of its fan from vertex 0: `points`, `weights` and the
+    `cell_index` of each point.  The table is data only: the norms sum the
+    weighted exact solution at `points`, by cell or whole.
     """
 
     def __init__(self, mesh, rule: TriangleRule):
-        self.n_cells = mesh.n_cells
         counts = np.diff(mesh.cell_ptr)
         vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
         self.squares = np.flatnonzero(mesh.kind_codes == K_CARTESIAN)
@@ -132,14 +133,3 @@ class CellQuadratureTable:
         self.points = self.points.reshape(-1, 2)
         self.weights = np.multiply(rule.weights, (2.0 * tri_areas)[:, None]).ravel()
         self.cell_index = np.repeat(cells, len(rule))
-
-    def integrate(self, integrand) -> np.ndarray:
-        """Per-cell integrals of a scalar function; returns (n_cells,) floats
-        (bincount gives ints when there are no points)."""
-        vals = np.asarray(integrand(self.points), dtype=float) * self.weights
-        return np.bincount(self.cell_index, vals, self.n_cells).astype(float, copy=False)
-
-    def integrate_total(self, integrand) -> float:
-        """The sum of `integrate`, in numpy's own summation order."""
-        vals = np.asarray(integrand(self.points), dtype=float) * self.weights
-        return float(vals.sum())

@@ -7,7 +7,10 @@ extended jumps picked from the side means by the sign of each leg's flux.
 The smooth face means are the row sums of |w beta.n| times the values at
 points the face table builds for the faces asked for, and the starred
 norm's cell-boundary mass gathers per-cell capacity weights on every
-call.  Tests compare the package against it bit for bit.
+call.  The cell integrals of a snapshot (the L2 projection, the L2 norm and
+the H1 norm) evaluate it on the cell quadrature points on every call, as
+`problem.exact` does from the points.  Tests compare the package against it
+bit for bit.
 """
 import math
 
@@ -15,17 +18,14 @@ import numpy as np
 
 from cutdg.discretization import per_field, split_parts
 from cutdg.field import Snapshot
-from cutdg.norms import l2_norm_squared
 
 
 def smooth_face_means(table, smooth, faces=None):
     """Row sums of |w beta.n| times the values of `smooth` on the face
     quadrature of every face, or of the given faces, built afresh."""
-    if faces is None:
-        (qpoints, wbn), abs_flux = table.all_faces, table.abs_flux
-    else:
-        (qpoints, wbn), abs_flux = table.quadrature(faces), table.abs_flux[faces]
-    vals = np.asarray(smooth(qpoints.reshape(-1, 2)), dtype=float).reshape(wbn.shape)
+    faces = slice(None) if faces is None else faces
+    (qpoints, wbn), abs_flux = table.quadrature(faces), table.abs_flux[faces]
+    vals = smooth.problem.exact(smooth.t, qpoints.reshape(-1, 2)).reshape(wbn.shape)
     num = (np.abs(wbn) * vals).sum(axis=1)
     return np.divide(num, abs_flux, out=np.zeros_like(num), where=abs_flux > 0.0)
 
@@ -100,6 +100,49 @@ def triple_star_norm(scheme, v):
     plain, capacity, extended = seminorm_parts(scheme, disc_means, means)
     semi_sq = np.maximum(plain + capacity + extended, 0.0)
     return per_field(np.sqrt(l2_sq + semi_sq + boundary_mass(scheme, means)))
+
+
+def cell_values(scheme, smooth):
+    """u(t, .) of a snapshot on the cell quadrature points."""
+    return smooth.problem.exact(smooth.t, scheme.cellquad.points)
+
+
+def l2_project(scheme, smooth):
+    """Cell averages: the quadrature sum per cut cell, the closed form on
+    the uncut squares."""
+    mesh, cq = scheme.mesh, scheme.cellquad
+    vals = cell_values(scheme, smooth) * cq.weights
+    total = np.bincount(cq.cell_index, vals, mesh.n_cells).astype(float)
+    total[cq.squares] = smooth.problem.square_integral(smooth.t, mesh.n, *cq.square_ij)
+    return total / mesh.areas
+
+
+def l2_norm_squared(scheme, v):
+    """||smooth + discrete||^2: with a smooth part, the square of the sum at
+    the cell points and int u^2 + c (2 int u + c |E|) on the uncut squares."""
+    smooth, disc = split_parts(v)
+    mesh, cq = scheme.mesh, scheme.cellquad
+    if smooth is None:
+        return per_field((np.square(disc) * mesh.areas).sum(axis=-1))
+    u2 = smooth.problem.square_quadratic_integrals(smooth.t, mesh.n, *cq.square_ij)[0]
+    vals = cell_values(scheme, smooth)
+    if disc is None:
+        return float((np.square(vals) * cq.weights).sum() + u2.sum())
+    u1 = smooth.problem.square_integral(smooth.t, mesh.n, *cq.square_ij)
+    x = np.square(np.take(disc, cq.cell_index, axis=-1) + vals) * cq.weights
+    c = np.take(disc, cq.squares, axis=-1)
+    y = u2 + c * (2.0 * u1 + c * mesh.areas[cq.squares])
+    return per_field(x.sum(axis=-1) + y.sum(axis=-1))
+
+
+def h1_norm(scheme, smooth):
+    """(||u||^2 + ||grad u||^2)^(1/2), with grad u from the characteristics
+    of the cell points, built on the call."""
+    mesh, cq, problem = scheme.mesh, scheme.cellquad, smooth.problem
+    grad2 = problem.square_quadratic_integrals(smooth.t, mesh.n, *cq.square_ij)[1]
+    grad = problem.gradient_from(smooth.t, problem.characteristics(cq.points))
+    grad_sq = float((np.square(grad).sum(axis=-1) * cq.weights).sum()) + float(grad2.sum())
+    return math.sqrt(l2_norm_squared(scheme, smooth) + grad_sq)
 
 
 def error_breakdown(scheme, t, u_h):

@@ -213,7 +213,7 @@ class TestFaceTable:
         rule = SegmentRule.gauss(order)
         table = build_face_table(mesh, velocity, rule)
         want = face_table_reference(mesh, velocity, rule, table.flux_in)
-        for field, a, b in zip(("qpoints", "wbn"), table.all_faces, want, strict=True):
+        for field, a, b in zip(("qpoints", "wbn"), table.quadrature(slice(None)), want, strict=True):
             assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), field
             assert a.tobytes() == b.tobytes(), field
         # any subset of the faces, in any order, takes the matching rows
@@ -225,10 +225,16 @@ class TestFaceTable:
                 assert a.tobytes() == np.ascontiguousarray(b[faces]).tobytes(), field
 
     def test_all_face_quadrature_is_built_on_request_once(self):
-        # a scheme reads face points on its jump faces only
+        # a scheme reads face points on its jump faces only, until the
+        # all-face means are first asked for
         scheme = DoDScheme(make_ramp_problem(25.0, 0.2001), SchemeConfig(), 16)
-        assert "all_faces" not in vars(scheme.table)
-        assert scheme.table.all_faces is scheme.table.all_faces
+        assert "all_faces" not in vars(scheme)
+        chars, abs_wbn = scheme.all_faces
+        assert scheme.all_faces is scheme.all_faces
+        qpoints, wbn = scheme.table.quadrature(slice(None))
+        want = scheme.problem.characteristics(qpoints.reshape(-1, 2))
+        for a, b in ((chars.xi, want.xi), (chars.speed, want.speed), (abs_wbn, np.abs(wbn))):
+            assert a.tobytes() == b.tobytes()
 
     def test_rejects_non_tangent_field(self):
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=0.3), 8)
@@ -276,7 +282,7 @@ class TestBetaWeightedMean:
 
     @staticmethod
     def all_face_means(table, f):
-        qpoints, wbn = table.all_faces
+        qpoints, wbn = table.quadrature(slice(None))
         return weighted_face_means(np.abs(wbn), f(qpoints.reshape(-1, 2)), table.abs_flux)
 
     def test_constant_function(self, base_scheme):
@@ -304,10 +310,11 @@ class TestBetaWeightedMean:
         a = mesh.f_endpoints[vertical, 0, 0]
         np.testing.assert_allclose(m[vertical], a, rtol=1e-13)
         # a snapshot's trace is single-valued: both sides carry its mean
-        u0 = base_scheme.problem.u0
-        both = face_side_means(base_scheme, u0)
+        problem = base_scheme.problem
+        both = face_side_means(base_scheme, problem.u0)
         np.testing.assert_array_equal(both[:, 0], both[:, 1])
-        np.testing.assert_array_equal(both[:, 0], self.all_face_means(table, u0))
+        np.testing.assert_array_equal(both[:, 0],
+                                      self.all_face_means(table, lambda p: problem.exact(0.0, p)))
 
     def test_zero_flux_face_gets_mean_zero(self, base_scheme):
         mesh, table = base_scheme.mesh, base_scheme.table

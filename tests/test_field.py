@@ -33,7 +33,7 @@ def rk4_backtrace(problem, t, p, dt=1e-4):
         k3 = beta(x - 0.5 * step * k2)
         k4 = beta(x - step * k3)
         x = x - step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return problem.u0(x)
+    return problem.exact(0.0, x)
 
 
 def ramp_points(ramp, rng, m):
@@ -115,7 +115,10 @@ class TestExactSolution:
         xi = math.cos(g) * (pts[:, 0] - x0) + math.sin(g) * pts[:, 1]
         u0 = np.sin(math.sqrt(2.0) * math.pi / (1.0 - x0) * xi)
         np.testing.assert_allclose(problem.exact(0.0, pts), u0, rtol=0.0, atol=1e-15)
-        np.testing.assert_array_equal(problem.u0(pts), problem.exact(0.0, pts))
+        # the snapshot u0 is read as u(0, .) from the points' characteristics
+        assert (problem.u0.problem, problem.u0.t) == (problem, 0.0)
+        np.testing.assert_array_equal(
+            problem.exact_from(problem.u0.t, problem.characteristics(pts)), problem.exact(0.0, pts))
 
     def test_on_ramp_unit_speed(self, problem):
         # on the ramp the streamline speed is exactly 1
@@ -152,7 +155,7 @@ class TestExactSolution:
         pts = rng.uniform([0.3, 0.5], [0.9, 0.95], size=(20, 2))
         eps = 1e-6
         for t in (0.0, 0.3):
-            g = problem.exact_gradient(t, pts)
+            g = problem.gradient_from(t, problem.characteristics(pts))
             gx = (problem.exact(t, pts + [eps, 0]) - problem.exact(t, pts - [eps, 0])) / (2 * eps)
             gy = (problem.exact(t, pts + [0, eps]) - problem.exact(t, pts - [0, eps])) / (2 * eps)
             np.testing.assert_allclose(g[:, 0], gx, atol=1e-8)
@@ -202,7 +205,8 @@ class TestSquareIntegrals:
             if t > 1.0 and gamma == 5.0 and n == 8:
                 continue  # b h = 8: 12 points a side do not resolve sin(2 b y)
             u = problem.exact(t, pts.reshape(-1, 2)).reshape(wts.shape)
-            grad = problem.exact_gradient(t, pts.reshape(-1, 2)).reshape(pts.shape)
+            chars = problem.characteristics(pts.reshape(-1, 2))
+            grad = problem.gradient_from(t, chars).reshape(pts.shape)
             want = ((wts * u).sum(axis=1), (wts * u * u).sum(axis=1),
                     (wts * np.square(grad).sum(axis=-1)).sum(axis=1))
             got_all = (problem.square_integral(t, n, *ij.T),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from cutdg.norms import (
 )
 from cutdg.quadrature import CellQuadratureTable, TriangleRule
 from polygon_oracle import cell_vertices, grid_square_rule, integrate_cell
+
+
+def at(snap, p):
+    """A snapshot's values on points, from the problem's `exact`."""
+    return snap.problem.exact(snap.t, p)
 
 
 def tensor_oracle(scheme, f):
@@ -43,7 +49,7 @@ class TestL2Project:
         cut = np.ones(mesh.n_cells, dtype=bool)
         cut[cq.squares] = False
         assert np.all(mesh.kind_codes[cq.squares] == K_CARTESIAN) and cut.any()
-        per_cell = cq.integrate(lambda p: np.full(len(p), 2.5))
+        per_cell = np.bincount(cq.cell_index, 2.5 * cq.weights, minlength=mesh.n_cells)
         np.testing.assert_allclose(per_cell[cut] / mesh.areas[cut], 2.5, rtol=1e-13)
         np.testing.assert_array_equal(per_cell[cq.squares], 0.0)
 
@@ -53,19 +59,25 @@ class TestL2Project:
         mesh = build_mesh(RampDomain(gamma=math.radians(30.0), x0=1.0), 4)
         cellquad = CellQuadratureTable(mesh, TriangleRule.of_degree(6))
         assert len(cellquad.points) == 0 and len(cellquad.squares) == mesh.n_cells
+        # no problem is posed on this mesh's ramp: a stand-in scheme holds
+        # the mesh, its table and the characteristics of its (no) points
+        problem = make_ramp_problem(25.0, 0.2001)
+        scheme = SimpleNamespace(problem=problem, mesh=mesh, cellquad=cellquad,
+                                 cell_chars=problem.characteristics(cellquad.points))
         pts, wts = grid_square_rule(4, mesh.background)
         for t in (0.0, 0.3):
-            u = Snapshot(make_ramp_problem(25.0, 0.2001), t)
-            oracle = (wts * u(pts.reshape(-1, 2)).reshape(wts.shape)).sum(axis=1) / mesh.areas
-            np.testing.assert_allclose(l2_project(mesh, u, cellquad), oracle, rtol=0.0, atol=1e-14)
+            u = Snapshot(problem, t)
+            oracle = (wts * at(u, pts.reshape(-1, 2)).reshape(wts.shape)).sum(axis=1) / mesh.areas
+            np.testing.assert_allclose(l2_project(scheme, u), oracle, rtol=0.0, atol=1e-14)
 
     def test_wave_against_high_degree_oracle(self, scheme_cache):
         scheme = scheme_cache(25.0, 0.2001, 32)
-        proj = l2_project(scheme.mesh, scheme.problem.u0, scheme.cellquad)
+        u0 = scheme.problem.u0
+        proj = l2_project(scheme, u0)
         oracle_rule = TriangleRule.of_degree(12)
         mesh = scheme.mesh
         for c in range(0, mesh.n_cells, max(1, mesh.n_cells // 40)):
-            oracle = integrate_cell(cell_vertices(mesh, c), scheme.problem.u0, oracle_rule)
+            oracle = integrate_cell(cell_vertices(mesh, c), lambda p: at(u0, p), oracle_rule)
             assert abs(proj[c] - oracle / mesh.areas[c]) < 1e-10
 
 
@@ -128,7 +140,7 @@ class TestJumpFaces:
     def test_matches_all_faces_reference(self, scheme_cache, all_faces_seminorm, gamma, x0, n):
         scheme = scheme_cache(gamma, x0, n)
         exact_t = Snapshot(scheme.problem, 0.3)
-        proj = l2_project(scheme.mesh, exact_t, scheme.cellquad)
+        proj = l2_project(scheme, exact_t)
         noise = np.random.default_rng(27).uniform(-1, 1, scheme.mesh.n_cells)
         # the small-error regime of a converged solution and a rough field
         for u_h in (proj, proj + 1e-3 * noise, noise):
@@ -199,22 +211,22 @@ class TestTripleNorms:
         # converged error and for rough fields
         scheme = scheme_cache(25.0, 0.2001, 32)
         u = Snapshot(scheme.problem, t)
-        proj = l2_project(scheme.mesh, u, scheme.cellquad)
+        proj = l2_project(scheme, u)
         noise = np.random.default_rng(29).uniform(-1, 1, scheme.mesh.n_cells)
         for d in (-proj, 1e-3 * noise - proj, noise):
-            oracle = tensor_oracle(scheme, lambda p, c: np.square(u(p) + d[c]))
+            oracle = tensor_oracle(scheme, lambda p, c: np.square(at(u, p) + d[c]))
             assert l2_norm_squared(scheme, (u, d)) == pytest.approx(oracle.sum(), rel=1e-12, abs=0.0)
         block = np.stack([-proj, noise])
         np.testing.assert_array_equal(l2_norm_squared(scheme, (u, block)),
                                       [l2_norm_squared(scheme, (u, d)) for d in block])
         assert l2_norm_squared(scheme, u) == pytest.approx(
-            tensor_oracle(scheme, lambda p, c: np.square(u(p))).sum(), rel=1e-13, abs=0.0)
+            tensor_oracle(scheme, lambda p, c: np.square(at(u, p))).sum(), rel=1e-13, abs=0.0)
 
 
 def projection_error(scheme):
     """u(0, .) - Pi_h u(0, .) as a (smooth, discrete) pair."""
     u0 = scheme.problem.u0
-    return u0, -l2_project(scheme.mesh, u0, scheme.cellquad)
+    return u0, -l2_project(scheme, u0)
 
 
 class TestProjectionError:
@@ -252,7 +264,7 @@ class TestProjectionError:
 
 class TestErrorBreakdown:
     def test_projection_is_reported(self, base_scheme):
-        u_h = l2_project(base_scheme.mesh, base_scheme.problem.u0, base_scheme.cellquad)
+        u_h = l2_project(base_scheme, base_scheme.problem.u0)
         eb = error_breakdown(base_scheme, 0.0, u_h)
         assert [f.name for f in dataclasses.fields(eb)] == ["l2", "beta_semi"]
         assert eb.l2 > 0.0 and eb.beta_semi > 0.0
@@ -267,9 +279,9 @@ class TestErrorBreakdown:
         exact_from = type(problem).exact_from
         calls = []
 
-        # every evaluation of the exact solution ends in `exact_from`: on the
-        # cut cells' points through `exact`, on the jump faces' points from
-        # the scheme's characteristic coordinates
+        # every evaluation of the exact solution is `exact_from` on the
+        # scheme's characteristics: the cut cells' `cell_chars` and the jump
+        # faces' `jump_chars`
         def counting_exact_from(self, t, chars):
             calls.append(np.size(chars.xi))
             return exact_from(self, t, chars)
@@ -282,6 +294,23 @@ class TestErrorBreakdown:
         diff = (Snapshot(problem, t), -u_h)
         assert eb.l2 == math.sqrt(l2_norm_squared(base_scheme, diff))
         assert eb.beta_semi == beta_seminorm(base_scheme, diff)
+
+        # the characteristics of every point set are built with the scheme,
+        # the all-face set on its first request: no norm, form or solve
+        # builds them again
+        base_scheme.all_faces
+
+        def no_characteristics(self, pts):
+            raise AssertionError("characteristics built on a call")
+
+        monkeypatch.setattr(type(problem), "characteristics", no_characteristics)
+        u = Snapshot(problem, t)
+        error_breakdown(base_scheme, t, u_h)
+        l2_project(base_scheme, u)
+        h1_norm(base_scheme, u)
+        triple_star_norm(base_scheme, (u, -u_h))
+        face_side_means(base_scheme, u)
+        base_scheme.solve()
 
     def test_interior_plain_jumps_are_discrete_jumps(self, base_scheme):
         # the smooth part cancels across interior faces, so the plain part of
@@ -304,9 +333,9 @@ def test_h1_norm_fd_fallback_matches_analytic(base_scheme):
     step = 1e-6 * base_scheme.h
 
     def integrand(p, cells):
-        gx = (u(p + [step, 0.0]) - u(p - [step, 0.0])) / (2 * step)
-        gy = (u(p + [0.0, step]) - u(p - [0.0, step])) / (2 * step)
-        return np.square(u(p)) + gx * gx + gy * gy
+        gx = (at(u, p + [step, 0.0]) - at(u, p - [step, 0.0])) / (2 * step)
+        gy = (at(u, p + [0.0, step]) - at(u, p - [0.0, step])) / (2 * step)
+        return np.square(at(u, p)) + gx * gx + gy * gy
 
     fd = math.sqrt(tensor_oracle(base_scheme, integrand).sum())
     assert h1_norm(base_scheme, u) == pytest.approx(fd, rel=1e-7)

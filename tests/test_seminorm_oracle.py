@@ -6,13 +6,17 @@ import pytest
 import scipy.sparse as sp
 
 import seminorm_oracle as oracle
-from cutdg.discretization import (DoDScheme, FaceIntegralTable, bilinear_J, face_side_means,
-                                  weighted_face_means)
+from cutdg.discretization import (DoDScheme, FaceIntegralTable, bilinear_a_dod, bilinear_J,
+                                  face_side_means, weighted_face_means)
 from cutdg.field import Snapshot, make_ramp_problem
 from cutdg.norms import (
     beta_seminorm,
     beta_seminorm_parts,
     error_breakdown,
+    gradient_norm_squared,
+    h1_norm,
+    l2_norm_squared,
+    l2_project,
     triple_star_norm,
 )
 from cutdg.verify import IDENT_TOL
@@ -51,6 +55,19 @@ def test_norms_equal_the_face_sum_oracle(scheme_cache, gamma, x0, n):
             assert np.array_equal(got, want), name
         assert np.array_equal(beta_seminorm(scheme, v), oracle.beta_seminorm(scheme, v)), name
         assert np.array_equal(triple_star_norm(scheme, v), oracle.triple_star_norm(scheme, v)), name
+
+
+@pytest.mark.parametrize("gamma,x0,n", GEOMETRIES)
+def test_cell_integrals_equal_the_point_evaluation_oracle(scheme_cache, gamma, x0, n):
+    # the cached `cell_chars` give the bits of evaluating on the points
+    scheme = scheme_cache(gamma, x0, n)
+    fields = elements(scheme)
+    u = fields["smooth"]
+    assert np.array_equal(l2_project(scheme, u), oracle.l2_project(scheme, u))
+    for name in ("smooth", "smooth+single", "smooth+block"):
+        v = fields[name]
+        assert np.array_equal(l2_norm_squared(scheme, v), oracle.l2_norm_squared(scheme, v)), name
+    assert h1_norm(scheme, u) == oracle.h1_norm(scheme, u)
 
 
 def jump_gram(scheme):
@@ -126,7 +143,7 @@ def test_seminorm_of_a_snapshot_builds_no_face_points(scheme_cache, monkeypatch,
            bilinear_J(scheme, u, w), bilinear_J(scheme, v, w))
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
-    assert "all_faces" not in vars(scheme.table)
+    assert "all_faces" not in vars(scheme)
 
 
 def test_starred_norm_builds_every_face_once(scheme_cache, monkeypatch):
@@ -139,21 +156,35 @@ def test_starred_norm_builds_every_face_once(scheme_cache, monkeypatch):
         calls.append(faces)
         return quadrature(self, faces)
 
-    monkeypatch.setattr(FaceIntegralTable, "quadrature", counting_quadrature)
     v = (Snapshot(scheme.problem, T), elements(twin)["block"])
+    want = oracle.triple_star_norm(twin, v)  # the oracle builds face points on every call
+    monkeypatch.setattr(FaceIntegralTable, "quadrature", counting_quadrature)
     for _ in range(3):
-        assert np.array_equal(triple_star_norm(scheme, v), oracle.triple_star_norm(twin, v))
+        assert np.array_equal(triple_star_norm(scheme, v), want)
     assert calls == [slice(None)]
 
 
 def test_seminorm_rejects_a_snapshot_of_another_ramp(scheme_cache):
+    # every form and norm reads a snapshot on the scheme's characteristics,
+    # which are of points on the scheme's ramp
     scheme = scheme_cache(25.0, 0.2001, 16)
-    other = make_ramp_problem(25.0, 0.25)
+    other = Snapshot(make_ramp_problem(25.0, 0.25), T)
     u_h = np.zeros(scheme.mesh.n_cells)
-    with pytest.raises(ValueError, match="not on the scheme.s ramp"):
-        beta_seminorm(scheme, (Snapshot(other, T), u_h))
-    with pytest.raises(ValueError, match="not on the scheme.s ramp"):
-        bilinear_J(scheme, Snapshot(other, T), u_h)
+    calls = {
+        "beta_seminorm": lambda: beta_seminorm(scheme, (other, u_h)),
+        "bilinear_J": lambda: bilinear_J(scheme, other, u_h),
+        "bilinear_a_dod": lambda: bilinear_a_dod(scheme, (other, u_h), u_h),
+        "l2_norm_squared": lambda: l2_norm_squared(scheme, other),
+        "l2_norm_squared+disc": lambda: l2_norm_squared(scheme, (other, u_h)),
+        "l2_project": lambda: l2_project(scheme, other),
+        "h1_norm": lambda: h1_norm(scheme, other),
+        "gradient_norm_squared": lambda: gradient_norm_squared(scheme, other),
+        "triple_star_norm": lambda: triple_star_norm(scheme, (other, u_h)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="not on the scheme.s ramp"):
+            call()
+            pytest.fail(f"{name} took the snapshot")
 
 
 def test_smooth_face_means_equal_row_sums(scheme_cache):

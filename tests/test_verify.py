@@ -367,14 +367,21 @@ class TestBatchedChecks:
 
     def test_one_exact_evaluation_per_point_set(self, base_scheme, monkeypatch):
         problem = base_scheme.problem
-        exact = type(problem).exact
+        exact_from = type(problem).exact_from
         calls = []
 
-        def counting_exact(self, t, p):
+        # every evaluation of a snapshot is `exact_from` on characteristics
+        # the scheme built once; building them on a call fails the test
+        def counting_exact_from(self, t, chars):
             calls.append(t)
-            return exact(self, t, p)
+            return exact_from(self, t, chars)
 
-        monkeypatch.setattr(type(problem), "exact", counting_exact)
+        def no_characteristics(self, pts):
+            raise AssertionError("characteristics built on a call")
+
+        base_scheme.all_faces  # the all-face set is built on its first request
+        monkeypatch.setattr(type(problem), "exact_from", counting_exact_from)
+        monkeypatch.setattr(type(problem), "characteristics", no_characteristics)
         snapshots = np.linspace(0.0, problem.t_final, 4)
         for samples in (8, 40):
             calls.clear()
