@@ -430,6 +430,20 @@ def build_inflow(mesh: CutCellMesh, table: FaceIntegralTable, faces, qpoints, wb
     return cells, qpoints[rows].reshape(-1, 2), matrix
 
 
+def _step_matrix(a: sp.csr_matrix, dt: float) -> sp.csr_matrix:
+    """S = I - dt A: `-dt A` on A's own index arrays, and `setdiag` adds the
+    identity.  A scheme's `matrix` is canonical and stores its whole
+    diagonal, so S has the entries, order and `S @ u` bits of scipy's
+    `identity - dt A`; it shares A's index arrays unless an exact zero is
+    dropped, which goes on a copy, so A's arrays stay as they are."""
+    s = sp.csr_matrix((-dt * a.data, a.indices, a.indptr), shape=a.shape)
+    s.setdiag(s.diagonal() + 1.0)
+    if not s.data.all():
+        s = s.copy()
+        s.eliminate_zeros()
+    return s
+
+
 def estimate_cb(mesh, st: StabilizedCells, velocity) -> float:
     """Min of |beta.n| over the in/outflow faces of stabilized cells.
 
@@ -466,8 +480,8 @@ class DoDScheme:
     themselves are not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  The explicit update is `step`:
-    S u plus dt `rhs(t)`, the one implementation of the inflow term, on
-    the inflow cells.  The inflow data do not depend on u, so `solve`
+    S u, or u - dt' A u for another step dt', plus dt `rhs(t)`, the one
+    implementation of the inflow term, on the inflow cells.  The inflow data do not depend on u, so `solve`
     evaluates them for a block of steps with one `rhs` call and hands each
     step its row.  Everything is built once and treated as immutable,
     so a scheme can be shared by solves, norms, and verification checks.
@@ -498,7 +512,7 @@ class DoDScheme:
             self.mesh, self.table, self.jump_faces, qpoints, wbn)
         self.inflow_chars = problem.characteristics(points)
         self.dt = config.kappa(problem.velocity) * self.mesh.h
-        self.step_S = self.step_matrix(self.dt)
+        self.step_S = _step_matrix(self.matrix, self.dt)
         self.cellquad = CellQuadratureTable(self.mesh, cell_rule)
         self.cell_chars = problem.characteristics(self.cellquad.points)
         self.c_b = estimate_cb(self.mesh, self.records, problem.velocity)
@@ -545,30 +559,13 @@ class DoDScheme:
         data = self.problem.g_from(np.asarray(t, dtype=float)[..., None], self.inflow_chars)
         return (self.inflow_matrix @ data.T).T
 
-    def step_matrix(self, dt: float) -> sp.csr_matrix:
-        """S = I - dt A, the explicit Euler update without inflow data.
-
-        `-dt A` on A's own index arrays, with `setdiag` adding the identity;
-        `matrix` is canonical (sorted, no duplicates) and stores its whole
-        diagonal, so S has the entries and order of scipy's `identity - dt A`
-        and `S @ u` its bits.  S shares A's index arrays unless an exact
-        zero is dropped: those go on a copy, so A's arrays stay as they are.
-        """
-        a = self.matrix
-        s = sp.csr_matrix((-dt * a.data, a.indices, a.indptr), shape=a.shape)
-        s.setdiag(s.diagonal() + 1.0)
-        if not s.data.all():
-            s = s.copy()
-            s.eliminate_zeros()
-        return s
-
     def step(self, u: PiecewiseConstantField, t: float, dt: float,
              inflow: np.ndarray | None = None) -> PiecewiseConstantField:
-        """Explicit Euler u - dt A u + dt rhs(t), as S u plus dt rhs(t) on
-        the inflow cells.  S is `step_S` for the scheme's `dt`, and built
-        afresh for any other step.  `inflow`, when given, is dt rhs(t)
-        already evaluated, as `solve` has it for a block of steps."""
-        out = (self.step_S if dt == self.dt else self.step_matrix(dt)) @ u
+        """Explicit Euler u - dt A u + dt rhs(t): `step_S @ u` for the
+        scheme's `dt`, u - dt (A u) for any other (a solve's short last
+        step), plus dt rhs(t) on the inflow cells.  `inflow`, when given, is
+        dt rhs(t) already evaluated, as `solve` has it for a block of steps."""
+        out = self.step_S @ u if dt == self.dt else u - dt * (self.matrix @ u)
         out[self.inflow_cells] += dt * self.rhs(t) if inflow is None else inflow
         return out
 

@@ -3,8 +3,10 @@
 The smooth part of a V* element is a snapshot u(t, .) of the exact solution,
 integrated in closed form over the uncut squares and by the scheme's cell
 quadrature, whose points lie on the cut cells only, over the other cells.
-A snapshot is read only on characteristics the scheme built once, and only
-if it is on the scheme's ramp (`discretization.snapshot_problem`).
+A snapshot is read only on characteristics the scheme built once (the cell
+points' `cell_chars`, the jump faces' `jump_chars`, every face's
+`all_faces`), and only if it is on the scheme's ramp
+(`discretization.snapshot_problem`).
 
 The beta-seminorm collects |beta.n|-weighted squared jumps of face means,
 with the in/outflow faces of stabilized cells weighted by their capacity
@@ -22,13 +24,11 @@ one entry, for every element of V*, `error_breakdown` and
 single-valued, so it cancels from every interior jump: the seminorm takes
 those jumps from the discrete part alone and needs the smooth part only on
 the scheme's `jump_faces`, the boundary faces with flux and the legs of
-stabilized cells, a few percent of the faces.  There `face_side_means`
-evaluates a snapshot from the scheme's cached characteristic coordinates
-of their quadrature points (`jump_chars`).  The starred norm needs a smooth
-part's mean on every face anyway, from the scheme's `all_faces`
-characteristics, built on their first use (only the `verify` checks ask
-for them), and gives the jump faces' means to the same formula; its
-cell-boundary mass weights each cell by `records.capacity`.
+stabilized cells, a few percent of the faces.  The starred norm needs a
+smooth part's mean on every face anyway, from `all_faces`, built on first
+use (only the `verify` checks ask for it), and gives the jump faces' means
+to the same formula; its cell-boundary mass weights each cell by
+`records.capacity`.
 """
 from __future__ import annotations
 

@@ -3,8 +3,7 @@
 Face integrals use Gauss-Legendre on the reference interval [0, 1]; the
 face points are not tabulated for the whole mesh:
 `discretization.FaceIntegralTable.quadrature` builds them for the faces a
-caller reads (a scheme's jump faces, the inflow faces among them, and all
-faces on request).  Cell
+caller reads (a scheme's jump faces, and every face on request).  Cell
 integrals fan-triangulate each cut cell (a convex polygon) from vertex 0 and
 apply a conical-product rule (Gauss-Jacobi x Gauss-Legendre) on each
 triangle.  Both are exact for polynomials up to a configurable total degree,
@@ -98,9 +97,8 @@ class CellQuadratureTable:
     grid squares the mesh build left unclipped), and `square_ij` their grid
     indices i and j as two rows.  They take no points, as the norms
     integrate over them in closed form.  Every other cell takes `rule`
-    on each triangle of its fan from vertex 0: `points`, `weights` and the
-    `cell_index` of each point.  The table is data only: the norms sum the
-    weighted exact solution at `points`, by cell or whole.
+    on each triangle of its fan from vertex 0, as `points`, `weights` and
+    the `cell_index` of each point; the norms weight and sum u there.
     """
 
     def __init__(self, mesh, rule: TriangleRule):
