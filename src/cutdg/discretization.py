@@ -480,11 +480,12 @@ class DoDScheme:
     themselves are not kept.
     The time step `dt` = kappa h is fixed by the configuration, and
     `step_S` = I - dt A is built for it.  The explicit update is `step`:
-    S u, or u - dt' A u for another step dt', plus dt `rhs(t)`, the one
-    implementation of the inflow term, on the inflow cells.  The inflow data do not depend on u, so `solve`
-    evaluates them for a block of steps with one `rhs` call and hands each
-    step its row.  Everything is built once and treated as immutable,
-    so a scheme can be shared by solves, norms, and verification checks.
+    S u (u - dt' A u for another step dt') plus dt `rhs(t)`, the one
+    implementation of the inflow term, on the inflow cells.  The inflow
+    data do not depend on u, so `solve` evaluates them for a block of
+    steps with one `rhs` call and hands each step its row.  Everything is
+    built once and treated as immutable, so a scheme can be shared by
+    solves, norms, and verification checks.
     """
 
     def __init__(self, problem: RampTestProblem, config: SchemeConfig, n: int):
